@@ -41,7 +41,7 @@ def main() -> None:
                 err = f"{b.mean_radius:8.3f} {dr:+6.2f} {b.perimeter:9.3f} {dp:+6.2f}"
             else:
                 err = f"{b.mean_radius:8.3f} {'-':>6} {b.perimeter:9.3f} {'-':>6}"
-            word = "".join(b.word.symbols) if b.word is not None else "-"
+            word = str(b.word) if b.word is not None else "-"
             print(f"  {str(b.counts):>14} {str(list(b.s_range)):>12} "
                   f"{b.pole_side:>4} {err} {word}")
 

@@ -8,17 +8,9 @@ threshold should split the sweep into an absent and a present regime.
 
 import argparse
 
-from phyllo.analysis import detect_grain_boundaries, sphere_thresholds
+from phyllo.analysis import detect_grain_boundaries, ring_spans_equator, sphere_thresholds
 from phyllo.generator import generate
 from phyllo.tessellation import tessellate
-
-
-def ring_spans_equator(n: int) -> bool:
-    tess = tessellate(generate("sphere", n))
-    nu = (n - 1) // 2
-    return any(
-        b.s_range[0] <= nu <= b.s_range[1] for b in detect_grain_boundaries(tess)
-    )
 
 
 def main() -> None:
@@ -35,7 +27,8 @@ def main() -> None:
     for n in range(n_star - args.halfwidth, n_star + args.halfwidth + 1):
         if n % 2 == 0:
             continue  # even n has no equatorial site row
-        present = ring_spans_equator(n)
+        tess = tessellate(generate("sphere", n))
+        present = ring_spans_equator(detect_grain_boundaries(tess), n)
         if present and first_present is None:
             first_present = n
         print(f"  n={n}  equatorial ring: {'present' if present else 'absent'}")

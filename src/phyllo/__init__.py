@@ -27,7 +27,6 @@ from .generator import (
     generate_plane,
     generate_sphere,
     normalization_scale,
-    stereographic_chart,
 )
 from .geometry import HYPERBOLIC, PLANE, SPHERE, SurfaceSpec
 from .numerics import (
@@ -73,7 +72,6 @@ __all__ = [
     "inflate",
     "normalization_scale",
     "sphere_thresholds",
-    "stereographic_chart",
     "strip_dipole_word",
     "strip_sequence",
     "tessellate",

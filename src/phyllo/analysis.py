@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import PhylloPattern, normalization_scale
-from .geometry import HYPERBOLIC, PLANE, SPHERE, SurfaceSpec, circle_circumference
+from .geometry import HYPERBOLIC, PLANE, SPHERE, SurfaceSpec, circle_circumference, conformal_factor
 from .numerics import LSWord, fibonacci
 from .tessellation import Tessellation, classify
 
@@ -32,6 +32,7 @@ __all__ = [
     "AreaSeries",
     "site_depth",
     "detect_grain_boundaries",
+    "ring_spans_equator",
     "verify_inflation",
     "dipole_angles",
     "boundary_perimeter_prediction",
@@ -72,6 +73,17 @@ def site_depth(pattern: PhylloPattern, s) -> np.ndarray:
     return s
 
 
+def _clear_of_edge(pattern: PhylloPattern, margin_cells: float) -> np.ndarray:
+    """Sites at least margin_cells mean cell widths inside the pattern edge.
+
+    Sphere patterns have no edge, so every site qualifies there.
+    """
+    if pattern.surface.kind == SPHERE:
+        return np.ones(pattern.n, dtype=bool)
+    rho = pattern.rho / normalization_scale(pattern.surface)
+    return rho <= rho.max() - margin_cells * math.sqrt(math.pi)
+
+
 # ---------------------------------------------------------------------------
 # grain boundaries
 # ---------------------------------------------------------------------------
@@ -91,20 +103,6 @@ class GrainBoundary:
     complete: bool
     anomalous: bool
     pole_side: int  # 0 = ring around the s=0 pole; 1 = around s=n-1 (sphere)
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        self.parent[self.find(x)] = self.find(y)
 
 
 def _rank_from_pentagon_count(count: int) -> int | None:
@@ -188,62 +186,42 @@ def detect_grain_boundaries(tess: Tessellation) -> list[GrainBoundary]:
     Defects (pentagons and heptagons outside the core and away from the
     pattern edge) are linked through Delaunay edges, but only an inward
     heptagon to an outward pentagon: like-type contacts are ignored because
-    adjacent rings touch heptagon-to-heptagon where they meet.  Components
-    whose spiral-index bands overlap are then merged (a ring is a contiguous
-    run of sites) and the hexagons inside the final band are claimed as
-    ring members.
+    adjacent rings touch heptagon-to-heptagon where they meet.  A ring is a
+    contiguous run of sites, so linked defects are grouped by index band:
+    each defect spans the sites up to the furthest defect it links to, a
+    ring is a maximal run of overlapping spans, and the hexagons inside the
+    final band are claimed as ring members.
     """
     pattern = tess.pattern
     n = pattern.n
     labels = classify(tess)
     depth = site_depth(pattern, np.arange(n))
-    scale = normalization_scale(pattern.surface)
-    rho_norm = pattern.rho / scale
-    if pattern.surface.kind == SPHERE:
-        rho_limit = np.inf  # closed surface, no edge
-    else:
-        rho_limit = rho_norm.max() - DEFECT_EDGE_MARGIN_CELLS * math.sqrt(math.pi)
+    clear = _clear_of_edge(pattern, DEFECT_EDGE_MARGIN_CELLS)
     eligible = [
         s
         for s in range(n)
-        if depth[s] >= CORE_DEPTH
-        and rho_norm[s] <= rho_limit
-        and labels[s] in ("pentagon", "heptagon")
+        if depth[s] >= CORE_DEPTH and clear[s] and labels[s] in ("pentagon", "heptagon")
     ]
-    if not eligible:
-        return []
     eligible_set = set(eligible)
-    uf = _UnionFind(eligible)
+    groups: list[list[int]] = []
+    hi = -1  # last site of the current group's band
     for s in eligible:
+        if s > hi:
+            groups.append([])
+        groups[-1].append(s)
+        hi = max(hi, s)
         for link in tess.adjacency[s]:
             t = link.t
             if t not in eligible_set or t < s or labels[s] == labels[t]:
                 continue
             hept, pent = (s, t) if labels[s] == "heptagon" else (t, s)
             if depth[hept] < depth[pent]:
-                uf.union(s, t)
+                hi = max(hi, t)
 
-    groups: dict[int, list[int]] = {}
-    for s in eligible:
-        groups.setdefault(uf.find(s), []).append(s)
-
-    # merge groups whose index bands overlap (rings are contiguous in s)
-    bands = [(min(g), max(g), key) for key, g in groups.items()]
-    bands.sort()
-    merged: list[list[int]] = []
-    cur_lo, cur_hi, cur = bands[0][0], bands[0][1], list(groups[bands[0][2]])
-    for lo, hi, key in bands[1:]:
-        if lo <= cur_hi:
-            cur.extend(groups[key])
-            cur_hi = max(cur_hi, hi)
-        else:
-            merged.append(cur)
-            cur_lo, cur_hi, cur = lo, hi, list(groups[key])
-    merged.append(cur)
-
+    scale = normalization_scale(pattern.surface)
     nu = (n - 1) // 2
     out: list[GrainBoundary] = []
-    for group in merged:
+    for group in groups:
         lo, hi = min(group), max(group)
         members = list(group) + [
             s for s in range(lo, hi + 1) if labels[s] == "hexagon"
@@ -285,6 +263,12 @@ def detect_grain_boundaries(tess: Tessellation) -> list[GrainBoundary]:
         )
     out.sort(key=lambda b: (b.pole_side, b.s_range[0] if b.pole_side == 0 else -b.s_range[1]))
     return out
+
+
+def ring_spans_equator(boundaries: list[GrainBoundary], n: int) -> bool:
+    """Whether a detected ring's index band holds the equator of an n-site sphere."""
+    nu = (n - 1) // 2
+    return any(b.s_range[0] <= nu <= b.s_range[1] for b in boundaries)
 
 
 def verify_inflation(boundaries: list[GrainBoundary]) -> list[tuple[int, int, bool]]:
@@ -402,12 +386,17 @@ def sphere_thresholds(u_max: int) -> list[int]:
         ]
 
 
-def boundary_polar_angle(u: int, nu: int) -> float:
-    """Colatitude of the rank-u dipole ring on the sphere with n = 2*nu + 1."""
+def _ring_fit(u: int, nu: int) -> float:
+    """sin^2 of the rank-u ring's colatitude on the sphere with n = 2*nu + 1."""
     arg = fibonacci(2 * u + 1) / ((2 * nu + 1) * math.pi)
     if arg > 1.0:
         raise ValueError(f"ring of rank {u} does not fit on a sphere of {2 * nu + 1} sites")
-    return math.asin(math.sqrt(arg))
+    return arg
+
+
+def boundary_polar_angle(u: int, nu: int) -> float:
+    """Colatitude of the rank-u dipole ring on the sphere with n = 2*nu + 1."""
+    return math.asin(math.sqrt(_ring_fit(u, nu)))
 
 
 def grain_bounds_estimate(u: int, nu: int) -> tuple[int, int]:
@@ -417,10 +406,7 @@ def grain_bounds_estimate(u: int, nu: int) -> tuple[int, int]:
     nu*(1 - cos phi)) and spans the f_{u-1} hexagons of the ring; values
     can land one site off the detected band.
     """
-    arg = fibonacci(2 * u + 1) / ((2 * nu + 1) * math.pi)
-    if arg > 1.0:
-        raise ValueError(f"ring of rank {u} does not fit on a sphere of {2 * nu + 1} sites")
-    cap = nu * (1.0 - math.sqrt(1.0 - arg))
+    cap = nu * (1.0 - math.sqrt(1.0 - _ring_fit(u, nu)))
     f = fibonacci(u - 1)
     return (
         math.floor((5.0 - f) / 2.0 + cap),
@@ -451,7 +437,7 @@ def _chart_profile(surface: SurfaceSpec, s):
         rho_hat = np.arccosh(a * a * s / 2.0 + 1.0)
         r = np.tanh(rho_hat / 2.0)
         dr = (1.0 - r * r) / 2.0 * (a * a / 2.0) / np.sinh(rho_hat)
-        return r, dr, 2.0 * surface.R / (1.0 - r * r)
+        return r, dr, conformal_factor(surface, r)
     # integer-indexed sites sit at cos(colat) = 1 - s/nu exactly, which is
     # mirror-symmetric about the equator (the continuum 1 - 2s/n is not,
     # and its skew is what the far-pole links feel)
@@ -460,7 +446,7 @@ def _chart_profile(surface: SurfaceSpec, s):
     colat = np.arccos(cos_colat)
     r = np.tan(colat / 2.0)
     dr = (1.0 + r * r) / (2.0 * nu * np.sin(colat))
-    return r, dr, 2.0 * surface.R / (1.0 + r * r)
+    return r, dr, conformal_factor(surface, r)
 
 
 def analytic_distance(surface: SurfaceSpec, s, u: int):
@@ -509,6 +495,10 @@ class DistanceSeries:
 
     def confinement(self) -> tuple[float, float]:
         d = self.measured[self.interior]
+        if not len(d):
+            raise ValueError(
+                "no interior neighbor links: every link touches the core or a boundary cell"
+            )
         return float(d.min()), float(d.max())
 
     def summary(self) -> dict:
@@ -578,11 +568,7 @@ def area_series(tess: Tessellation) -> AreaSeries:
     """
     pattern = tess.pattern
     areas = tess.areas
-    window = ~tess.boundary_mask
-    if pattern.surface.kind != SPHERE:
-        scale = normalization_scale(pattern.surface)
-        rho = pattern.rho / scale
-        window &= rho <= rho.max() - EDGE_MARGIN_CELLS * math.sqrt(math.pi)
+    window = ~tess.boundary_mask & _clear_of_edge(pattern, EDGE_MARGIN_CELLS)
     inside = areas[window]
     return AreaSeries(
         pattern.surface.kind,

@@ -24,10 +24,12 @@ from .analysis import (
     boundary_polar_angle,
     detect_grain_boundaries,
     distance_series,
+    ring_spans_equator,
     sphere_thresholds,
     verify_inflation,
 )
 from .export import (
+    _surface_document,
     area_csv,
     boundaries_csv,
     boundary_rows,
@@ -159,19 +161,22 @@ def _invariants(tess, boundaries, dist, areas) -> dict:
 
 def _cmd_analyze(parser: _Parser, args) -> int:
     pattern = _pattern_from_args(parser, args)
-    tess = tessellate(pattern)
-    boundaries = detect_grain_boundaries(tess)
-    dist = distance_series(tess)
-    areas = area_series(tess)
+    try:
+        tess = tessellate(pattern)
+        boundaries = detect_grain_boundaries(tess)
+        dist = distance_series(tess)
+        areas = area_series(tess)
+        checks = _invariants(tess, boundaries, dist, areas)
+    except ValueError as err:
+        parser.error(str(err).partition("\n")[0])
 
     for b in boundaries:
-        word = "".join(b.word.symbols) if b.word is not None else "-"
+        word = str(b.word) if b.word is not None else "-"
         print(
             f"ring rank={b.rank} side={b.pole_side} census={b.counts}"
             f" s=[{b.s_range[0]},{b.s_range[1]}]"
             f" complete={b.complete} word={word}"
         )
-    checks = _invariants(tess, boundaries, dist, areas)
     for name, ok in checks.items():
         print(f"{'PASS' if ok else 'FAIL'} {name}")
 
@@ -179,12 +184,7 @@ def _cmd_analyze(parser: _Parser, args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         summary = {
-            "surface": {
-                "kind": pattern.surface.kind,
-                "R": pattern.surface.R,
-                "a": pattern.surface.a,
-                "lambda": pattern.surface.lam,
-            },
+            "surface": _surface_document(pattern.surface),
             "n": pattern.n,
             "boundaries": boundary_rows(boundaries),
             "distance": dist.summary(),
@@ -203,18 +203,14 @@ def _cmd_analyze(parser: _Parser, args) -> int:
     return EXIT_OK if all(checks.values()) else EXIT_ANOMALY
 
 
-def _ring_spans_equator(n: int) -> bool:
-    tess = tessellate(generate(SPHERE, n))
-    nu = (n - 1) // 2
-    return any(
-        b.s_range[0] <= nu <= b.s_range[1] for b in detect_grain_boundaries(tess)
-    )
-
-
 def _cmd_thresholds(parser: _Parser, args) -> int:
     if not 1 <= args.u_max <= 20:
         parser.error("--u-max must be between 1 and 20")
     thresholds = sphere_thresholds(args.u_max)
+
+    def equator_ring(n: int) -> bool:
+        return ring_spans_equator(detect_grain_boundaries(tessellate(generate(SPHERE, n))), n)
+
     rows = []
     for u, n_star in enumerate(thresholds, start=1):
         row = {"u": u, "threshold": n_star}
@@ -224,7 +220,7 @@ def _cmd_thresholds(parser: _Parser, args) -> int:
             below = n_star - 2 if (n_star - 2) % 2 == 1 else n_star - 3
             above = n_star + 2 if (n_star + 2) % 2 == 1 else n_star + 3
             row["born_between"] = [below, above]
-            row["confirmed"] = (not _ring_spans_equator(below)) and _ring_spans_equator(above)
+            row["confirmed"] = (not equator_ring(below)) and equator_ring(above)
         rows.append(row)
         line = f"u={u:2d} threshold={n_star}"
         if "confirmed" in row:
@@ -262,11 +258,10 @@ def _cmd_thresholds(parser: _Parser, args) -> int:
 
 def _cmd_render(parser: _Parser, args) -> int:
     pattern = _pattern_from_args(parser, args)
-    tess = tessellate(pattern)
     try:
-        text = render_svg(tess, projection=args.projection, size=args.size)
+        text = render_svg(tessellate(pattern), projection=args.projection, size=args.size)
     except ValueError as err:
-        parser.error(str(err))
+        parser.error(str(err).partition("\n")[0])
     if args.out:
         _write_text(Path(args.out), text)
     else:

@@ -208,7 +208,7 @@ def boundary_rows(boundaries) -> list[dict]:
                 "dipoles": len(b.dipoles),
                 "mean_radius": b.mean_radius,
                 "perimeter": b.perimeter,
-                "word": "".join(b.word.symbols) if b.word is not None else "",
+                "word": str(b.word) if b.word is not None else "",
             }
         )
     return rows

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import HYPERBOLIC, PLANE, SPHERE, IntrinsicPoint, ChartPoint, SurfaceSpec
+from .geometry import HYPERBOLIC, PLANE, SPHERE, SurfaceSpec
 from .numerics import DIVERGENCE
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "generate_hyperbolic",
     "generate_sphere",
     "generate",
-    "stereographic_chart",
     "normalization_scale",
 ]
 
@@ -66,15 +65,6 @@ class PhylloPattern:
             xy = np.column_stack((self.r * np.cos(self.theta), self.r * np.sin(self.theta)))
             object.__setattr__(self, "_chart_xy", xy)
         return self._chart_xy
-
-    def site(self, s: int) -> tuple[int, IntrinsicPoint, ChartPoint]:
-        """Single-site view as (index, intrinsic, chart)."""
-        phi = float(self.phi[s]) if self.phi is not None else None
-        return (
-            int(self.s[s]),
-            IntrinsicPoint(float(self.rho[s]), float(self.theta[s]), phi),
-            ChartPoint(float(self.r[s]), float(self.theta[s])),
-        )
 
 
 def generate_plane(
@@ -169,23 +159,6 @@ def generate(
     if kind == SPHERE:
         return generate_sphere(n, lam, indexing)
     raise ValueError(f"unknown surface kind {kind!r}")
-
-
-def stereographic_chart(pattern: PhylloPattern) -> np.ndarray:
-    """Closed-form chart radii tan(acos(1 - a^2 s/2)/2) with a^2 = 4/n.
-
-    This is the equal-area radial law written directly in the chart: site s
-    has a^2*s/2 = 2s/n of the total solid-angle fraction behind it.  It
-    agrees with the true projection of the lattice latitudes to O(1/n) and
-    diverges as s approaches n (the projection pole).
-    """
-    if pattern.surface.kind != SPHERE:
-        raise ValueError("stereographic chart radii are defined for sphere patterns")
-    s_eff = _effective_index(pattern.n, pattern.indexing)
-    frac = 2.0 * s_eff / pattern.n  # a^2 s / 2
-    if np.any(frac >= 2.0):
-        raise ValueError("site at or beyond the projection pole has no chart radius")
-    return np.tan(np.arccos(1.0 - frac) / 2.0)
 
 
 def normalization_scale(surface: SurfaceSpec) -> float:

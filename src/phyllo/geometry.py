@@ -22,16 +22,12 @@ __all__ = [
     "HYPERBOLIC",
     "SURFACE_KINDS",
     "SurfaceSpec",
-    "ChartPoint",
-    "IntrinsicPoint",
     "conformal_factor",
-    "chart_distance",
     "chart_distance_xy",
     "chart_radius_from_geodesic",
     "geodesic_radius_from_chart",
     "circle_area",
     "circle_circumference",
-    "hyperbolic_circle_area",
     "sphere_cap_sites",
     "sphere_chart_to_xyz",
     "sphere_xyz_to_chart",
@@ -82,31 +78,6 @@ class SurfaceSpec:
         return k if self.kind == SPHERE else -k
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    """Polar chart coordinates (dimensionless radius, azimuth in radians)."""
-
-    r: float
-    theta: float
-
-    @property
-    def xy(self) -> np.ndarray:
-        return np.array([self.r * math.cos(self.theta), self.r * math.sin(self.theta)])
-
-
-@dataclass(frozen=True)
-class IntrinsicPoint:
-    """Geodesic polar coordinates from the pattern center.
-
-    rho is the geodesic distance from the origin (north pole on the sphere),
-    theta the azimuth; phi is the latitude, populated on spheres only.
-    """
-
-    rho: float
-    theta: float
-    phi: float | None = None
-
-
 def _check_hyperbolic_r(r) -> None:
     if np.any(np.asarray(r) >= 1.0):
         raise ValueError("hyperbolic chart radius must satisfy r < 1")
@@ -141,11 +112,6 @@ def chart_distance_xy(surface: SurfaceSpec, p, q):
         return 2.0 * surface.R * np.arcsinh(diff / np.sqrt((1.0 - p2) * (1.0 - q2)))
     arg = diff / np.sqrt((1.0 + p2) * (1.0 + q2))
     return 2.0 * surface.R * np.arcsin(np.clip(arg, -1.0, 1.0))
-
-
-def chart_distance(surface: SurfaceSpec, p: ChartPoint, q: ChartPoint) -> float:
-    """Geodesic distance between two chart points."""
-    return float(chart_distance_xy(surface, p.xy, q.xy))
 
 
 def chart_radius_from_geodesic(surface: SurfaceSpec, rho):
@@ -191,13 +157,6 @@ def circle_circumference(surface: SurfaceSpec, rho):
     if surface.kind == HYPERBOLIC:
         return 2.0 * math.pi * R * np.sinh(rho / R)
     return 2.0 * math.pi * R * np.sin(rho / R)
-
-
-def hyperbolic_circle_area(surface: SurfaceSpec, rho):
-    """Hyperbolic-only alias of circle_area, guarded on the geometry."""
-    if surface.kind != HYPERBOLIC:
-        raise ValueError(f"hyperbolic_circle_area needs a hyperbolic surface, got {surface.kind}")
-    return circle_area(surface, rho)
 
 
 def sphere_cap_sites(nu: int, phi_colat: float) -> float:

@@ -148,8 +148,12 @@ def _strip_rows(u: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m = j*f_{u-1} mod f_u, and hexagon[j] true where the row holds a hexagon
     (m = 0 or m > f_{u-2}).
     """
-    if not 3 <= u <= 40:
-        raise ValueError(f"strip rank must be in [3, 40], got {u}")
+    if not 3 <= u <= 30:
+        # f_{u+2} cells in three int64 arrays: 52 MB at u = 30, 6.4 GB at u = 40
+        raise ValueError(
+            f"strip rank must be in [3, 30], got {u}; a rank-u strip holds f_(u+2)"
+            " cells, over 3.5 million above rank 30"
+        )
     f_u = fibonacci(u)
     f_um1 = fibonacci(u - 1)
     base, m = np.divmod(np.arange(f_u, dtype=np.int64) * f_um1, f_u)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError, Voronoi
 
 from .generator import PhylloPattern, normalization_scale
-from .geometry import HYPERBOLIC, PLANE, SPHERE, conformal_factor
+from .geometry import PLANE, SPHERE, chart_distance_xy
 from .numerics import MAX_FIB_RANK, fibonacci
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "NeighborLink",
     "Tessellation",
     "tessellate",
-    "cell_area",
     "classify",
     "CELL_TYPE_BY_SIDES",
     "cell_contains",
@@ -82,9 +81,6 @@ class Tessellation:
     @property
     def boundary_mask(self) -> np.ndarray:
         return np.array([c.is_boundary for c in self.cells])
-
-    def neighbors(self, s: int) -> list[NeighborLink]:
-        return self.adjacency[s]
 
     def neighbor_sites(self, s: int) -> list[int]:
         return [link.t for link in self.adjacency[s]]
@@ -140,13 +136,7 @@ def _tessellate_chart(pattern: PhylloPattern) -> Tessellation:
     scale = normalization_scale(pattern.surface)
 
     pairs = vor.ridge_points
-    if pattern.surface.kind == PLANE:
-        dist = np.linalg.norm(xy[pairs[:, 0]] - xy[pairs[:, 1]], axis=1) / scale
-    else:
-        p, q = xy[pairs[:, 0]], xy[pairs[:, 1]]
-        diff = np.linalg.norm(p - q, axis=1)
-        denom = (1.0 - np.sum(p * p, axis=1)) * (1.0 - np.sum(q * q, axis=1))
-        dist = 2.0 * pattern.surface.R * np.arcsinh(diff / np.sqrt(denom)) / scale
+    dist = chart_distance_xy(pattern.surface, xy[pairs[:, 0]], xy[pairs[:, 1]]) / scale
     adjacency = _links_from_pairs(pattern, pairs, dist)
 
     r_max = float(pattern.r.max())
@@ -177,10 +167,7 @@ def _triangle_solid_angle(a, b, c) -> float:
 def _tessellate_sphere(pattern: PhylloPattern) -> Tessellation:
     xyz = pattern.xyz
     _check_distinct(xyz)
-    try:
-        hull = ConvexHull(xyz)
-    except QhullError as exc:
-        raise ValueError(f"sphere tessellation needs 4+ non-coplanar sites: {exc}") from exc
+    hull = ConvexHull(xyz)
     if hull.nsimplex < 4 or len(hull.vertices) != pattern.n:
         inside = sorted(set(range(pattern.n)) - set(map(int, hull.vertices)))
         raise ValueError(f"sites not in convex position: {inside[:5]}")
@@ -228,20 +215,19 @@ def _tessellate_sphere(pattern: PhylloPattern) -> Tessellation:
 
 
 def tessellate(pattern: PhylloPattern) -> Tessellation:
-    """Build the Voronoi tessellation of a pattern (deterministic)."""
-    if pattern.surface.kind == SPHERE:
-        return _tessellate_sphere(pattern)
-    if pattern.surface.kind in (PLANE, HYPERBOLIC):
-        return _tessellate_chart(pattern)
-    raise ValueError(f"unknown surface kind {pattern.surface.kind!r}")
+    """Build the Voronoi tessellation of a pattern (deterministic).
 
-
-def cell_area(tess: Tessellation, s: int) -> float:
-    """Metric area of cell s; boundary cells have no well-defined area."""
-    cell = tess.cells[s]
-    if cell.is_boundary:
-        raise ValueError(f"cell {s} touches the pattern edge; its area is not defined")
-    return cell.area
+    Patterns Qhull cannot triangulate (too few sites, all sites on a line
+    or plane, coordinates below its precision) raise ValueError.
+    """
+    build = _tessellate_sphere if pattern.surface.kind == SPHERE else _tessellate_chart
+    try:
+        return build(pattern)
+    except QhullError as exc:
+        raise ValueError(
+            f"Qhull cannot tessellate this {pattern.surface.kind} pattern of"
+            f" {pattern.n} sites: {exc}"
+        ) from exc
 
 
 def classify(tess: Tessellation) -> list[str]:

@@ -16,6 +16,7 @@ from phyllo.analysis import (
     detect_grain_boundaries,
     dipole_angles,
     distance_series,
+    ring_spans_equator,
     site_depth,
     sphere_thresholds,
     verify_inflation,
@@ -163,15 +164,11 @@ def test_criterion_06_sphere_ring_thresholds():
     if got != want:
         problems.append(f"analytic list {got}")
 
-    def ring_spans_equator(n):
-        nu = (n - 1) // 2
-        return any(
-            b.s_range[0] <= nu <= b.s_range[1]
-            for b in detect_grain_boundaries(tessellate(generate("sphere", n)))
-        )
-
     t0 = time.perf_counter()
-    below, above = ring_spans_equator(1329), ring_spans_equator(1333)
+    below, above = (
+        ring_spans_equator(detect_grain_boundaries(tessellate(generate("sphere", n))), n)
+        for n in (1329, 1333)
+    )
     elapsed = time.perf_counter() - t0
     if below:
         problems.append("equatorial ring already present at n=1329")

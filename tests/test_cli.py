@@ -117,12 +117,22 @@ def test_analyze_rejects_tampered_pattern_file(tmp_path):
         ["analyze", "--in", "x.json", "--geometry", "plane", "--n", "10"],
         ["thresholds", "--u-max", "0"],
         ["render", "--geometry", "plane", "--n", "100", "--projection", "sideways"],
+        # degenerate patterns: no interior links, too few sites for Qhull,
+        # coordinates below Qhull's precision, sites off the convex hull
+        ["analyze", "--geometry", "plane", "--n", "20"],
+        ["analyze", "--geometry", "plane", "--n", "2"],
+        ["analyze", "--geometry", "plane", "--n", "300", "--a", "1e-200"],
+        ["analyze", "--geometry", "sphere", "--n", "301", "--lambda", "0.5"],
+        ["render", "--geometry", "plane", "--n", "2"],
     ],
 )
-def test_usage_errors_exit_1(argv):
+def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 1
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    assert ": error: " in stderr.splitlines()[-1]
 
 
 def test_threshold_table_and_reports(tmp_path, capsys):

@@ -9,7 +9,6 @@ from phyllo.generator import (
     generate_plane,
     generate_sphere,
     normalization_scale,
-    stereographic_chart,
 )
 from phyllo.geometry import circle_area
 from phyllo.numerics import DIVERGENCE, GOLDEN_RATIO
@@ -103,17 +102,6 @@ def test_sphere_band_counts_proportional_to_axial_extent():
     R = p.surface.R
     inside = int(np.sum((z > -0.25 * R) & (z < 0.4 * R)))
     assert abs(inside - 0.65 / 2 * 2001) <= 2
-
-
-def test_stereographic_chart():
-    p = generate_sphere(6400, indexing="half-integer")
-    r = stereographic_chart(p)
-    assert np.all(np.diff(r) > 0)
-    # equator image at chart radius 1: crossing happens at s ~ n/2
-    assert r[3199] < 1.0 < r[3200]
-    assert r[-1] > 100  # diverges toward the projection pole
-    with pytest.raises(ValueError):
-        stereographic_chart(generate_plane(10))
 
 
 def test_chart_positions_match_embedding():

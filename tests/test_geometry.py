@@ -6,16 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phyllo.geometry import (
-    ChartPoint,
     SurfaceSpec,
-    chart_distance,
     chart_distance_xy,
     chart_radius_from_geodesic,
     circle_area,
     circle_circumference,
     conformal_factor,
     geodesic_radius_from_chart,
-    hyperbolic_circle_area,
     sphere_cap_sites,
     sphere_chart_to_xyz,
     sphere_xyz_to_chart,
@@ -55,13 +52,17 @@ def test_conformal_factor_values():
         conformal_factor(HYP1, 1.0)
 
 
+def _polar(r, theta):
+    return [r * math.cos(theta), r * math.sin(theta)]
+
+
 def test_chart_distance_examples():
     # 3-4-5 triangle on the plane
-    assert chart_distance(PLANE, ChartPoint(3, 0), ChartPoint(4, math.pi / 2)) == pytest.approx(5.0)
+    assert chart_distance_xy(PLANE, _polar(3, 0), _polar(4, math.pi / 2)) == pytest.approx(5.0)
     # hyperbolic: origin to the circle of geodesic radius 1
-    assert chart_distance(HYP1, ChartPoint(0, 0), ChartPoint(math.tanh(0.5), 1.2)) == pytest.approx(1.0)
+    assert chart_distance_xy(HYP1, _polar(0, 0), _polar(math.tanh(0.5), 1.2)) == pytest.approx(1.0)
     # sphere: pole image to equator image is a quarter circle
-    assert chart_distance(SPHERE1, ChartPoint(0, 0), ChartPoint(1, 0.4)) == pytest.approx(math.pi / 2)
+    assert chart_distance_xy(SPHERE1, _polar(0, 0), _polar(1, 0.4)) == pytest.approx(math.pi / 2)
 
 
 def test_sphere_distance_agrees_with_great_circle():
@@ -98,13 +99,12 @@ def test_distance_matches_conformal_factor_locally(kind, r, theta, dx, dy):
 
 
 def test_circle_area_examples():
-    assert hyperbolic_circle_area(HYP1, 0.0) == 0.0
+    assert circle_area(HYP1, 0.0) == 0.0
     eps = 1e-4
-    assert hyperbolic_circle_area(HYP1, eps) == pytest.approx(math.pi * eps**2, rel=1e-6)
-    assert hyperbolic_circle_area(HYP1, math.acosh(1.5)) == pytest.approx(math.pi)
+    assert circle_area(HYP1, eps) == pytest.approx(math.pi * eps**2, rel=1e-6)
+    assert circle_area(HYP1, math.acosh(1.5)) == pytest.approx(math.pi)
     with pytest.raises(ValueError):
-        hyperbolic_circle_area(PLANE, 1.0)
-    # plane and sphere via the shared entry point
+        circle_area(HYP1, -1.0)
     assert circle_area(PLANE, 2.0) == pytest.approx(4 * math.pi)
     assert circle_area(SPHERE1, math.pi) == pytest.approx(4 * math.pi)  # whole sphere
 

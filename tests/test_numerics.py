@@ -138,6 +138,11 @@ def test_strip_rank_domain():
         strip_sequence(2)
     with pytest.raises(ValueError):
         strip_sequence(41)
+    # rank 31 would need 3.5M cells; the cap keeps the arrays near 50 MB
+    with pytest.raises(ValueError):
+        strip_sequence(31)
+    with pytest.raises(ValueError):
+        strip_dipole_word(31)
 
 
 def test_strip_sequence_matches_row_loop():

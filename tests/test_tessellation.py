@@ -8,7 +8,6 @@ from phyllo.geometry import SurfaceSpec, chart_distance_xy
 from phyllo.numerics import fibonacci
 from phyllo.tessellation import (
     Tessellation,
-    cell_area,
     cell_contains,
     classify,
     tessellate,
@@ -113,14 +112,11 @@ def test_boundary_flags(tess_plane_3000):
     pattern = tess_plane_3000.pattern
     assert tess_plane_3000.cells[int(np.argmax(pattern.rho))].is_boundary
     assert not tess_plane_3000.cells[0].is_boundary
-    assert tess_plane_3000.boundary_mask.sum() > 0
-
-
-def test_cell_area_refuses_boundary(tess_plane_3000):
-    s = int(np.argmax(tess_plane_3000.pattern.rho))
-    with pytest.raises(ValueError):
-        cell_area(tess_plane_3000, s)
-    assert cell_area(tess_plane_3000, 100) > 0
+    boundary = tess_plane_3000.boundary_mask
+    assert boundary.sum() > 0
+    # boundary cells have no well-defined area; every interior one has one
+    assert np.all(np.isnan(tess_plane_3000.areas[boundary]))
+    assert np.all(tess_plane_3000.areas[~boundary] > 0)
 
 
 def test_coincident_sites_rejected():
