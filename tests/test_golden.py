@@ -1,18 +1,25 @@
 """Byte-stability gate: sha256 of every CLI output for fixed inputs.
 
-Each case runs ``cli.main`` in-process and hashes its standard output and
-every file it writes.  A change that alters any output byte of
+Each CLI case runs ``cli.main`` in-process and hashes its standard output
+and every file it writes.  A change that alters any output byte of
 ``generate``, ``analyze`` or ``render`` fails here; a deliberate format
-change updates the digests and says why.  The digests were recorded with
+change updates the digests and says why.  The library cases hash the
+tessellation document and every neighbor link of patterns the CLI cases
+miss: strong curvature (cells of 4 to 8 vertices), half-integer indexing,
+and spheres from a few dozen to several thousand sites.  The digests were recorded with
 numpy 2.4.6 and scipy 1.17.1; other builds of Qhull or libm may move the
 last printed digit of some floats.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from phyllo import cli
+from phyllo.export import dumps_json, tessellation_document
+from phyllo.generator import generate
+from phyllo.tessellation import tessellate
 
 CASES = {
     "plane-analyze-json": (
@@ -83,3 +90,56 @@ def test_cli_output_digests(name, tmp_path, capsys):
     for path in sorted(out.iterdir()):
         got[path.name] = _sha256(path.read_bytes())
     assert got == expected
+
+
+LIBRARY_CASES = {
+    # (generate arguments, tessellation document sha256, link bytes sha256)
+    "hyperbolic-3000-a0.4": (
+        ("hyperbolic", 3000, {"a": 0.4}),
+        "717ce4bacec5fcb32186046211dcb86070d6efa162b10cafd211dcecb3853c95",
+        "3d37179c03b16f226d5d58a9e763290b5aafea5c2395581ef002bfcbefc25d2c",
+    ),
+    "plane-3000-half": (
+        ("plane", 3000, {"indexing": "half-integer"}),
+        "12ae88c0b242e16a6a8820715acf0cc2918f21537617078aa161f36e90b572fe",
+        "1104f595d5e70f50acd7049eaff7e18afdb186b5e5d13b08605c4a71ab6a308c",
+    ),
+    "hyperbolic-3000-half": (
+        ("hyperbolic", 3000, {"a": 0.025, "indexing": "half-integer"}),
+        "783f66bdbf5e4c7865c1ad751a41a0a53d900529726b14bdce0eb5c43fdde140",
+        "dad14d8e1cd0a40817e83fdf29ae02d3cd2ace8dd20d58d0f62e3ae27b367f5d",
+    ),
+    "sphere-25": (
+        ("sphere", 25, {}),
+        "01911a59b2641ac7a441fb140762deade1a6b2f413b0b8f956c6eb1fa31711b8",
+        "a2784521fbee964b278153de5796cdaec67f3229481fefc5274781aaf91b0154",
+    ),
+    "sphere-377": (
+        ("sphere", 377, {}),
+        "251e5fd8a92fc33a17f8299be9b834a767cb86717305fdb78cb4cb1aa59c9e13",
+        "6adc17efaae475f3958dbb4b36f2f0eb28cecc2b7e17e30b41af0d91d57e875a",
+    ),
+    "sphere-5001": (
+        ("sphere", 5001, {}),
+        "65ed5ffb5f06096181e1e03d8f84c0ebd8077af18bd96721bb5439e20eeda227",
+        "6c1f4c768f5ee7b6093321bb7ee26f585927f4feb81f83b06b7c71d687b99a45",
+    ),
+}
+
+
+def _link_bytes(tess) -> bytes:
+    links = [link for links in tess.adjacency for link in links]
+    st = np.array([(link.s, link.t) for link in links], dtype="<i8")
+    distance = np.array([link.distance for link in links], dtype="<f8")
+    return st.tobytes() + distance.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_CASES))
+def test_tessellation_digests(name):
+    (kind, n, kwargs), document, links = LIBRARY_CASES[name]
+    tess = tessellate(generate(kind, n, **kwargs))
+    got = (
+        _sha256(dumps_json(tessellation_document(tess)).encode("utf-8")),
+        _sha256(_link_bytes(tess)),
+    )
+    assert got == (document, links)
