@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import PhylloPattern, normalization_scale
+from .generator import PhylloPattern, _effective_index, normalization_scale
 from .geometry import HYPERBOLIC, PLANE, SPHERE, SurfaceSpec, circle_circumference, conformal_factor
 from .numerics import LSWord, fibonacci
 from .tessellation import Tessellation, classify
@@ -533,6 +533,12 @@ def distance_series(tess: Tessellation) -> DistanceSeries:
     measured = np.array([r[3] for r in rows])
     interior = np.array([r[4] for r in rows])
     analytic = np.full(len(rows), np.nan)
+    # read the profile where each site sits: half-integer sites sit at
+    # s + 1/2, which the sphere's lattice law (nu = (n - 1)/2 sites per
+    # hemisphere) places at s' = (s + 1/2)(n - 1)/n
+    s_eff = _effective_index(pattern.n, pattern.indexing)
+    if pattern.surface.kind == SPHERE and pattern.indexing != "integer":
+        s_eff *= (pattern.n - 1) / pattern.n
     for u in np.unique(rank):
         if u < 2:
             continue
@@ -540,7 +546,7 @@ def distance_series(tess: Tessellation) -> DistanceSeries:
         if pattern.surface.kind == SPHERE:
             m &= s_to < pattern.n - 1
         if np.any(m):
-            analytic[m] = analytic_distance(pattern.surface, s_from[m], int(u))
+            analytic[m] = analytic_distance(pattern.surface, s_eff[s_from[m]], int(u))
     return DistanceSeries(
         pattern.surface.kind, s_from, s_to, rank, measured, analytic, interior
     )
@@ -570,6 +576,11 @@ def area_series(tess: Tessellation) -> AreaSeries:
     areas = tess.areas
     window = ~tess.boundary_mask & _clear_of_edge(pattern, EDGE_MARGIN_CELLS)
     inside = areas[window]
+    if not len(inside):
+        raise ValueError(
+            f"no cell in the area window: every cell is a boundary cell or lies"
+            f" within {EDGE_MARGIN_CELLS:g} cell widths of the pattern edge"
+        )
     return AreaSeries(
         pattern.surface.kind,
         np.arange(pattern.n),

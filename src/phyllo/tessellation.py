@@ -9,6 +9,17 @@ patterns are tessellated through the convex hull of the embedded points,
 whose facets are the Delaunay triangles and whose facet normals point at the
 Voronoi vertices.
 
+Cell geometry is computed on whole arrays.  Chart cells come from Qhull's
+regions flattened into one vertex-index list with per-site offsets, sphere
+cells from one stable sort of the hull facets by corner site.  Sites with
+the same number of cell vertices are processed together, at most _BLOCK at
+a time, which bounds the scratch memory.  Each value is reduced in the
+order, and through the same numpy and BLAS kernels, that a cell-by-cell
+computation would use: row dot products go through a stacked matmul, and
+the sphere's fan solid angles are summed one fan triangle at a time with
+math.atan2.  Results are therefore bit-identical to the per-cell formulas.
+The per-site VoronoiCell and NeighborLink objects are built last.
+
 All reported lengths and areas are normalized so the mean cell area is pi.
 """
 
@@ -39,8 +50,11 @@ CELL_TYPE_BY_SIDES = {4: "square", 5: "pentagon", 6: "hexagon", 7: "heptagon"}
 
 _FIB_RANK = {fibonacci(u): u for u in range(2, MAX_FIB_RANK + 1)}  # 1 -> rank 2
 
+#: sites per array block; bounds the scratch arrays of the cell geometry
+_BLOCK = 2048
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class NeighborLink:
     """One Delaunay edge, seen from site s."""
 
@@ -51,7 +65,7 @@ class NeighborLink:
     parastichy_rank: int | None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class VoronoiCell:
     s: int
     vertices: np.ndarray  # (k, 2) chart polygon, counterclockwise
@@ -96,40 +110,69 @@ def _check_distinct(points: np.ndarray) -> None:
         raise ValueError(f"coincident sites {i} and {j}")
 
 
-def _links_from_pairs(pattern: PhylloPattern, pairs: np.ndarray, dist: np.ndarray):
-    adjacency: list[list[NeighborLink]] = [[] for _ in range(pattern.n)]
-    for (i, j), d in zip(pairs, dist):
-        i, j, d = int(i), int(j), float(d)
-        adjacency[i].append(NeighborLink(i, j, j - i, d, _FIB_RANK.get(abs(j - i))))
-        adjacency[j].append(NeighborLink(j, i, i - j, d, _FIB_RANK.get(abs(i - j))))
-    for links in adjacency:
-        links.sort(key=lambda link: link.t)
-    return adjacency
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of two (m, k) arrays.
+
+    The stacked matmul hands each row pair to the same BLAS dot that
+    ``np.dot`` uses on one pair, so every value has the bits of the per-row
+    call; ``(a * b).sum(1)`` and ``einsum`` round differently.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _polygon_area(vertices: np.ndarray) -> float:
-    x, y = vertices[:, 0], vertices[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def _blocks(sizes: np.ndarray):
+    """(k, indices of sizes equal to k) in ascending order, _BLOCK at a time."""
+    for k in np.unique(sizes).tolist():
+        sites = np.flatnonzero(sizes == k)
+        for lo in range(0, len(sites), _BLOCK):
+            yield k, sites[lo : lo + _BLOCK]
 
 
-def _hyperbolic_polygon_area(vertices: np.ndarray, R: float) -> float:
-    """Metric area of a straight-edge chart polygon, by midpoint quadrature.
+def _links_from_pairs(n: int, pairs: np.ndarray, dist: np.ndarray):
+    """Per-site link lists, each sorted by t, from unique (i, j) site pairs.
 
-    Fans the polygon around its chart centroid and integrates the area
+    Both directions of a pair share its Python ints and its distance float.
+    """
+    links: list[NeighborLink] = []
+    for i, j, d in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist(), dist.tolist()):
+        rank = _FIB_RANK.get(abs(j - i))
+        links.append(NeighborLink(i, j, j - i, d, rank))
+        links.append(NeighborLink(j, i, i - j, d, rank))
+    # links[2e] runs pairs[e, 0] -> pairs[e, 1] and links[2e + 1] back
+    s = pairs.ravel()
+    order = np.lexsort((pairs[:, ::-1].ravel(), s)).tolist()
+    ordered = [links[k] for k in order]
+    ends = np.cumsum(np.bincount(s, minlength=n)).tolist()
+    return [ordered[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
+
+
+def _polygon_areas(poly: np.ndarray) -> np.ndarray:
+    """Signed shoelace areas of m chart polygons given as an (m, k, 2) array."""
+    x, y = poly[..., 0], poly[..., 1]
+    return 0.5 * (_row_dot(x, np.roll(y, -1, axis=1)) - _row_dot(y, np.roll(x, -1, axis=1)))
+
+
+def _hyperbolic_polygon_areas(poly: np.ndarray, R: float) -> np.ndarray:
+    """Metric areas of m straight-edge chart polygons, by midpoint quadrature.
+
+    Fans each polygon around its chart centroid and integrates the area
     density (2R/(1-r^2))^2 with the degree-2 edge-midpoint rule on each
     triangle.  Cell-sized triangles keep the rule's error far below any
     tolerance used in the analysis.
     """
-    g = vertices.mean(axis=0)
-    a = vertices
-    b = np.roll(vertices, -1, axis=0)
-    cross = (a[:, 0] - g[0]) * (b[:, 1] - g[1]) - (a[:, 1] - g[1]) * (b[:, 0] - g[0])
-    mids = np.stack(((a + b) / 2, (g + a) / 2, (g + b) / 2))  # (3, k, 2)
+    g = poly.mean(axis=1)[:, None, :]
+    a = poly
+    b = np.roll(poly, -1, axis=1)
+    cross = (a[..., 0] - g[..., 0]) * (b[..., 1] - g[..., 1]) - (a[..., 1] - g[..., 1]) * (
+        b[..., 0] - g[..., 0]
+    )
+    mids = np.stack(((a + b) / 2, (g + a) / 2, (g + b) / 2))  # (3, m, k, 2)
     lam2 = (2.0 * R / (1.0 - np.sum(mids * mids, axis=-1))) ** 2
-    return float(np.sum(0.5 * cross * lam2.mean(axis=0)))
+    return np.sum(0.5 * cross * lam2.mean(axis=0), axis=1)
 
 
 def _tessellate_chart(pattern: PhylloPattern) -> Tessellation:
+    n = pattern.n
     xy = pattern.chart_xy
     _check_distinct(xy)
     vor = Voronoi(xy)
@@ -137,39 +180,53 @@ def _tessellate_chart(pattern: PhylloPattern) -> Tessellation:
 
     pairs = vor.ridge_points
     dist = chart_distance_xy(pattern.surface, xy[pairs[:, 0]], xy[pairs[:, 1]]) / scale
-    adjacency = _links_from_pairs(pattern, pairs, dist)
+    adjacency = _links_from_pairs(n, pairs, dist)
 
+    # each site's region vertex indices in Qhull's order, -1 at infinity
+    regions = [vor.regions[r] for r in vor.point_region.tolist()]
+    flat = np.array([v for region in regions for v in region], dtype=np.intp)
+    owner = np.repeat(np.arange(n), [len(region) for region in regions])
+    finite = flat >= 0
     r_max = float(pattern.r.max())
-    cells: list[VoronoiCell] = []
-    for s in range(pattern.n):
-        region = vor.regions[vor.point_region[s]]
-        unbounded = -1 in region
-        verts = vor.vertices[[v for v in region if v != -1]]
-        boundary = unbounded or bool(np.any(np.sum(verts * verts, axis=1) > r_max * r_max))
-        if boundary:
-            area = math.nan
-        elif pattern.surface.kind == PLANE:
-            area = abs(_polygon_area(verts)) / (scale * scale)
+    far = np.sum(vor.vertices * vor.vertices, axis=1) > r_max * r_max
+    boundary = np.zeros(n, dtype=bool)
+    np.logical_or.at(boundary, owner, ~finite | far[flat])
+
+    # the finite vertices of every cell, one (k, 2) slice per site
+    verts = vor.vertices[flat[finite]]
+    counts = np.bincount(owner[finite], minlength=n)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+
+    areas = np.full(n, math.nan)
+    interior = np.flatnonzero(~boundary)
+    scale2 = scale * scale
+    for k, rows in _blocks(counts[interior]):
+        rows = interior[rows]
+        poly = verts[starts[rows][:, None] + np.arange(k)]
+        if pattern.surface.kind == PLANE:
+            area = _polygon_areas(poly)
         else:
-            # abs: scipy does not promise an orientation for region vertices
-            area = abs(_hyperbolic_polygon_area(verts, pattern.surface.R)) / (scale * scale)
-        cells.append(VoronoiCell(s, verts, len(adjacency[s]), area, boundary))
+            area = _hyperbolic_polygon_areas(poly, pattern.surface.R)
+        # abs: scipy does not promise an orientation for region vertices
+        areas[rows] = np.abs(area) / scale2
+
+    cells = [
+        VoronoiCell(s, verts[lo:hi], len(links), area, edge)
+        for s, lo, hi, links, area, edge in zip(
+            range(n), starts.tolist(), ends.tolist(), adjacency, areas.tolist(), boundary.tolist()
+        )
+    ]
     return Tessellation(pattern, cells, adjacency)
 
 
-def _triangle_solid_angle(a, b, c) -> float:
-    """Signed solid angle of the spherical triangle on unit vectors a, b, c."""
-    numer = float(np.dot(a, np.cross(b, c)))
-    denom = 1.0 + float(np.dot(a, b)) + float(np.dot(b, c)) + float(np.dot(c, a))
-    return 2.0 * math.atan2(numer, denom)
-
-
 def _tessellate_sphere(pattern: PhylloPattern) -> Tessellation:
+    n = pattern.n
     xyz = pattern.xyz
     _check_distinct(xyz)
     hull = ConvexHull(xyz)
-    if hull.nsimplex < 4 or len(hull.vertices) != pattern.n:
-        inside = sorted(set(range(pattern.n)) - set(map(int, hull.vertices)))
+    if hull.nsimplex < 4 or len(hull.vertices) != n:
+        inside = sorted(set(range(n)) - set(map(int, hull.vertices)))
         raise ValueError(f"sites not in convex position: {inside[:5]}")
 
     R = pattern.surface.R
@@ -181,36 +238,52 @@ def _tessellate_sphere(pattern: PhylloPattern) -> Tessellation:
     simplices = hull.simplices
     edges = np.vstack((simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [0, 2]]))
     edges.sort(axis=1)
-    pairs = np.unique(edges, axis=0)
+    key = np.unique(edges[:, 0].astype(np.int64) * n + edges[:, 1])
+    pairs = np.column_stack((key // n, key % n))
     cosang = np.clip(np.sum(unit[pairs[:, 0]] * unit[pairs[:, 1]], axis=1), -1.0, 1.0)
     scale = normalization_scale(pattern.surface)
-    adjacency = _links_from_pairs(pattern, pairs, R * np.arccos(cosang) / scale)
+    adjacency = _links_from_pairs(n, pairs, R * np.arccos(cosang) / scale)
 
-    incident: list[list[int]] = [[] for _ in range(pattern.n)]
-    for f, tri in enumerate(simplices):
-        for v in tri:
-            incident[int(v)].append(f)
+    # incident facets of each site in ascending facet order
+    corners = simplices.ravel()
+    facets = np.argsort(corners, kind="stable") // 3
+    degree = np.bincount(corners, minlength=n)
+    starts = np.cumsum(degree) - degree
 
-    cells: list[VoronoiCell] = []
-    scale2 = scale * scale
-    for s in range(pattern.n):
-        site = unit[s]
-        # tangent-plane basis to sort the incident circumcenters around the site
-        helper = np.array([0.0, 0.0, 1.0]) if abs(site[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-        e1 = np.cross(site, helper)
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(site, e1)
-        ring = centers[incident[s]]
-        order = np.argsort(np.arctan2(ring @ e2, ring @ e1))
-        ring = ring[order]
-        area = 0.0
-        for k in range(1, len(ring) - 1):
-            area += _triangle_solid_angle(ring[0], ring[k], ring[k + 1])
-        area = abs(area) * R * R / scale2
+    # tangent-plane basis to sort the incident circumcenters around each site
+    helper = np.where((np.abs(unit[:, 2]) < 0.9)[:, None], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+    e1 = np.cross(unit, helper)
+    e1 /= np.sqrt(_row_dot(e1, e1))[:, None]
+    e2 = np.cross(unit, e1)
+
+    areas = np.empty(n)
+    cell_verts: list[np.ndarray] = [None] * n
+    for k, rows in _blocks(degree):
+        ring = centers[facets[starts[rows][:, None] + np.arange(k)]]  # (m, k, 3)
+        x = (ring @ e1[rows][:, :, None])[..., 0]
+        y = (ring @ e2[rows][:, :, None])[..., 0]
+        angle = np.arctan2(y, x)
+        ring = np.take_along_axis(ring, np.argsort(angle, axis=1)[..., None], axis=1)
+        # signed solid angles of the fan (ring[0], ring[j], ring[j + 1]),
+        # summed in fan order; math.atan2, since np.arctan2 rounds differently
+        fan = np.zeros(len(rows))
+        a = ring[:, 0]
+        for j in range(1, k - 1):
+            b, c = ring[:, j], ring[:, j + 1]
+            numer = _row_dot(a, np.cross(b, c))
+            denom = 1.0 + _row_dot(a, b) + _row_dot(b, c) + _row_dot(c, a)
+            fan += 2.0 * np.array(list(map(math.atan2, numer.tolist(), denom.tolist())))
+        areas[rows] = np.abs(fan) * R * R / (scale * scale)
         # chart polygon of the ordered Voronoi vertices, for rendering
-        denom = 1.0 - ring[:, 2]
-        verts = np.where(denom[:, None] > 1e-12, ring[:, :2] / denom[:, None], np.inf)
-        cells.append(VoronoiCell(s, verts, len(adjacency[s]), area, False))
+        polar = 1.0 - ring[..., 2]
+        verts = np.where(polar[..., None] > 1e-12, ring[..., :2] / polar[..., None], np.inf)
+        for s, v in zip(rows.tolist(), verts):
+            cell_verts[s] = v
+
+    cells = [
+        VoronoiCell(s, v, len(links), area, False)
+        for s, v, links, area in zip(range(n), cell_verts, adjacency, areas.tolist())
+    ]
     return Tessellation(pattern, cells, adjacency)
 
 

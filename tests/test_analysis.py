@@ -19,7 +19,7 @@ from phyllo.analysis import (
     sphere_thresholds,
     verify_inflation,
 )
-from phyllo.generator import generate_plane
+from phyllo.generator import generate, generate_plane
 from phyllo.geometry import SurfaceSpec
 from phyllo.numerics import fibonacci, strip_dipole_word, words_equal
 from phyllo.tessellation import tessellate
@@ -267,6 +267,21 @@ def test_analytic_vs_measured_distances(tess_plane_3000, tess_sphere_1351):
             assert float(rel.max()) < 0.02, int(u)
 
 
+@pytest.mark.parametrize(
+    "kind,n,kwargs",
+    [("plane", 3000, {}), ("hyperbolic", 3000, {"a": 0.025}), ("sphere", 3001, {})],
+)
+def test_half_integer_distances_read_at_site_position(kind, n, kwargs):
+    # half-integer site s sits at s + 1/2; reading the profile at s instead
+    # left its worst interior error at 9.2% against 8.1% for integer sites
+    worst = {}
+    for indexing in ("integer", "half-integer"):
+        ds = distance_series(tessellate(generate(kind, n, indexing=indexing, **kwargs)))
+        m = ds.interior & np.isfinite(ds.analytic)
+        worst[indexing] = float(np.max(np.abs(ds.measured[m] / ds.analytic[m] - 1.0)))
+    assert worst["half-integer"] < worst["integer"] < 0.085
+
+
 def test_distance_confinement(tess_plane_3000):
     ds = distance_series(tess_plane_3000)
     lo, hi = ds.confinement()
@@ -291,6 +306,12 @@ def test_area_series_windows(tess_plane_3000, tess_sphere_9301, tess_hyperbolic_
     assert sphere.mean == pytest.approx(math.pi, rel=1e-9)
     hyp = area_series(tess_hyperbolic_3000)
     assert hyp.mean == pytest.approx(math.pi, rel=1e-3)
+
+
+def test_area_series_refuses_empty_window():
+    # four sites: every cell is a boundary cell
+    with pytest.raises(ValueError, match="no cell in the area window"):
+        area_series(tessellate(generate_plane(4)))
 
 
 def test_site_depth_conventions(tess_plane_3000, tess_sphere_1351):

@@ -4,9 +4,14 @@ Everything runs in-process through ``cli.main`` so exit codes and stream
 routing are observable without spawning subprocesses.
 """
 
+import io
 import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phyllo import cli
 from phyllo.export import (
@@ -124,15 +129,48 @@ def test_analyze_rejects_tampered_pattern_file(tmp_path):
         ["analyze", "--geometry", "plane", "--n", "300", "--a", "1e-200"],
         ["analyze", "--geometry", "sphere", "--n", "301", "--lambda", "0.5"],
         ["render", "--geometry", "plane", "--n", "2"],
+        # no cell left in the area window
+        ["analyze", "--geometry", "plane", "--n", "4"],
+        ["analyze", "--geometry", "plane", "--n", "300", "--lambda", "0.5"],
+        ["analyze", "--geometry", "hyperbolic", "--n", "12", "--a", "0.3"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):
-    with pytest.raises(SystemExit) as err:
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(SystemExit) as err:
+        warnings.simplefilter("always")
         cli.main(argv)
     assert err.value.code == 1
+    assert [str(w.message) for w in caught] == []
     stderr = capsys.readouterr().err
     assert "Traceback" not in stderr
+    assert "Warning" not in stderr
     assert ": error: " in stderr.splitlines()[-1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(
+    command=st.sampled_from(["analyze", "render"]),
+    geometry=st.sampled_from(["plane", "hyperbolic", "sphere"]),
+    n=st.integers(min_value=1, max_value=400),
+    a=st.floats(min_value=1e-12, max_value=1.5),
+    lam=st.floats(min_value=-0.5, max_value=1.5),
+    indexing=st.sampled_from(["integer", "half-integer"]),
+)
+def test_every_input_ends_in_report_or_one_line_error(command, geometry, n, a, lam, indexing):
+    argv = [command, "--geometry", geometry, "--n", str(n), "--lambda", repr(lam),
+            "--indexing", indexing]
+    if geometry != "sphere":
+        argv += ["--a", repr(a)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_threshold_table_and_reports(tmp_path, capsys):

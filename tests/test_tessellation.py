@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, Voronoi
 
-from phyllo.generator import PhylloPattern, generate, generate_plane
+from phyllo.generator import PhylloPattern, generate, generate_plane, normalization_scale
 from phyllo.geometry import SurfaceSpec, chart_distance_xy
 from phyllo.numerics import fibonacci
 from phyllo.tessellation import (
@@ -198,3 +199,75 @@ def test_tessellation_is_deterministic():
         assert [(l.t, l.distance) for l in a.adjacency[s]] == [
             (l.t, l.distance) for l in b.adjacency[s]
         ]
+
+
+# Cell areas computed one cell at a time, as plain formulas: the reference
+# the array code in tessellate must match bit for bit.
+
+def _solid_angle(a, b, c):
+    numer = float(np.dot(a, np.cross(b, c)))
+    denom = 1.0 + float(np.dot(a, b)) + float(np.dot(b, c)) + float(np.dot(c, a))
+    return 2.0 * math.atan2(numer, denom)
+
+
+def _reference_sphere_areas(pattern):
+    hull = ConvexHull(pattern.xyz)
+    centers = hull.equations[:, :3] / np.linalg.norm(hull.equations[:, :3], axis=1)[:, None]
+    areas = []
+    for s in range(pattern.n):
+        site = pattern.xyz[s] / pattern.surface.R
+        helper = np.array([0.0, 0.0, 1.0]) if abs(site[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+        e1 = np.cross(site, helper)
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(site, e1)
+        ring = centers[np.flatnonzero(np.any(hull.simplices == s, axis=1))]
+        ring = ring[np.argsort(np.arctan2(ring @ e2, ring @ e1))]
+        fan = 0.0
+        for k in range(1, len(ring) - 1):
+            fan += _solid_angle(ring[0], ring[k], ring[k + 1])
+        scale = normalization_scale(pattern.surface)
+        areas.append(abs(fan) * pattern.surface.R * pattern.surface.R / (scale * scale))
+    return np.array(areas)
+
+
+def _reference_chart_area(verts, surface):
+    if surface.kind == "plane":
+        x, y = verts[:, 0], verts[:, 1]
+        return abs(0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    g = verts.mean(axis=0)
+    a, b = verts, np.roll(verts, -1, axis=0)
+    cross = (a[:, 0] - g[0]) * (b[:, 1] - g[1]) - (a[:, 1] - g[1]) * (b[:, 0] - g[0])
+    mids = np.stack(((a + b) / 2, (g + a) / 2, (g + b) / 2))
+    lam2 = (2.0 * surface.R / (1.0 - np.sum(mids * mids, axis=-1))) ** 2
+    return abs(float(np.sum(0.5 * cross * lam2.mean(axis=0))))
+
+
+def _reference_chart_areas(pattern):
+    vor = Voronoi(pattern.chart_xy)
+    r_max = pattern.r.max()
+    scale = normalization_scale(pattern.surface)
+    areas = []
+    for s in range(pattern.n):
+        region = vor.regions[vor.point_region[s]]
+        verts = vor.vertices[[v for v in region if v != -1]]
+        if -1 in region or np.any(np.sum(verts * verts, axis=1) > r_max * r_max):
+            areas.append(math.nan)
+        else:
+            areas.append(_reference_chart_area(verts, pattern.surface) / (scale * scale))
+    return np.array(areas)
+
+
+@pytest.mark.parametrize(
+    "kind,n,kwargs",
+    [
+        ("plane", 1500, {"a": 0.37}),
+        ("hyperbolic", 1000, {"a": 0.4}),
+        ("hyperbolic", 1000, {"a": 0.025, "indexing": "half-integer"}),
+        ("sphere", 1351, {}),
+        ("sphere", 600, {"indexing": "half-integer"}),
+    ],
+)
+def test_areas_match_per_cell_reference(kind, n, kwargs):
+    pattern = generate(kind, n, **kwargs)
+    reference = _reference_sphere_areas if kind == "sphere" else _reference_chart_areas
+    assert np.array_equal(tessellate(pattern).areas, reference(pattern), equal_nan=True)
