@@ -533,9 +533,10 @@ def distance_series(tess: Tessellation) -> DistanceSeries:
     measured = np.array([r[3] for r in rows])
     interior = np.array([r[4] for r in rows])
     analytic = np.full(len(rows), np.nan)
-    # read the profile where each site sits: half-integer sites sit at
-    # s + 1/2, which the sphere's lattice law (nu = (n - 1)/2 sites per
-    # hemisphere) places at s' = (s + 1/2)(n - 1)/n
+    # read the profile where each site sits.  Half-integer sites sit at
+    # s + 1/2; the sphere's profile follows the integer lattice
+    # cos(colat) = 1 - s/nu with nu = (n - 1)/2, on which the half-integer
+    # site s, at cos(colat) = 1 - (2s + 1)/n, reads s' = (s + 1/2)(n - 1)/n
     s_eff = _effective_index(pattern.n, pattern.indexing)
     if pattern.surface.kind == SPHERE and pattern.indexing != "integer":
         s_eff *= (pattern.n - 1) / pattern.n
@@ -578,7 +579,7 @@ def area_series(tess: Tessellation) -> AreaSeries:
     inside = areas[window]
     if not len(inside):
         raise ValueError(
-            f"no cell in the area window: every cell is a boundary cell or lies"
+            "no cell in the area window: every cell is a boundary cell or lies"
             f" within {EDGE_MARGIN_CELLS:g} cell widths of the pattern edge"
         )
     return AreaSeries(

@@ -13,7 +13,7 @@ Cell geometry is computed on whole arrays.  Chart cells come from Qhull's
 regions flattened into one vertex-index list with per-site offsets, sphere
 cells from one stable sort of the hull facets by corner site.  Sites with
 the same number of cell vertices are processed together, at most _BLOCK at
-a time, which bounds the scratch memory.  Each value is reduced in the
+a time, which bounds the temporary memory.  Each value is reduced in the
 order, and through the same numpy and BLAS kernels, that a cell-by-cell
 computation would use: row dot products go through a stacked matmul, and
 the sphere's fan solid angles are summed one fan triangle at a time with
@@ -50,7 +50,7 @@ CELL_TYPE_BY_SIDES = {4: "square", 5: "pentagon", 6: "hexagon", 7: "heptagon"}
 
 _FIB_RANK = {fibonacci(u): u for u in range(2, MAX_FIB_RANK + 1)}  # 1 -> rank 2
 
-#: sites per array block; bounds the scratch arrays of the cell geometry
+#: sites per array block; bounds the temporary arrays of the cell geometry
 _BLOCK = 2048
 
 
