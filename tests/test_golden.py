@@ -6,7 +6,9 @@ and every file it writes.  A change that alters any output byte of
 change updates the digests and says why.  The library cases hash the
 tessellation document and every neighbor link of patterns the CLI cases
 miss: strong curvature (cells of 4 to 8 vertices), half-integer indexing,
-and spheres from a few dozen to several thousand sites.  The digests were recorded with
+and spheres from a few dozen to several thousand sites; further library
+cases hash the pattern document of the plane, the disc and half-integer
+patterns, whose ``pattern.json`` no CLI case writes.  The digests were recorded with
 numpy 2.4.6 and scipy 1.17.1; other builds of Qhull or libm may move the
 last printed digit of some floats.
 """
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from phyllo import cli
-from phyllo.export import dumps_json, tessellation_document
+from phyllo.export import dumps_json, pattern_document, tessellation_document
 from phyllo.generator import generate
 from phyllo.tessellation import tessellate
 
@@ -48,6 +50,19 @@ CASES = {
             "boundaries.csv": "4c349e0dbfb07bfdde2aa254b2b4eeee5aa98d5bbc0c9db5d0a00e4591df6bf4",
             "distances.csv": "f531448af63c4bd6a6bb2943be5d56d0a1f4c3c6505d7360bd534d442a775b3f",
             "summary.json": "40963d63d93648ffcbd626dc0759411d32b4ec57cff2ce63dc2ef429448f8e58",
+        },
+    ),
+    # boundary cells write nan areas and False window rows, which no sphere
+    # CSV has
+    "plane-analyze-csv": (
+        ["analyze", "--geometry", "plane", "--n", "3000", "--format", "csv",
+         "--out", "{out}"],
+        {
+            "stdout": "1cd67734f1e0b2121faa59e377f6d53368485bc8940670efd14c922c09d4348b",
+            "areas.csv": "ffdd0fa2eabce06fae2c1a3620cc3788205961f34be25bd25f0615f0c5adc629",
+            "boundaries.csv": "9f4d0696aa4c166dc60d271f656ccfaf9b503412a649d6d24b2afebf68bae5b1",
+            "distances.csv": "d281ac2903564393daf2f4678d253a18e9241029eee36309ee79cc0ca135f1c4",
+            "summary.json": "0c5c85a4864bc02ca874ea5dd25f10aca765fb4fc2e4aaf9be15ea4a14df36a1",
         },
     ),
     "hyperbolic-render": (
@@ -143,3 +158,31 @@ def test_tessellation_digests(name):
         _sha256(_link_bytes(tess)),
     )
     assert got == (document, links)
+
+
+PATTERN_CASES = {
+    # generate arguments -> pattern document sha256
+    "plane-3000": (
+        ("plane", 3000, {}),
+        "692b11d264789fb6a518481fd11875a3f443f0ad19a726d101f3838817cac8f7",
+    ),
+    "hyperbolic-3000": (
+        ("hyperbolic", 3000, {"a": 0.025}),
+        "b253b833424e6c2af1e644f34d8020f3010e281465318b574a60b514ae700663",
+    ),
+    "plane-3000-half": (
+        ("plane", 3000, {"indexing": "half-integer"}),
+        "211158dba326974a9bc5810eed9591f8742e6cf4bae0ae87f4b48997d6c4e25a",
+    ),
+    "sphere-3000-half": (
+        ("sphere", 3000, {"indexing": "half-integer"}),
+        "a17af132728ea23f4a365a43789bce968282cf2ca115995b46d3f545a290c663",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATTERN_CASES))
+def test_pattern_digests(name):
+    (kind, n, kwargs), document = PATTERN_CASES[name]
+    text = dumps_json(pattern_document(generate(kind, n, **kwargs)))
+    assert _sha256(text.encode("utf-8")) == document
