@@ -99,6 +99,8 @@ def _pattern_from_args(parser: _Parser, args) -> "PhylloPattern":
             return load_pattern(args.input)
         except FileNotFoundError:
             parser.error(f"no such file: {args.input}")
+        except OSError as err:
+            parser.error(f"cannot read {args.input}: {err.strerror or err}")
         except json.JSONDecodeError as err:
             parser.error(f"{args.input}:{err.lineno}:{err.colno}: {err.msg}")
         except ValueError as err:
@@ -116,9 +118,12 @@ def _pattern_from_args(parser: _Parser, args) -> "PhylloPattern":
         parser.error(str(err))
 
 
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _write_text(parser: _Parser, path: Path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as err:
+        parser.error(f"cannot write {path}: {err.strerror or err}")
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +140,7 @@ def _cmd_generate(parser: _Parser, args) -> int:
         f" mean cell width={math.sqrt(math.pi) * scale:.6g}"
     )
     if args.out:
-        _write_text(Path(args.out), text)
+        _write_text(parser, Path(args.out), text)
         print(summary)
     else:
         sys.stdout.write(text)
@@ -182,7 +187,10 @@ def _cmd_analyze(parser: _Parser, args) -> int:
 
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            parser.error(f"cannot create {out}: {err.strerror or err}")
         summary = {
             "surface": _surface_document(pattern.surface),
             "n": pattern.n,
@@ -192,13 +200,13 @@ def _cmd_analyze(parser: _Parser, args) -> int:
                      "window": int(areas.window.sum())},
             "invariants": checks,
         }
-        _write_text(out / "summary.json", dumps_json(summary))
+        _write_text(parser, out / "summary.json", dumps_json(summary))
         if args.format == "json":
-            _write_text(out / "tessellation.json", dumps_json(tessellation_document(tess)))
+            _write_text(parser, out / "tessellation.json", dumps_json(tessellation_document(tess)))
         else:
-            _write_text(out / "boundaries.csv", boundaries_csv(boundaries))
-            _write_text(out / "distances.csv", distance_csv(dist))
-            _write_text(out / "areas.csv", area_csv(areas))
+            _write_text(parser, out / "boundaries.csv", boundaries_csv(boundaries))
+            _write_text(parser, out / "distances.csv", distance_csv(dist))
+            _write_text(parser, out / "areas.csv", area_csv(areas))
 
     return EXIT_OK if all(checks.values()) else EXIT_ANOMALY
 
@@ -230,7 +238,7 @@ def _cmd_thresholds(parser: _Parser, args) -> int:
     if args.out:
         if args.format == "csv":
             lines = ["u,threshold"] + [f"{r['u']},{r['threshold']}" for r in rows]
-            _write_text(Path(args.out), "\n".join(lines) + "\n")
+            _write_text(parser, Path(args.out), "\n".join(lines) + "\n")
         else:
             curves = []
             for u in range(1, args.u_max + 1):
@@ -249,6 +257,7 @@ def _cmd_thresholds(parser: _Parser, args) -> int:
                     pts.append([int(n), angle])
                 curves.append({"u": u, "points": pts})
             _write_text(
+                parser,
                 Path(args.out),
                 dumps_json({"thresholds": rows, "polar_angle_curves": curves}),
             )
@@ -263,7 +272,7 @@ def _cmd_render(parser: _Parser, args) -> int:
     except ValueError as err:
         parser.error(str(err).partition("\n")[0])
     if args.out:
-        _write_text(Path(args.out), text)
+        _write_text(parser, Path(args.out), text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

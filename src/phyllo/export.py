@@ -4,6 +4,17 @@ JSON is the interchange format and CSV the plotting convenience.  Output is
 byte-stable: floats are always written with 17 significant digits (which
 round-trips any double exactly), keys keep a fixed order, and nothing
 records a timestamp.
+
+The documents are dicts written by one generic writer, dumps_json, except
+for their large lists: the sites of a pattern and the cells of a
+tessellation.  Those are written column by column.  Each numeric column is
+formatted from ``.tolist()`` with ``format(x, ".17g")`` (NaN as null), and
+the columns fill one row template per document.  This runs on at most
+tessellation._BLOCK rows at a time, so the temporaries stay small; the text
+of the whole list is kept as a pre-rendered fragment that dumps_json writes
+verbatim.  The text is the same as the generic writer gives for a list of
+per-row dicts.  The distance and area CSV files fill a row template from
+their columns in the same way.
 """
 
 from __future__ import annotations
@@ -12,12 +23,13 @@ import csv
 import io
 import json
 import math
+from itertools import islice, repeat
 
 import numpy as np
 
 from .generator import PhylloPattern, generate
 from .geometry import SPHERE, SurfaceSpec
-from .tessellation import Tessellation
+from .tessellation import _BLOCK, Tessellation
 
 __all__ = [
     "PATTERN_SCHEMA",
@@ -45,6 +57,35 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _g17(values: np.ndarray) -> list[str]:
+    """17-significant-digit text of each value of a 1-D float array."""
+    return list(map(format, values.tolist(), repeat(".17g")))
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """JSON text of each value of a 1-D float array: _g17, NaN as null."""
+    text = _g17(values)
+    for k in np.flatnonzero(np.isnan(values)).tolist():
+        text[k] = "null"
+    return text
+
+
+class _Fragment(str):
+    """JSON text rendered ahead of time; _write_json writes it verbatim."""
+
+    __slots__ = ()
+
+
+def _json_rows(n: int, rows) -> _Fragment:
+    """JSON list of n rows; rows(lo, hi) yields the text of rows lo..hi-1.
+
+    Rows are rendered _BLOCK at a time, so the per-row temporaries stay
+    small; only the text of each finished block is kept.
+    """
+    blocks = (", ".join(rows(lo, min(lo + _BLOCK, n))) for lo in range(0, n, _BLOCK))
+    return _Fragment("[%s]" % ", ".join(blocks))
+
+
 def dumps_json(doc) -> str:
     """Canonical JSON text: fixed key order, 17-significant-digit floats."""
     out = io.StringIO()
@@ -60,6 +101,8 @@ def _write_json(node, out) -> None:
         out.write("true")
     elif node is False:
         out.write("false")
+    elif isinstance(node, _Fragment):
+        out.write(node)
     elif isinstance(node, str):
         out.write(json.dumps(node))
     elif isinstance(node, (int, np.integer)):
@@ -97,26 +140,65 @@ def _surface_document(surface: SurfaceSpec) -> dict:
 
 def pattern_document(pattern: PhylloPattern) -> dict:
     """Pattern as a JSON-ready document; angles reduced to [0, 2pi) here only."""
-    sites = []
-    for k in range(pattern.n):
-        site = {
-            "s": int(pattern.s[k]),
-            "rho": float(pattern.rho[k]),
-            "theta": float(np.mod(pattern.theta[k], TWO_PI)),
-            "r": float(pattern.r[k]),
-        }
-        if pattern.phi is not None:
-            site["phi"] = float(pattern.phi[k])
-        if pattern.xyz is not None:
-            site["xyz"] = [float(v) for v in pattern.xyz[k]]
-        sites.append(site)
+    template = '{"s": %d, "rho": %s, "theta": %s, "r": %s'
+    columns = [pattern.rho, np.mod(pattern.theta, TWO_PI), pattern.r]
+    if pattern.phi is not None:
+        template += ', "phi": %s'
+        columns.append(pattern.phi)
+    if pattern.xyz is not None:
+        template += ', "xyz": [%s, %s, %s]'
+        columns.extend(pattern.xyz.T)
+    template += "}"
+
+    def rows(lo: int, hi: int):
+        texts = [_json_floats(column[lo:hi]) for column in columns]
+        return map(template.__mod__, zip(pattern.s[lo:hi].tolist(), *texts))
+
     return {
         "schema": PATTERN_SCHEMA,
         "surface": _surface_document(pattern.surface),
         "n": pattern.n,
         "indexing": pattern.indexing,
-        "sites": sites,
+        "sites": _json_rows(pattern.n, rows),
     }
+
+
+_JSON_TYPES = {
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    dict: "an object",
+    list: "an array",
+}
+
+
+def _field(node, key: str, kind: type, where: str):
+    """node[key] if node is an object holding a value of that JSON type.
+
+    float accepts any JSON number.  Anything else raises a ValueError that
+    names the missing or mistyped field.
+    """
+    if not isinstance(node, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    if key not in node:
+        raise ValueError(f"{where} has no {key!r} field")
+    value = node[key]
+    kinds = (int, float) if kind is float else kind
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise ValueError(f"{where} field {key!r} is not {_JSON_TYPES[kind]}")
+    return value
+
+
+def _site_numbers(sites: list, key: str) -> np.ndarray:
+    """The number under key in every site; a ValueError names the first bad site."""
+    try:
+        values = [site[key] for site in sites]
+    except (KeyError, TypeError):
+        values = None
+    if values is None or not set(map(type, values)) <= {int, float}:
+        for k, site in enumerate(sites):
+            _field(site, key, float, f"site {k}")
+    return np.array(values, dtype=float)
 
 
 def pattern_from_document(doc: dict) -> PhylloPattern:
@@ -124,21 +206,26 @@ def pattern_from_document(doc: dict) -> PhylloPattern:
 
     Generation is deterministic, so the stored parameters are authoritative
     and the sites are rebuilt rather than trusted; stored coordinates are
-    cross-checked against the rebuild (theta modulo full turns).
+    cross-checked against the rebuild (theta modulo full turns).  A missing
+    or mistyped field raises a ValueError that names it.
     """
+    if not isinstance(doc, dict):
+        raise ValueError("not a pattern document (the top level is not a JSON object)")
     if doc.get("schema") != PATTERN_SCHEMA:
         raise ValueError(f"not a pattern document (schema {doc.get('schema')!r})")
-    surface = doc["surface"]
-    kind = surface["kind"]
-    kwargs = {"lam": surface["lambda"], "indexing": doc.get("indexing", "integer")}
+    surface = _field(doc, "surface", dict, "document")
+    kind = _field(surface, "kind", str, "surface")
+    kwargs = {"lam": _field(surface, "lambda", float, "surface")}
+    if "indexing" in doc:
+        kwargs["indexing"] = _field(doc, "indexing", str, "document")
     if kind != SPHERE:
-        kwargs["a"] = surface["a"]
-    pattern = generate(kind, int(doc["n"]), **kwargs)
-    stored = doc["sites"]
+        kwargs["a"] = _field(surface, "a", float, "surface")
+    pattern = generate(kind, _field(doc, "n", int, "document"), **kwargs)
+    stored = _field(doc, "sites", list, "document")
     if len(stored) != pattern.n:
         raise ValueError("site list does not match n")
-    rho = np.array([site["rho"] for site in stored])
-    theta = np.array([site["theta"] for site in stored])
+    rho = _site_numbers(stored, "rho")
+    theta = _site_numbers(stored, "theta")
     if not np.allclose(rho, pattern.rho, rtol=1e-12, atol=1e-12):
         raise ValueError("stored radii disagree with regeneration")
     dev = np.abs(np.mod(pattern.theta, TWO_PI) - theta)
@@ -154,23 +241,34 @@ def load_pattern(path) -> PhylloPattern:
 
 def tessellation_document(tess: Tessellation) -> dict:
     pattern = tess.pattern
-    cells = []
-    for cell in tess.cells:
-        cells.append(
-            {
-                "s": cell.s,
-                "vertices": [[float(x), float(y)] for x, y in cell.vertices],
-                "sides": int(cell.sides),
-                "area": None if cell.is_boundary else float(cell.area),
-                "isBoundary": bool(cell.is_boundary),
-                "neighborDeltas": [link.delta_s for link in tess.adjacency[cell.s]],
-            }
+    cells, adjacency = tess.cells, tess.adjacency
+    template = (
+        '{"s": %d, "vertices": [%s], "sides": %d, "area": %s, "isBoundary": %s,'
+        ' "neighborDeltas": [%s]}'
+    )
+    boundary = tess.boundary_mask
+    area = np.where(boundary, math.nan, tess.areas)  # boundary cells write null
+    sides = tess.sides.tolist()
+    flags = np.where(boundary, "true", "false").tolist()
+
+    def rows(lo: int, hi: int):
+        block = cells[lo:hi]
+        s = [cell.s for cell in block]
+        vertices = [cell.vertices for cell in block]
+        xy = iter(_json_floats(np.concatenate(vertices).ravel()))
+        points = map("[%s, %s]".__mod__, zip(xy, xy))
+        polygons = [", ".join(islice(points, len(v))) for v in vertices]
+        deltas = [", ".join([str(link.delta_s) for link in adjacency[t]]) for t in s]
+        return map(
+            template.__mod__,
+            zip(s, polygons, sides[lo:hi], _json_floats(area[lo:hi]), flags[lo:hi], deltas),
         )
+
     return {
         "schema": TESSELLATION_SCHEMA,
         "surface": _surface_document(pattern.surface),
         "n": pattern.n,
-        "cells": cells,
+        "cells": _json_rows(len(cells), rows),
     }
 
 
@@ -232,34 +330,31 @@ def boundaries_csv(boundaries) -> str:
     return _csv_text(BOUNDARY_COLUMNS, boundary_rows(boundaries))
 
 
+def _csv_columns(columns, template: str, *values) -> str:
+    """CSV text of a header row and one template row per entry of the columns."""
+    return ",".join(columns) + "\n" + "".join(map(template.__mod__, zip(*values)))
+
+
 DISTANCE_COLUMNS = ["s_from", "s_to", "rank", "measured", "analytic", "interior"]
 
 
 def distance_csv(series) -> str:
-    rows = [
-        {
-            "s_from": int(series.s_from[k]),
-            "s_to": int(series.s_to[k]),
-            "rank": int(series.rank[k]),
-            "measured": float(series.measured[k]),
-            "analytic": float(series.analytic[k]),
-            "interior": bool(series.interior[k]),
-        }
-        for k in range(len(series.measured))
-    ]
-    return _csv_text(DISTANCE_COLUMNS, rows)
+    return _csv_columns(
+        DISTANCE_COLUMNS,
+        "%d,%d,%d,%s,%s,%s\n",
+        series.s_from.tolist(),
+        series.s_to.tolist(),
+        series.rank.tolist(),
+        _g17(series.measured),
+        _g17(series.analytic),
+        series.interior.tolist(),
+    )
 
 
 AREA_COLUMNS = ["s", "area", "in_window"]
 
 
 def area_csv(series) -> str:
-    rows = [
-        {
-            "s": int(series.s[k]),
-            "area": float(series.area[k]),
-            "in_window": bool(series.window[k]),
-        }
-        for k in range(len(series.s))
-    ]
-    return _csv_text(AREA_COLUMNS, rows)
+    return _csv_columns(
+        AREA_COLUMNS, "%d,%s,%s\n", series.s.tolist(), _g17(series.area), series.window.tolist()
+    )

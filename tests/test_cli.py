@@ -18,7 +18,9 @@ from phyllo.export import (
     BOUNDARY_COLUMNS,
     PATTERN_SCHEMA,
     TESSELLATION_SCHEMA,
+    dumps_json,
     load_pattern,
+    pattern_document,
 )
 from phyllo.analysis import sphere_thresholds
 from phyllo.generator import generate
@@ -112,6 +114,19 @@ def test_analyze_rejects_tampered_pattern_file(tmp_path):
     assert err.value.code == 1
 
 
+def _write_inputs(tmp_path):
+    """Pattern files that are valid JSON but not valid pattern documents."""
+    no_rho = json.loads(dumps_json(pattern_document(generate("plane", 5))))
+    del no_rho["sites"][3]["rho"]
+    docs = {
+        "no-surface.json": {"schema": PATTERN_SCHEMA},
+        "list.json": [],
+        "no-rho.json": no_rho,
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -133,9 +148,20 @@ def test_analyze_rejects_tampered_pattern_file(tmp_path):
         ["analyze", "--geometry", "plane", "--n", "4"],
         ["analyze", "--geometry", "plane", "--n", "300", "--lambda", "0.5"],
         ["analyze", "--geometry", "hyperbolic", "--n", "12", "--a", "0.3"],
+        # malformed pattern files (written by _write_inputs)
+        ["analyze", "--in", "{tmp}/no-surface.json"],
+        ["analyze", "--in", "{tmp}/list.json"],
+        ["analyze", "--in", "{tmp}/no-rho.json"],
+        # file-system errors: a directory to read, a missing directory to
+        # write into, a file where the report directory should go
+        ["analyze", "--in", "{tmp}"],
+        ["generate", "--geometry", "plane", "--n", "10", "--out", "{tmp}/missing/dir/p.json"],
+        ["analyze", "--geometry", "plane", "--n", "600", "--out", "{tmp}/list.json"],
     ],
 )
-def test_usage_errors_exit_1(argv, capsys):
+def test_usage_errors_exit_1(argv, tmp_path, capsys):
+    _write_inputs(tmp_path)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     with warnings.catch_warnings(record=True) as caught, pytest.raises(SystemExit) as err:
         warnings.simplefilter("always")
         cli.main(argv)

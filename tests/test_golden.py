@@ -8,12 +8,15 @@ tessellation document and every neighbor link of patterns the CLI cases
 miss: strong curvature (cells of 4 to 8 vertices), half-integer indexing,
 and spheres from a few dozen to several thousand sites; further library
 cases hash the pattern document of the plane, the disc and half-integer
-patterns, whose ``pattern.json`` no CLI case writes.  The digests were recorded with
+patterns, whose ``pattern.json`` no CLI case writes.  The reference case
+keeps the nested-dict document builders that the column writers of
+``phyllo.export`` replaced, and requires the same text from both.  The digests were recorded with
 numpy 2.4.6 and scipy 1.17.1; other builds of Qhull or libm may move the
 last printed digit of some floats.
 """
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ import pytest
 from phyllo import cli
 from phyllo.export import dumps_json, pattern_document, tessellation_document
 from phyllo.generator import generate
-from phyllo.tessellation import tessellate
+from phyllo.tessellation import _BLOCK, tessellate
 
 CASES = {
     "plane-analyze-json": (
@@ -186,3 +189,71 @@ def test_pattern_digests(name):
     (kind, n, kwargs), document = PATTERN_CASES[name]
     text = dumps_json(pattern_document(generate(kind, n, **kwargs)))
     assert _sha256(text.encode("utf-8")) == document
+
+
+def _reference_pattern_document(pattern):
+    """One dict per site, as the generic writer was fed before the column writer."""
+    sites = []
+    for k in range(pattern.n):
+        site = {
+            "s": int(pattern.s[k]),
+            "rho": float(pattern.rho[k]),
+            "theta": float(np.mod(pattern.theta[k], 2.0 * np.pi)),
+            "r": float(pattern.r[k]),
+        }
+        if pattern.phi is not None:
+            site["phi"] = float(pattern.phi[k])
+        if pattern.xyz is not None:
+            site["xyz"] = [float(v) for v in pattern.xyz[k]]
+        sites.append(site)
+    doc = pattern_document(pattern)
+    return {**doc, "sites": sites}
+
+
+def _reference_tessellation_document(tess):
+    """One dict per cell and one list per vertex, fed to the generic writer."""
+    cells = [
+        {
+            "s": cell.s,
+            "vertices": [[float(x), float(y)] for x, y in cell.vertices],
+            "sides": int(cell.sides),
+            "area": None if cell.is_boundary else float(cell.area),
+            "isBoundary": bool(cell.is_boundary),
+            "neighborDeltas": [link.delta_s for link in tess.adjacency[cell.s]],
+        }
+        for cell in tess.cells
+    ]
+    doc = tessellation_document(tess)
+    return {**doc, "cells": cells}
+
+
+@pytest.mark.parametrize(
+    "kind, n, kwargs",
+    [
+        ("sphere", 7, {}),
+        ("sphere", 25, {}),
+        ("plane", 600, {}),  # many boundary cells with null areas
+        ("hyperbolic", 3000, {"a": 0.4}),  # cells of 4 to 8 vertices
+        ("plane", 600, {"indexing": "half-integer"}),
+        ("sphere", 600, {"indexing": "half-integer"}),
+        ("sphere", 2 * _BLOCK + 1, {}),  # a block seam and a one-row last block
+    ],
+)
+def test_documents_match_generic_writer(kind, n, kwargs):
+    pattern = generate(kind, n, **kwargs)
+    _assert_same_text(
+        dumps_json(pattern_document(pattern)),
+        dumps_json(_reference_pattern_document(pattern)),
+    )
+    tess = tessellate(pattern)
+    _assert_same_text(
+        dumps_json(tessellation_document(tess)),
+        dumps_json(_reference_tessellation_document(tess)),
+    )
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    # a plain assert on megabytes of text makes pytest diff them for minutes
+    same = got == want
+    k = len(os.path.commonprefix([got, want]))
+    assert same, f"first difference at {k}: {got[k - 40 : k + 40]!r} vs {want[k - 40 : k + 40]!r}"
