@@ -97,8 +97,6 @@ def _pattern_from_args(parser: _Parser, args) -> "PhylloPattern":
             parser.error("--in replaces --geometry/--n")
         try:
             return load_pattern(args.input)
-        except FileNotFoundError:
-            parser.error(f"no such file: {args.input}")
         except OSError as err:
             parser.error(f"cannot read {args.input}: {err.strerror or err}")
         except json.JSONDecodeError as err:

@@ -255,7 +255,13 @@ def tessellation_document(tess: Tessellation) -> dict:
         block = cells[lo:hi]
         s = [cell.s for cell in block]
         vertices = [cell.vertices for cell in block]
-        xy = iter(_json_floats(np.concatenate(vertices).ravel()))
+        # a Voronoi vertex is shared by about three cells, so format each
+        # distinct value once; values compare bit for bit, keeping -0.0 apart
+        bits, inverse = np.unique(
+            np.concatenate(vertices).ravel().view(np.int64), return_inverse=True
+        )
+        text = _json_floats(bits.view(np.float64))
+        xy = iter(map(text.__getitem__, inverse.tolist()))
         points = map("[%s, %s]".__mod__, zip(xy, xy))
         polygons = [", ".join(islice(points, len(v))) for v in vertices]
         deltas = [", ".join([str(link.delta_s) for link in adjacency[t]]) for t in s]

@@ -252,6 +252,17 @@ def test_documents_match_generic_writer(kind, n, kwargs):
     )
 
 
+def test_tessellation_document_keeps_signed_zeros_and_nans():
+    tess = tessellate(generate("plane", 600))
+    # vertex values the generated patterns do not produce: zeros of both
+    # signs in one block, and a NaN
+    tess.cells[1].vertices = np.array([[0.0, -0.0], [np.nan, 1.0], [-0.0, 0.0]])
+    tess.cells[2].vertices = np.array([[-0.0, 0.0]])
+    text = dumps_json(tessellation_document(tess))
+    _assert_same_text(text, dumps_json(_reference_tessellation_document(tess)))
+    assert '"vertices": [[0, -0], [null, 1], [-0, 0]]' in text
+
+
 def _assert_same_text(got: str, want: str) -> None:
     # a plain assert on megabytes of text makes pytest diff them for minutes
     same = got == want
