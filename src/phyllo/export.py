@@ -175,8 +175,9 @@ _JSON_TYPES = {
 def _field(node, key: str, kind: type, where: str):
     """node[key] if node is an object holding a value of that JSON type.
 
-    float accepts any JSON number.  Anything else raises a ValueError that
-    names the missing or mistyped field.
+    float accepts any JSON number that a double can hold and returns it as
+    a float.  Anything else raises a ValueError that names the missing or
+    mistyped field.
     """
     if not isinstance(node, dict):
         raise ValueError(f"{where} is not a JSON object")
@@ -186,6 +187,11 @@ def _field(node, key: str, kind: type, where: str):
     kinds = (int, float) if kind is float else kind
     if not isinstance(value, kinds) or isinstance(value, bool):
         raise ValueError(f"{where} field {key!r} is not {_JSON_TYPES[kind]}")
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{where} field {key!r} is too large for a double") from None
     return value
 
 
@@ -193,12 +199,11 @@ def _site_numbers(sites: list, key: str) -> np.ndarray:
     """The number under key in every site; a ValueError names the first bad site."""
     try:
         values = [site[key] for site in sites]
-    except (KeyError, TypeError):
-        values = None
-    if values is None or not set(map(type, values)) <= {int, float}:
-        for k, site in enumerate(sites):
-            _field(site, key, float, f"site {k}")
-    return np.array(values, dtype=float)
+        if set(map(type, values)) <= {int, float}:
+            return np.array(values, dtype=float)
+    except (KeyError, TypeError, OverflowError):
+        pass
+    return np.array([_field(site, key, float, f"site {k}") for k, site in enumerate(sites)])
 
 
 def pattern_from_document(doc: dict) -> PhylloPattern:

@@ -118,10 +118,13 @@ def _write_inputs(tmp_path):
     """Pattern files that are valid JSON but not valid pattern documents."""
     no_rho = json.loads(dumps_json(pattern_document(generate("plane", 5))))
     del no_rho["sites"][3]["rho"]
+    huge_rho = json.loads(dumps_json(pattern_document(generate("plane", 5))))
+    huge_rho["sites"][2]["rho"] = 10**400  # a JSON integer no double can hold
     docs = {
         "no-surface.json": {"schema": PATTERN_SCHEMA},
         "list.json": [],
         "no-rho.json": no_rho,
+        "huge-rho.json": huge_rho,
     }
     for name, doc in docs.items():
         (tmp_path / name).write_text(json.dumps(doc))
@@ -152,6 +155,7 @@ def _write_inputs(tmp_path):
         ["analyze", "--in", "{tmp}/no-surface.json"],
         ["analyze", "--in", "{tmp}/list.json"],
         ["analyze", "--in", "{tmp}/no-rho.json"],
+        ["analyze", "--in", "{tmp}/huge-rho.json"],
         # file-system errors: a directory to read, a missing directory to
         # write into, a file where the report directory should go
         ["analyze", "--in", "{tmp}"],
