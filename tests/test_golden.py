@@ -265,6 +265,6 @@ def test_tessellation_document_keeps_signed_zeros_and_nans():
 
 def _assert_same_text(got: str, want: str) -> None:
     # a plain assert on megabytes of text makes pytest diff them for minutes
-    same = got == want
-    k = len(os.path.commonprefix([got, want]))
-    assert same, f"first difference at {k}: {got[k - 40 : k + 40]!r} vs {want[k - 40 : k + 40]!r}"
+    if got != want:
+        k = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"first difference at {k}: {got[k - 40 : k + 40]!r} vs {want[k - 40 : k + 40]!r}")
