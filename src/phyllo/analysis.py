@@ -21,7 +21,7 @@ import numpy as np
 from .generator import PhylloPattern, _effective_index, normalization_scale
 from .geometry import HYPERBOLIC, PLANE, SPHERE, SurfaceSpec, circle_circumference, conformal_factor
 from .numerics import LSWord, fibonacci
-from .tessellation import Tessellation, classify
+from .tessellation import Tessellation
 
 __all__ = [
     "CORE_DEPTH",
@@ -172,10 +172,10 @@ def _extract_dipoles(
         else:
             unpaired.append(h)
     for h in unpaired:  # fall back on direct cell adjacency
-        for link in tess.adjacency[h]:
-            if link.t in pent_set:
-                pairs.append((h, link.t))
-                pent_set.discard(link.t)
+        for t in tess.adjacency[h].tolist():
+            if t in pent_set:
+                pairs.append((h, t))
+                pent_set.discard(t)
                 break
     return sorted(pairs)
 
@@ -194,42 +194,34 @@ def detect_grain_boundaries(tess: Tessellation) -> list[GrainBoundary]:
     """
     pattern = tess.pattern
     n = pattern.n
-    labels = classify(tess)
+    sides = np.where(tess.cells.is_boundary, 0, tess.cells.sides)
+    heptagon, hexagon = sides == 7, sides == 6
     depth = site_depth(pattern, np.arange(n))
     clear = _clear_of_edge(pattern, DEFECT_EDGE_MARGIN_CELLS)
-    eligible = [
-        s
-        for s in range(n)
-        if depth[s] >= CORE_DEPTH and clear[s] and labels[s] in ("pentagon", "heptagon")
-    ]
-    eligible_set = set(eligible)
-    groups: list[list[int]] = []
-    hi = -1  # last site of the current group's band
-    for s in eligible:
-        if s > hi:
-            groups.append([])
-        groups[-1].append(s)
-        hi = max(hi, s)
-        for link in tess.adjacency[s]:
-            t = link.t
-            if t not in eligible_set or t < s or labels[s] == labels[t]:
-                continue
-            hept, pent = (s, t) if labels[s] == "heptagon" else (t, s)
-            if depth[hept] < depth[pent]:
-                hi = max(hi, t)
+    eligible = (depth >= CORE_DEPTH) & clear & (heptagon | (sides == 5))
+    # each defect reaches up to the furthest later defect of the other type
+    # that it links to, where the heptagon is the inward end of the link
+    s, t = tess.adjacency.source, tess.adjacency.indices
+    link = eligible[s] & eligible[t] & (t > s) & (heptagon[s] != heptagon[t])
+    link &= np.where(heptagon[s], depth[s] < depth[t], depth[t] < depth[s])
+    reach = np.arange(n)
+    np.maximum.at(reach, s[link], t[link])
+    # a group starts at a defect past the reach of every earlier defect
+    sites = np.flatnonzero(eligible)
+    covered = np.maximum.accumulate(reach[sites])
+    starts = np.flatnonzero(sites[1:] > covered[:-1]) + 1
+    groups = np.split(sites, starts) if len(sites) else []
 
     scale = normalization_scale(pattern.surface)
     nu = (n - 1) // 2
     out: list[GrainBoundary] = []
     for group in groups:
-        lo, hi = min(group), max(group)
-        members = list(group) + [
-            s for s in range(lo, hi + 1) if labels[s] == "hexagon"
-        ]
+        lo, hi = int(group[0]), int(group[-1])
+        members = np.concatenate((group, lo + np.flatnonzero(hexagon[lo : hi + 1])))
         theta = np.mod(pattern.theta[members], 2.0 * math.pi)
-        order = [members[k] for k in np.argsort(theta, kind="stable")]
-        hept = sorted(s for s in group if labels[s] == "heptagon")
-        pent = sorted(s for s in group if labels[s] == "pentagon")
+        order = members[np.argsort(theta, kind="stable")].tolist()
+        hept = group[heptagon[group]].tolist()
+        pent = group[~heptagon[group]].tolist()
         counts = (len(hept), len(members) - len(group), len(pent))
         rank = _rank_from_pentagon_count(counts[2])
         anomalous = rank is None
@@ -513,26 +505,15 @@ class DistanceSeries:
 
 def distance_series(tess: Tessellation) -> DistanceSeries:
     pattern = tess.pattern
-    depth = site_depth(pattern, np.arange(pattern.n))
-    boundary = tess.boundary_mask
-    rows = []
-    for s in range(pattern.n):
-        for link in tess.adjacency[s]:
-            if link.delta_s <= 0:
-                continue
-            ok = (
-                not boundary[s]
-                and not boundary[link.t]
-                and depth[s] >= CORE_DEPTH
-                and depth[link.t] >= CORE_DEPTH
-            )
-            rows.append((s, link.t, link.parastichy_rank or -1, link.distance, ok))
-    s_from = np.array([r[0] for r in rows])
-    s_to = np.array([r[1] for r in rows])
-    rank = np.array([r[2] for r in rows])
-    measured = np.array([r[3] for r in rows])
-    interior = np.array([r[4] for r in rows])
-    analytic = np.full(len(rows), np.nan)
+    adjacency = tess.adjacency
+    source, target = adjacency.source, adjacency.indices
+    forward = target > source
+    s_from, s_to = source[forward], target[forward]
+    rank = adjacency.rank[forward]
+    measured = adjacency.distance[forward]
+    inside = ~tess.cells.is_boundary & (site_depth(pattern, np.arange(pattern.n)) >= CORE_DEPTH)
+    interior = inside[s_from] & inside[s_to]
+    analytic = np.full(len(measured), np.nan)
     # read the profile where each site sits.  Half-integer sites sit at
     # s + 1/2; the sphere's profile follows the integer lattice
     # cos(colat) = 1 - s/nu with nu = (n - 1)/2, on which the half-integer
@@ -574,8 +555,8 @@ def area_series(tess: Tessellation) -> AreaSeries:
     the area variance.
     """
     pattern = tess.pattern
-    areas = tess.areas
-    window = ~tess.boundary_mask & _clear_of_edge(pattern, EDGE_MARGIN_CELLS)
+    areas = tess.cells.area
+    window = ~tess.cells.is_boundary & _clear_of_edge(pattern, EDGE_MARGIN_CELLS)
     inside = areas[window]
     if not len(inside):
         raise ValueError(

@@ -93,7 +93,7 @@ def _add_pattern_args(p: _Parser, with_input: bool) -> None:
 
 def _pattern_from_args(parser: _Parser, args) -> "PhylloPattern":
     if getattr(args, "input", None):
-        if args.geometry or args.n:
+        if args.geometry or args.n is not None:
             parser.error("--in replaces --geometry/--n")
         try:
             return load_pattern(args.input)
@@ -103,7 +103,7 @@ def _pattern_from_args(parser: _Parser, args) -> "PhylloPattern":
             parser.error(f"{args.input}:{err.lineno}:{err.colno}: {err.msg}")
         except ValueError as err:
             parser.error(f"{args.input}: {err}")
-    if not args.geometry or not args.n:
+    if not args.geometry or args.n is None:
         parser.error("need --geometry and --n (or --in FILE)")
     if args.geometry == SPHERE and args.a is not None:
         parser.error("the sphere fixes a = 2/sqrt(n); --a is not accepted")
@@ -149,7 +149,7 @@ def _cmd_generate(parser: _Parser, args) -> int:
 def _invariants(tess, boundaries, dist, areas) -> dict:
     checks = {}
     if tess.pattern.surface.kind == SPHERE:
-        checks["topological_charge_12"] = int(np.sum(6 - tess.sides)) == 12
+        checks["topological_charge_12"] = int(np.sum(6 - tess.cells.sides)) == 12
     complete = [b for b in boundaries if b.complete]
     checks["no_anomalous_boundary"] = not any(b.anomalous for b in boundaries)
     checks["defect_balance"] = all(b.counts[0] == b.counts[2] for b in complete)
@@ -264,6 +264,8 @@ def _cmd_thresholds(parser: _Parser, args) -> int:
 
 
 def _cmd_render(parser: _Parser, args) -> int:
+    if args.size < 1:
+        parser.error(f"--size must be at least 1, got {args.size}")
     pattern = _pattern_from_args(parser, args)
     try:
         text = render_svg(tessellate(pattern), projection=args.projection, size=args.size)

@@ -246,40 +246,39 @@ def load_pattern(path) -> PhylloPattern:
 
 def tessellation_document(tess: Tessellation) -> dict:
     pattern = tess.pattern
-    cells, adjacency = tess.cells, tess.adjacency
+    cells, adjacency, offsets = tess.cells, tess.adjacency, tess.vertex_offsets
     template = (
         '{"s": %d, "vertices": [%s], "sides": %d, "area": %s, "isBoundary": %s,'
         ' "neighborDeltas": [%s]}'
     )
-    boundary = tess.boundary_mask
-    area = np.where(boundary, math.nan, tess.areas)  # boundary cells write null
-    sides = tess.sides.tolist()
-    flags = np.where(boundary, "true", "false").tolist()
+    area = np.where(cells.is_boundary, math.nan, cells.area)  # boundary cells write null
+    sides = cells.sides.tolist()
+    flags = np.where(cells.is_boundary, "true", "false").tolist()
+    corners = np.diff(offsets).tolist()
+    delta, indptr = adjacency.delta, adjacency.indptr
 
     def rows(lo: int, hi: int):
-        block = cells[lo:hi]
-        s = [cell.s for cell in block]
-        vertices = [cell.vertices for cell in block]
         # a Voronoi vertex is shared by about three cells, so format each
         # distinct value once; values compare bit for bit, keeping -0.0 apart
-        bits, inverse = np.unique(
-            np.concatenate(vertices).ravel().view(np.int64), return_inverse=True
-        )
+        block = tess.vertices[offsets[lo] : offsets[hi]]
+        bits, inverse = np.unique(block.ravel().view(np.int64), return_inverse=True)
         text = _json_floats(bits.view(np.float64))
         xy = iter(map(text.__getitem__, inverse.tolist()))
         points = map("[%s, %s]".__mod__, zip(xy, xy))
-        polygons = [", ".join(islice(points, len(v))) for v in vertices]
-        deltas = [", ".join([str(link.delta_s) for link in adjacency[t]]) for t in s]
+        polygons = [", ".join(islice(points, k)) for k in corners[lo:hi]]
+        steps = iter(map(str, delta[indptr[lo] : indptr[hi]].tolist()))
+        deltas = [", ".join(islice(steps, k)) for k in sides[lo:hi]]
+        areas = _json_floats(area[lo:hi])
         return map(
             template.__mod__,
-            zip(s, polygons, sides[lo:hi], _json_floats(area[lo:hi]), flags[lo:hi], deltas),
+            zip(range(lo, hi), polygons, sides[lo:hi], areas, flags[lo:hi], deltas),
         )
 
     return {
         "schema": TESSELLATION_SCHEMA,
         "surface": _surface_document(pattern.surface),
         "n": pattern.n,
-        "cells": _json_rows(len(cells), rows),
+        "cells": _json_rows(pattern.n, rows),
     }
 
 

@@ -64,20 +64,14 @@ def render_svg(tess: Tessellation, projection: str | None = None, size: int = 90
         raise ValueError(f"projection {projection!r} needs a sphere pattern")
 
     labels = classify(tess)
-    shapes: list[tuple[np.ndarray, str]] = []
-    for cell in tess.cells:
-        if cell.is_boundary:
-            continue
-        color = CELL_COLORS.get(labels[cell.s], FALLBACK_COLOR)
-        if projection == "orthographic":
-            xyz = _chart_to_unit_sphere(cell.vertices)
-            if np.any(xyz[:, 2] > 0.0):
-                continue  # back hemisphere (the origin pole sits at z = -1)
-            shapes.append((xyz[:, :2], color))
-        else:
-            shapes.append((cell.vertices, color))
-
+    offsets, verts = tess.vertex_offsets, tess.vertices
+    owner = np.repeat(np.arange(tess.n), np.diff(offsets))
+    keep = ~tess.cells.is_boundary
     if projection == "orthographic":
+        # drop the back hemisphere (the origin pole sits at z = -1)
+        xyz = _chart_to_unit_sphere(verts)
+        keep &= np.bincount(owner, xyz[:, 2] > 0.0, minlength=tess.n) == 0
+        verts = xyz[:, :2]
         extent = 1.0
     elif kind == HYPERBOLIC:
         extent = 1.0  # the Poincare disc's limit circle
@@ -85,15 +79,12 @@ def render_svg(tess: Tessellation, projection: str | None = None, size: int = 90
         # the equator maps to r = 1; r = 4 reaches 150 degrees colatitude,
         # beyond which cells blow up toward the projection pole
         extent = 4.0
-        shapes = [
-            (verts, color)
-            for verts, color in shapes
-            if np.all(np.sum(verts * verts, axis=1) <= extent * extent)
-        ]
+        far = ~(np.sum(verts * verts, axis=1) <= extent * extent)
+        keep &= np.bincount(owner, far, minlength=tess.n) == 0
     else:
-        extent = 1.02 * max(
-            float(np.max(np.abs(verts))) for verts, _ in shapes
-        )
+        if not keep.any():
+            raise ValueError(f"nothing to draw: all {tess.n} cells are boundary cells")
+        extent = 1.02 * float(np.max(np.abs(verts[keep[owner]])))
 
     stroke = extent / 600.0
     box = _fmt(2.0 * extent)
@@ -106,7 +97,9 @@ def render_svg(tess: Tessellation, projection: str | None = None, size: int = 90
         lines.append(
             f'<circle cx="0" cy="0" r="1" fill="none" stroke="black" stroke-width="{_fmt(stroke)}"/>'
         )
-    lines.extend(_polygon(verts, color, stroke) for verts, color in shapes)
+    for s in np.flatnonzero(keep).tolist():
+        color = CELL_COLORS.get(labels[s], FALLBACK_COLOR)
+        lines.append(_polygon(verts[offsets[s] : offsets[s + 1]], color, stroke))
     # white dot on the pattern origin (chart center / near pole)
     lines.append(
         f'<circle cx="0" cy="0" r="{_fmt(6.0 * stroke)}" fill="white" stroke="black" '

@@ -18,7 +18,10 @@ order, and through the same numpy and BLAS kernels, that a cell-by-cell
 computation would use: row dot products go through a stacked matmul, and
 the sphere's fan solid angles are summed one fan triangle at a time with
 math.atan2.  Results are therefore bit-identical to the per-cell formulas.
-The per-site VoronoiCell and NeighborLink objects are built last.
+
+A Tessellation holds columns only: the Delaunay links as one CSR table, the
+fixed-width cell values as one array each, and every chart polygon as a
+slice of one vertex array.
 
 All reported lengths and areas are normalized so the mean cell area is pi.
 """
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, Voronoi
@@ -36,8 +40,6 @@ from .geometry import PLANE, SPHERE, chart_distance_xy
 from .numerics import MAX_FIB_RANK, fibonacci
 
 __all__ = [
-    "VoronoiCell",
-    "NeighborLink",
     "Tessellation",
     "tessellate",
     "classify",
@@ -48,56 +50,92 @@ __all__ = [
 #: side count -> cell label; anything else is "other"
 CELL_TYPE_BY_SIDES = {4: "square", 5: "pentagon", 6: "hexagon", 7: "heptagon"}
 
-_FIB_RANK = {fibonacci(u): u for u in range(2, MAX_FIB_RANK + 1)}  # 1 -> rank 2
+#: f_u for u = 2, 3, ..., MAX_FIB_RANK: strictly increasing, so a step's rank
+#: is its position here plus 2
+_FIBS = np.array([fibonacci(u) for u in range(2, MAX_FIB_RANK + 1)], dtype=np.int64)
 
 #: sites per array block; bounds the temporary arrays of the cell geometry
 _BLOCK = 2048
 
 
-@dataclass(frozen=True, slots=True)
-class NeighborLink:
-    """One Delaunay edge, seen from site s."""
+@dataclass(frozen=True, eq=False)
+class Adjacency:
+    """Delaunay links in CSR form, both directions of every edge.
 
-    s: int
-    t: int
-    delta_s: int
-    distance: float
-    parastichy_rank: int | None
+    Site s links to ``indices[indptr[s]:indptr[s + 1]]``, in ascending
+    order, and ``distance`` holds the metric length of each link; the two
+    directions of an edge carry the same value.
+    """
+
+    indptr: np.ndarray  # (n + 1,) int64
+    indices: np.ndarray  # (links,) int64: the far site t of each link
+    distance: np.ndarray  # (links,) float64
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, s: int) -> np.ndarray:
+        """The neighbor sites of site s, ascending."""
+        s = range(len(self))[s]  # IndexError past either end, as for a list
+        return self.indices[self.indptr[s] : self.indptr[s + 1]]
+
+    @property
+    def source(self) -> np.ndarray:
+        """The near site s of each link."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    @property
+    def delta(self) -> np.ndarray:
+        """The index step t - s of each link."""
+        return self.indices - self.source
+
+    @property
+    def rank(self) -> np.ndarray:
+        """Parastichy rank u of each link, where |t - s| = f_u (u >= 2); else -1."""
+        step = np.abs(self.delta)
+        u = np.minimum(np.searchsorted(_FIBS, step), len(_FIBS) - 1)
+        return np.where(_FIBS[u] == step, u + 2, -1)
 
 
-@dataclass(eq=False, slots=True)
-class VoronoiCell:
-    s: int
-    vertices: np.ndarray  # (k, 2) chart polygon, counterclockwise
-    sides: int  # number of Delaunay neighbors
-    area: float  # metric area (nan for boundary cells)
-    is_boundary: bool
+#: the fixed-width values of one cell, as Python scalars (a numpy record
+#: array would yield numpy scalars, whose sums JSON cannot write)
+Cell = NamedTuple("Cell", [("sides", int), ("area", float), ("is_boundary", bool)])
+
+
+@dataclass(frozen=True, eq=False)
+class Cells:
+    """The fixed-width values of every cell, one column each, indexed by site.
+
+    ``sides`` is the number of Delaunay neighbors and ``area`` the metric
+    area (nan for boundary cells).  Iteration yields one Cell per site.
+    """
+
+    sides: np.ndarray  # (n,) int64
+    area: np.ndarray  # (n,) float64
+    is_boundary: np.ndarray  # (n,) bool
+
+    def __iter__(self):
+        return map(Cell, self.sides.tolist(), self.area.tolist(), self.is_boundary.tolist())
 
 
 @dataclass(eq=False)
 class Tessellation:
+    """The Voronoi cells and Delaunay links of a pattern, as columns.
+
+    The chart polygon of site s is
+    ``vertices[vertex_offsets[s]:vertex_offsets[s + 1]]``, in order around
+    the cell.
+    """
+
     pattern: PhylloPattern
-    cells: list[VoronoiCell]
-    adjacency: list[list[NeighborLink]]
+    cells: Cells
+    adjacency: Adjacency
+    vertex_offsets: np.ndarray  # (n + 1,) int64
+    vertices: np.ndarray  # (V, 2) float64
 
     @property
     def n(self) -> int:
         return self.pattern.n
-
-    @property
-    def sides(self) -> np.ndarray:
-        return np.array([c.sides for c in self.cells])
-
-    @property
-    def areas(self) -> np.ndarray:
-        return np.array([c.area for c in self.cells])
-
-    @property
-    def boundary_mask(self) -> np.ndarray:
-        return np.array([c.is_boundary for c in self.cells])
-
-    def neighbor_sites(self, s: int) -> list[int]:
-        return [link.t for link in self.adjacency[s]]
 
 
 def _check_distinct(points: np.ndarray) -> None:
@@ -128,22 +166,14 @@ def _blocks(sizes: np.ndarray):
             yield k, sites[lo : lo + _BLOCK]
 
 
-def _links_from_pairs(n: int, pairs: np.ndarray, dist: np.ndarray):
-    """Per-site link lists, each sorted by t, from unique (i, j) site pairs.
-
-    Both directions of a pair share its Python ints and its distance float.
-    """
-    links: list[NeighborLink] = []
-    for i, j, d in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist(), dist.tolist()):
-        rank = _FIB_RANK.get(abs(j - i))
-        links.append(NeighborLink(i, j, j - i, d, rank))
-        links.append(NeighborLink(j, i, i - j, d, rank))
-    # links[2e] runs pairs[e, 0] -> pairs[e, 1] and links[2e + 1] back
+def _adjacency(n: int, pairs: np.ndarray, dist: np.ndarray) -> Adjacency:
+    """CSR links of n sites, each site's sorted by t, from unique (i, j) pairs."""
+    # link 2e runs pairs[e, 0] -> pairs[e, 1] and link 2e + 1 back
     s = pairs.ravel()
-    order = np.lexsort((pairs[:, ::-1].ravel(), s)).tolist()
-    ordered = [links[k] for k in order]
-    ends = np.cumsum(np.bincount(s, minlength=n)).tolist()
-    return [ordered[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
+    t = pairs[:, ::-1].ravel().astype(np.int64)
+    order = np.lexsort((t, s))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(s, minlength=n))))
+    return Adjacency(indptr, t[order], np.repeat(dist, 2)[order])
 
 
 def _polygon_areas(poly: np.ndarray) -> np.ndarray:
@@ -180,7 +210,7 @@ def _tessellate_chart(pattern: PhylloPattern) -> Tessellation:
 
     pairs = vor.ridge_points
     dist = chart_distance_xy(pattern.surface, xy[pairs[:, 0]], xy[pairs[:, 1]]) / scale
-    adjacency = _links_from_pairs(n, pairs, dist)
+    adjacency = _adjacency(n, pairs, dist)
 
     # each site's region vertex indices in Qhull's order, -1 at infinity
     regions = [vor.regions[r] for r in vor.point_region.tolist()]
@@ -193,17 +223,17 @@ def _tessellate_chart(pattern: PhylloPattern) -> Tessellation:
     np.logical_or.at(boundary, owner, ~finite | far[flat])
 
     # the finite vertices of every cell, one (k, 2) slice per site
-    verts = vor.vertices[flat[finite]]
+    vertices = vor.vertices[flat[finite]]
     counts = np.bincount(owner[finite], minlength=n)
-    ends = np.cumsum(counts)
-    starts = ends - counts
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    starts = offsets[:-1]
 
     areas = np.full(n, math.nan)
     interior = np.flatnonzero(~boundary)
     scale2 = scale * scale
     for k, rows in _blocks(counts[interior]):
         rows = interior[rows]
-        poly = verts[starts[rows][:, None] + np.arange(k)]
+        poly = vertices[starts[rows][:, None] + np.arange(k)]
         if pattern.surface.kind == PLANE:
             area = _polygon_areas(poly)
         else:
@@ -211,13 +241,8 @@ def _tessellate_chart(pattern: PhylloPattern) -> Tessellation:
         # abs: scipy does not promise an orientation for region vertices
         areas[rows] = np.abs(area) / scale2
 
-    cells = [
-        VoronoiCell(s, verts[lo:hi], len(links), area, edge)
-        for s, lo, hi, links, area, edge in zip(
-            range(n), starts.tolist(), ends.tolist(), adjacency, areas.tolist(), boundary.tolist()
-        )
-    ]
-    return Tessellation(pattern, cells, adjacency)
+    cells = Cells(np.diff(adjacency.indptr), areas, boundary)
+    return Tessellation(pattern, cells, adjacency, offsets, vertices)
 
 
 def _tessellate_sphere(pattern: PhylloPattern) -> Tessellation:
@@ -242,13 +267,13 @@ def _tessellate_sphere(pattern: PhylloPattern) -> Tessellation:
     pairs = np.column_stack((key // n, key % n))
     cosang = np.clip(np.sum(unit[pairs[:, 0]] * unit[pairs[:, 1]], axis=1), -1.0, 1.0)
     scale = normalization_scale(pattern.surface)
-    adjacency = _links_from_pairs(n, pairs, R * np.arccos(cosang) / scale)
+    adjacency = _adjacency(n, pairs, R * np.arccos(cosang) / scale)
 
     # incident facets of each site in ascending facet order
     corners = simplices.ravel()
     facets = np.argsort(corners, kind="stable") // 3
-    degree = np.bincount(corners, minlength=n)
-    starts = np.cumsum(degree) - degree
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(corners, minlength=n))))
+    starts = offsets[:-1]
 
     # tangent-plane basis to sort the incident circumcenters around each site
     helper = np.where((np.abs(unit[:, 2]) < 0.9)[:, None], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
@@ -257,9 +282,10 @@ def _tessellate_sphere(pattern: PhylloPattern) -> Tessellation:
     e2 = np.cross(unit, e1)
 
     areas = np.empty(n)
-    cell_verts: list[np.ndarray] = [None] * n
-    for k, rows in _blocks(degree):
-        ring = centers[facets[starts[rows][:, None] + np.arange(k)]]  # (m, k, 3)
+    vertices = np.empty((len(corners), 2))
+    for k, rows in _blocks(np.diff(offsets)):
+        slots = starts[rows][:, None] + np.arange(k)
+        ring = centers[facets[slots]]  # (m, k, 3)
         x = (ring @ e1[rows][:, :, None])[..., 0]
         y = (ring @ e2[rows][:, :, None])[..., 0]
         angle = np.arctan2(y, x)
@@ -276,15 +302,12 @@ def _tessellate_sphere(pattern: PhylloPattern) -> Tessellation:
         areas[rows] = np.abs(fan) * R * R / (scale * scale)
         # chart polygon of the ordered Voronoi vertices, for rendering
         polar = 1.0 - ring[..., 2]
-        verts = np.where(polar[..., None] > 1e-12, ring[..., :2] / polar[..., None], np.inf)
-        for s, v in zip(rows.tolist(), verts):
-            cell_verts[s] = v
+        vertices[slots] = np.where(
+            polar[..., None] > 1e-12, ring[..., :2] / polar[..., None], np.inf
+        )
 
-    cells = [
-        VoronoiCell(s, v, len(links), area, False)
-        for s, v, links, area in zip(range(n), cell_verts, adjacency, areas.tolist())
-    ]
-    return Tessellation(pattern, cells, adjacency)
+    cells = Cells(np.diff(adjacency.indptr), areas, np.zeros(n, dtype=bool))
+    return Tessellation(pattern, cells, adjacency, offsets, vertices)
 
 
 def tessellate(pattern: PhylloPattern) -> Tessellation:
@@ -323,11 +346,11 @@ def cell_contains(tess: Tessellation, s: int, point) -> bool:
     kind = pattern.surface.kind
     if kind == SPHERE:
         site = pattern.xyz[s]
-        others = pattern.xyz[tess.neighbor_sites(s)]
+        others = pattern.xyz[tess.adjacency[s]]
         return bool(np.all(point @ site >= others @ point))
     xy = pattern.chart_xy
     site = xy[s]
-    others = xy[tess.neighbor_sites(s)]
+    others = xy[tess.adjacency[s]]
     d2s = float(np.sum((point - site) ** 2))
     d2t = np.sum((point - others) ** 2, axis=1)
     if kind == PLANE:

@@ -76,7 +76,7 @@ def test_criterion_02_neighbor_separation_ledger(tess_plane_3000):
     labels = classify(tess_plane_3000)
     problems = []
     for s, label, deltas in NEIGHBOR_LEDGER:
-        got = tuple(sorted(l.delta_s for l in tess_plane_3000.adjacency[s]))
+        got = tuple(sorted((tess_plane_3000.adjacency[s] - s).tolist()))
         if labels[s] != label or got != deltas:
             problems.append(f"s={s}: {labels[s]} {got}")
     _verdict(2, "neighbor separations s=10..30", not problems,
@@ -188,7 +188,7 @@ def test_criterion_07_topological_charge(
     problems = []
     for tess in (tess_sphere_1351, tess_sphere_9301,
                  tess_sphere_1329, tess_sphere_1333):
-        charge = int(np.sum(6 - tess.sides))
+        charge = int(np.sum(6 - tess.cells.sides))
         if charge != 12:
             problems.append(f"sphere n={tess.pattern.n}: charge {charge}")
     for b in detect_grain_boundaries(tess_plane_3000):

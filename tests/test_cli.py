@@ -121,6 +121,7 @@ def _write_inputs(tmp_path):
     huge_rho = json.loads(dumps_json(pattern_document(generate("plane", 5))))
     huge_rho["sites"][2]["rho"] = 10**400  # a JSON integer no double can hold
     docs = {
+        "p.json": json.loads(dumps_json(pattern_document(generate("plane", 400)))),
         "no-surface.json": {"schema": PATTERN_SCHEMA},
         "list.json": [],
         "no-rho.json": no_rho,
@@ -161,6 +162,12 @@ def _write_inputs(tmp_path):
         ["analyze", "--in", "{tmp}"],
         ["generate", "--geometry", "plane", "--n", "10", "--out", "{tmp}/missing/dir/p.json"],
         ["analyze", "--geometry", "plane", "--n", "600", "--out", "{tmp}/list.json"],
+        # an image size below one pixel
+        ["render", "--geometry", "plane", "--n", "300", "--size", "-5"],
+        ["render", "--geometry", "plane", "--n", "300", "--size", "0"],
+        # --n 0 is given, not missing
+        ["analyze", "--in", "{tmp}/p.json", "--n", "0"],
+        ["generate", "--geometry", "plane", "--n", "0"],
     ],
 )
 def test_usage_errors_exit_1(argv, tmp_path, capsys):
@@ -175,6 +182,26 @@ def test_usage_errors_exit_1(argv, tmp_path, capsys):
     assert "Traceback" not in stderr
     assert "Warning" not in stderr
     assert ": error: " in stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["generate", "--geometry", "plane", "--n", "0"], "need n >= 1, got 0"),
+        (["render", "--geometry", "plane", "--n", "300", "--size", "-5"],
+         "--size must be at least 1, got -5"),
+        # every cell of these patterns is a boundary cell
+        (["render", "--geometry", "plane", "--n", "4"],
+         "nothing to draw: all 4 cells are boundary cells"),
+        (["render", "--geometry", "plane", "--n", "5"],
+         "nothing to draw: all 5 cells are boundary cells"),
+    ],
+)
+def test_usage_error_messages(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"phyllo: error: {message}"
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)

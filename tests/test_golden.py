@@ -15,6 +15,7 @@ numpy 2.4.6 and scipy 1.17.1; other builds of Qhull or libm may move the
 last printed digit of some floats.
 """
 
+import dataclasses
 import hashlib
 import os
 
@@ -146,10 +147,9 @@ LIBRARY_CASES = {
 
 
 def _link_bytes(tess) -> bytes:
-    links = [link for links in tess.adjacency for link in links]
-    st = np.array([(link.s, link.t) for link in links], dtype="<i8")
-    distance = np.array([link.distance for link in links], dtype="<f8")
-    return st.tobytes() + distance.tobytes()
+    adjacency = tess.adjacency
+    st = np.column_stack((adjacency.source, adjacency.indices)).astype("<i8")
+    return st.tobytes() + adjacency.distance.astype("<f8").tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(LIBRARY_CASES))
@@ -212,16 +212,19 @@ def _reference_pattern_document(pattern):
 
 def _reference_tessellation_document(tess):
     """One dict per cell and one list per vertex, fed to the generic writer."""
+    offsets = tess.vertex_offsets
     cells = [
         {
-            "s": cell.s,
-            "vertices": [[float(x), float(y)] for x, y in cell.vertices],
+            "s": s,
+            "vertices": [
+                [float(x), float(y)] for x, y in tess.vertices[offsets[s] : offsets[s + 1]]
+            ],
             "sides": int(cell.sides),
             "area": None if cell.is_boundary else float(cell.area),
             "isBoundary": bool(cell.is_boundary),
-            "neighborDeltas": [link.delta_s for link in tess.adjacency[cell.s]],
+            "neighborDeltas": [int(t) - s for t in tess.adjacency[s]],
         }
-        for cell in tess.cells
+        for s, cell in enumerate(tess.cells)
     ]
     doc = tessellation_document(tess)
     return {**doc, "cells": cells}
@@ -256,8 +259,15 @@ def test_tessellation_document_keeps_signed_zeros_and_nans():
     tess = tessellate(generate("plane", 600))
     # vertex values the generated patterns do not produce: zeros of both
     # signs in one block, and a NaN
-    tess.cells[1].vertices = np.array([[0.0, -0.0], [np.nan, 1.0], [-0.0, 0.0]])
-    tess.cells[2].vertices = np.array([[-0.0, 0.0]])
+    offsets = tess.vertex_offsets
+    polygons = [tess.vertices[offsets[s] : offsets[s + 1]] for s in range(tess.n)]
+    polygons[1] = np.array([[0.0, -0.0], [np.nan, 1.0], [-0.0, 0.0]])
+    polygons[2] = np.array([[-0.0, 0.0]])
+    tess = dataclasses.replace(
+        tess,
+        vertex_offsets=np.concatenate(([0], np.cumsum([len(p) for p in polygons]))),
+        vertices=np.concatenate(polygons),
+    )
     text = dumps_json(tessellation_document(tess))
     _assert_same_text(text, dumps_json(_reference_tessellation_document(tess)))
     assert '"vertices": [[0, -0], [null, 1], [-0, 0]]' in text

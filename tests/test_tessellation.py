@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from phyllo.generator import PhylloPattern, generate, generate_plane, normalizat
 from phyllo.geometry import SurfaceSpec, chart_distance_xy
 from phyllo.numerics import fibonacci
 from phyllo.tessellation import (
+    _BLOCK,
     Tessellation,
     cell_contains,
     classify,
@@ -46,78 +48,90 @@ def test_neighbor_separation_ledger(tess_plane_3000):
     labels = classify(tess_plane_3000)
     for s, label, deltas in NEIGHBOR_LEDGER:
         assert labels[s] == label, s
-        got = tuple(sorted(l.delta_s for l in tess_plane_3000.adjacency[s]))
+        got = tuple(sorted((tess_plane_3000.adjacency[s] - s).tolist()))
         assert got == deltas, s
 
 
 def test_link_metadata(tess_plane_3000):
+    adjacency = tess_plane_3000.adjacency
+    source, delta, rank = adjacency.source, adjacency.delta, adjacency.rank
     for s, _, deltas in NEIGHBOR_LEDGER:
-        for link in tess_plane_3000.adjacency[s]:
-            assert link.t - link.s == link.delta_s
-            expected_rank = {5: 5, 8: 6, 13: 7, 21: 8}.get(abs(link.delta_s))
-            assert link.parastichy_rank == expected_rank
+        links = slice(adjacency.indptr[s], adjacency.indptr[s + 1])
+        assert np.all(source[links] == s)
+        assert np.array_equal(adjacency.indices[links] - s, delta[links])
+        expected_rank = [{5: 5, 8: 6, 13: 7, 21: 8}.get(abs(d), -1) for d in delta[links]]
+        assert rank[links].tolist() == expected_rank
 
 
 def test_adjacency_is_symmetric(tess_plane_3000):
-    links = {(l.s, l.t): l for s in range(3000) for l in tess_plane_3000.adjacency[s]}
-    for (s, t), link in links.items():
-        back = links[(t, s)]
-        assert back.delta_s == -link.delta_s
-        assert back.distance == pytest.approx(link.distance, rel=1e-12)
+    adjacency = tess_plane_3000.adjacency
+    links = {
+        (s, t): (delta, distance)
+        for s, t, delta, distance in zip(
+            adjacency.source.tolist(),
+            adjacency.indices.tolist(),
+            adjacency.delta.tolist(),
+            adjacency.distance.tolist(),
+        )
+    }
+    for (s, t), (delta, distance) in links.items():
+        back_delta, back_distance = links[(t, s)]
+        assert back_delta == -delta
+        assert back_distance == pytest.approx(distance, rel=1e-12)
 
 
 def test_interior_degree_equals_sides(tess_plane_3000):
-    for cell in tess_plane_3000.cells:
-        if not cell.is_boundary:
-            assert len(tess_plane_3000.adjacency[cell.s]) == cell.sides
+    cells = tess_plane_3000.cells
+    degree = np.diff(tess_plane_3000.adjacency.indptr)
+    assert np.array_equal(degree[~cells.is_boundary], cells.sides[~cells.is_boundary])
 
 
 def test_sphere_topological_charge(tess_sphere_1351, tess_sphere_9301):
     for tess in (tess_sphere_1351, tess_sphere_9301):
-        assert int(np.sum(6 - tess.sides)) == 12
-        assert not tess.boundary_mask.any()
+        assert int(np.sum(6 - tess.cells.sides)) == 12
+        assert not tess.cells.is_boundary.any()
 
 
 def test_sphere_area_partition(tess_sphere_1351, tess_sphere_9301):
     # cell areas (in mean-cell-area-pi units) tile the whole sphere: n*pi
     for tess in (tess_sphere_1351, tess_sphere_9301):
-        total = float(np.sum(tess.areas))
+        total = float(np.sum(tess.cells.area))
         assert total == pytest.approx(tess.pattern.n * math.pi, rel=1e-9)
 
 
 def test_plane_interior_areas(tess_plane_3000):
-    interior = ~tess_plane_3000.boundary_mask
-    areas = tess_plane_3000.areas[interior]
+    interior = ~tess_plane_3000.cells.is_boundary
+    areas = tess_plane_3000.cells.area[interior]
     assert np.all(areas > 0.2 * math.pi)
     assert np.all(areas < 1.9 * math.pi)
     # away from core and edge the cells are near-ideal
     mid = interior.copy()
     mid[:50] = False
     mid[2500:] = False
-    assert float(np.mean(tess_plane_3000.areas[mid])) == pytest.approx(
+    assert float(np.mean(tess_plane_3000.cells.area[mid])) == pytest.approx(
         math.pi, rel=1e-3
     )
 
 
 def test_hyperbolic_interior_areas(tess_hyperbolic_3000):
-    interior = ~tess_hyperbolic_3000.boundary_mask
+    interior = ~tess_hyperbolic_3000.cells.is_boundary
     mid = interior.copy()
     mid[:50] = False
     mid[2500:] = False
-    assert float(np.mean(tess_hyperbolic_3000.areas[mid])) == pytest.approx(
+    assert float(np.mean(tess_hyperbolic_3000.cells.area[mid])) == pytest.approx(
         math.pi, rel=1e-3
     )
 
 
 def test_boundary_flags(tess_plane_3000):
     pattern = tess_plane_3000.pattern
-    assert tess_plane_3000.cells[int(np.argmax(pattern.rho))].is_boundary
-    assert not tess_plane_3000.cells[0].is_boundary
-    boundary = tess_plane_3000.boundary_mask
+    assert tess_plane_3000.cells.is_boundary[int(np.argmax(pattern.rho))]
+    assert not tess_plane_3000.cells.is_boundary[0]
+    boundary = tess_plane_3000.cells.is_boundary
     assert boundary.sum() > 0
     # boundary cells have no well-defined area; every interior one has one
-    assert np.all(np.isnan(tess_plane_3000.areas[boundary]))
-    assert np.all(tess_plane_3000.areas[~boundary] > 0)
+    assert np.all(np.isnan(tess_plane_3000.cells.area[boundary]))
+    assert np.all(tess_plane_3000.cells.area[~boundary] > 0)
 
 
 def test_coincident_sites_rejected():
@@ -193,12 +207,12 @@ def test_classify_labels(tess_plane_3000):
 def test_tessellation_is_deterministic():
     a = tessellate(generate_plane(400))
     b = tessellate(generate_plane(400))
-    assert np.array_equal(a.sides, b.sides)
-    assert np.array_equal(a.areas, b.areas, equal_nan=True)
-    for s in range(400):
-        assert [(l.t, l.distance) for l in a.adjacency[s]] == [
-            (l.t, l.distance) for l in b.adjacency[s]
-        ]
+    assert np.array_equal(a.cells.sides, b.cells.sides)
+    assert np.array_equal(a.cells.area, b.cells.area, equal_nan=True)
+    for name in ("indptr", "indices", "distance"):
+        assert np.array_equal(getattr(a.adjacency, name), getattr(b.adjacency, name))
+    assert np.array_equal(a.vertex_offsets, b.vertex_offsets)
+    assert np.array_equal(a.vertices, b.vertices)
 
 
 # Cell areas computed one cell at a time, as plain formulas: the reference
@@ -270,4 +284,62 @@ def _reference_chart_areas(pattern):
 def test_areas_match_per_cell_reference(kind, n, kwargs):
     pattern = generate(kind, n, **kwargs)
     reference = _reference_sphere_areas if kind == "sphere" else _reference_chart_areas
-    assert np.array_equal(tessellate(pattern).areas, reference(pattern), equal_nan=True)
+    assert np.array_equal(tessellate(pattern).cells.area, reference(pattern), equal_nan=True)
+
+
+# Links built one Python tuple per link direction from Qhull's unique site
+# pairs: the reference the CSR table of tessellate must match exactly.
+
+def _reference_links(pattern):
+    """(s, t, delta, distance, rank) of every link direction, sorted by (s, t)."""
+    scale = normalization_scale(pattern.surface)
+    if pattern.surface.kind == "sphere":
+        hull = ConvexHull(pattern.xyz)
+        edges = {
+            tuple(sorted(edge))
+            for facet in hull.simplices.tolist()
+            for edge in itertools.combinations(facet, 2)
+        }
+        pairs = np.array(sorted(edges))
+        R = pattern.surface.R
+        unit = pattern.xyz / R
+        cosang = np.clip(np.sum(unit[pairs[:, 0]] * unit[pairs[:, 1]], axis=1), -1.0, 1.0)
+        dist = R * np.arccos(cosang) / scale
+    else:
+        xy = pattern.chart_xy
+        pairs = Voronoi(xy).ridge_points
+        dist = chart_distance_xy(pattern.surface, xy[pairs[:, 0]], xy[pairs[:, 1]]) / scale
+    rank_of = {fibonacci(u): u for u in range(2, 91)}
+    links = []
+    for i, j, d in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist(), dist.tolist()):
+        rank = rank_of.get(abs(j - i), -1)
+        links.append((i, j, j - i, d, rank))
+        links.append((j, i, i - j, d, rank))
+    return sorted(links)
+
+
+@pytest.mark.parametrize(
+    "kind,n,kwargs",
+    [
+        ("plane", 600, {}),
+        ("plane", 3000, {"indexing": "half-integer"}),
+        ("hyperbolic", 3000, {"a": 0.4}),
+        ("sphere", 25, {}),
+        ("sphere", 2 * _BLOCK + 1, {}),
+    ],
+)
+def test_adjacency_matches_per_link_reference(kind, n, kwargs):
+    pattern = generate(kind, n, **kwargs)
+    adjacency = tessellate(pattern).adjacency
+    got = list(
+        zip(
+            adjacency.source.tolist(),
+            adjacency.indices.tolist(),
+            adjacency.delta.tolist(),
+            adjacency.distance.tolist(),
+            adjacency.rank.tolist(),
+        )
+    )
+    assert got == _reference_links(pattern)
+    assert len(adjacency) == n
+    assert adjacency.indptr[0] == 0 and adjacency.indptr[-1] == len(got)
