@@ -1,29 +1,27 @@
 """Voronoi cells and Delaunay adjacency for a generated pattern.
 
-Plane and disc patterns are tessellated on their charts with Euclidean
-predicates: both charts are conformal, so chart circles are metric circles
-and the Delaunay combinatorics agree with the intrinsic ones.  Cell edges
-are kept as straight chart segments (they are short, and the combinatorics
-do not depend on how the edges are drawn); areas are always metric.  Sphere
-patterns are tessellated through the convex hull of the embedded points,
-whose facets are the Delaunay triangles and whose facet normals point at the
-Voronoi vertices.
+Every cell is the fan of circumcenters of the Delaunay triangles around its
+site.  Plane and disc patterns are triangulated on their charts with
+Euclidean predicates: both charts are conformal, so chart circles are metric
+circles and the Delaunay combinatorics agree with the intrinsic ones.  Cell
+edges are kept as straight chart segments (the combinatorics do not depend
+on how they are drawn); areas are always metric.  Sphere patterns are
+triangulated by the convex hull of the embedded points, whose facet normals
+point at the circumcenters.  Qhull yields the triangles and nothing else.
 
-Cell geometry is computed on whole arrays.  Chart cells come from Qhull's
-regions flattened into one vertex-index list with per-site offsets, sphere
-cells from one stable sort of the hull facets by corner site.  Sites with
-the same number of cell vertices are processed together, at most _BLOCK at
-a time, which bounds the temporary memory.  Each value is reduced in the
-order, and through the same numpy and BLAS kernels, that a cell-by-cell
-computation would use: row dot products go through a stacked matmul, and
-the sphere's fan solid angles are summed one fan triangle at a time with
-math.atan2.  Results are therefore bit-identical to the per-cell formulas.
+From the triangles on, every surface takes one path: one edge list, one
+stable sort of the triangle corners by site, and one angle sort of each fan.
+Sites with the same number of triangles are processed together, at most
+_BLOCK at a time, which bounds the temporary memory.  Each value is reduced
+in the order, and through the same numpy and BLAS kernels, that a
+cell-by-cell computation would use (row dot products go through a stacked
+matmul, the sphere's fan solid angles are summed with math.atan2), so the
+results are bit-identical to the per-cell formulas.
 
 A Tessellation holds columns only: the Delaunay links as one CSR table, the
 fixed-width cell values as one array each, and every chart polygon as a
-slice of one vertex array.
-
-All reported lengths and areas are normalized so the mean cell area is pi.
+slice of one vertex array.  Lengths and areas are normalized so the mean
+cell area is pi.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, Voronoi
+from scipy.spatial import ConvexHull, Delaunay, QhullError
 
 from .generator import PhylloPattern, normalization_scale
 from .geometry import PLANE, SPHERE, chart_distance_xy
@@ -140,11 +138,9 @@ class Tessellation:
 
 def _check_distinct(points: np.ndarray) -> None:
     order = np.lexsort(points.T)
-    sorted_pts = points[order]
-    same = np.all(sorted_pts[1:] == sorted_pts[:-1], axis=1)
-    if np.any(same):
-        k = int(np.argmax(same))
-        i, j = sorted((int(order[k]), int(order[k + 1])))
+    same = np.flatnonzero(np.all(points[order[1:]] == points[order[:-1]], axis=1))
+    if len(same):
+        i, j = sorted(order[same[0] : same[0] + 2].tolist())
         raise ValueError(f"coincident sites {i} and {j}")
 
 
@@ -164,16 +160,6 @@ def _blocks(sizes: np.ndarray):
         sites = np.flatnonzero(sizes == k)
         for lo in range(0, len(sites), _BLOCK):
             yield k, sites[lo : lo + _BLOCK]
-
-
-def _adjacency(n: int, pairs: np.ndarray, dist: np.ndarray) -> Adjacency:
-    """CSR links of n sites, each site's sorted by t, from unique (i, j) pairs."""
-    # link 2e runs pairs[e, 0] -> pairs[e, 1] and link 2e + 1 back
-    s = pairs.ravel()
-    t = pairs[:, ::-1].ravel().astype(np.int64)
-    order = np.lexsort((t, s))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(s, minlength=n))))
-    return Adjacency(indptr, t[order], np.repeat(dist, 2)[order])
 
 
 def _polygon_areas(poly: np.ndarray) -> np.ndarray:
@@ -201,129 +187,132 @@ def _hyperbolic_polygon_areas(poly: np.ndarray, R: float) -> np.ndarray:
     return np.sum(0.5 * cross * lam2.mean(axis=0), axis=1)
 
 
-def _tessellate_chart(pattern: PhylloPattern) -> Tessellation:
-    n = pattern.n
-    xy = pattern.chart_xy
-    _check_distinct(xy)
-    vor = Voronoi(xy)
-    scale = normalization_scale(pattern.surface)
-
-    pairs = vor.ridge_points
-    dist = chart_distance_xy(pattern.surface, xy[pairs[:, 0]], xy[pairs[:, 1]]) / scale
-    adjacency = _adjacency(n, pairs, dist)
-
-    # each site's region vertex indices in Qhull's order, -1 at infinity
-    regions = [vor.regions[r] for r in vor.point_region.tolist()]
-    flat = np.array([v for region in regions for v in region], dtype=np.intp)
-    owner = np.repeat(np.arange(n), [len(region) for region in regions])
-    finite = flat >= 0
-    r_max = float(pattern.r.max())
-    far = np.sum(vor.vertices * vor.vertices, axis=1) > r_max * r_max
-    boundary = np.zeros(n, dtype=bool)
-    np.logical_or.at(boundary, owner, ~finite | far[flat])
-
-    # the finite vertices of every cell, one (k, 2) slice per site
-    vertices = vor.vertices[flat[finite]]
-    counts = np.bincount(owner[finite], minlength=n)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    starts = offsets[:-1]
-
-    areas = np.full(n, math.nan)
-    interior = np.flatnonzero(~boundary)
-    scale2 = scale * scale
-    for k, rows in _blocks(counts[interior]):
-        rows = interior[rows]
-        poly = vertices[starts[rows][:, None] + np.arange(k)]
-        if pattern.surface.kind == PLANE:
-            area = _polygon_areas(poly)
-        else:
-            area = _hyperbolic_polygon_areas(poly, pattern.surface.R)
-        # abs: scipy does not promise an orientation for region vertices
-        areas[rows] = np.abs(area) / scale2
-
-    cells = Cells(np.diff(adjacency.indptr), areas, boundary)
-    return Tessellation(pattern, cells, adjacency, offsets, vertices)
+def _spherical_polygon_areas(ring: np.ndarray) -> np.ndarray:
+    """Signed solid angles of m spherical polygons given as (m, k, 3) unit vectors."""
+    # fan triangles (ring[0], ring[j], ring[j + 1]); np.arctan2 rounds differently
+    fan = np.zeros(len(ring))
+    a = ring[:, 0]
+    for j in range(1, ring.shape[1] - 1):
+        b, c = ring[:, j], ring[:, j + 1]
+        numer = _row_dot(a, np.cross(b, c))
+        denom = 1.0 + _row_dot(a, b) + _row_dot(b, c) + _row_dot(c, a)
+        fan += 2.0 * np.array(list(map(math.atan2, numer.tolist(), denom.tolist())))
+    return fan
 
 
-def _tessellate_sphere(pattern: PhylloPattern) -> Tessellation:
-    n = pattern.n
-    xyz = pattern.xyz
-    _check_distinct(xyz)
+def _chart_triangles(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Delaunay triangles of chart sites and their circumcenters."""
+    tri = Delaunay(xy)
+    if len(tri.coplanar):
+        raise ValueError(f"site {int(tri.coplanar[0, 0])} lies in no Delaunay triangle")
+    simplices = tri.simplices
+    a = xy[simplices[:, 0]]
+    b = xy[simplices[:, 1]] - a
+    c = xy[simplices[:, 2]] - a
+    d = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    if not d.all():
+        corners = sorted(simplices[np.argmin(np.abs(d))].tolist())
+        raise ValueError(f"degenerate Delaunay triangle of sites {corners}")
+    b2, c2 = np.sum(b * b, axis=1), np.sum(c * c, axis=1)
+    offset = np.column_stack((c[:, 1] * b2 - b[:, 1] * c2, b[:, 0] * c2 - c[:, 0] * b2))
+    return simplices, a + offset / d[:, None]
+
+
+def _sphere_triangles(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hull facets of sphere sites and their circumcenters, as unit vectors."""
     hull = ConvexHull(xyz)
-    if hull.nsimplex < 4 or len(hull.vertices) != n:
-        inside = sorted(set(range(n)) - set(map(int, hull.vertices)))
+    if hull.nsimplex < 4 or len(hull.vertices) != len(xyz):
+        inside = sorted(set(range(len(xyz))) - set(map(int, hull.vertices)))
         raise ValueError(f"sites not in convex position: {inside[:5]}")
-
-    R = pattern.surface.R
-    unit = xyz / R
     # facet circumcenters: outward unit normals of the hull facets
     centers = hull.equations[:, :3].copy()
     centers /= np.linalg.norm(centers, axis=1)[:, None]
-
-    simplices = hull.simplices
-    edges = np.vstack((simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [0, 2]]))
-    edges.sort(axis=1)
-    key = np.unique(edges[:, 0].astype(np.int64) * n + edges[:, 1])
-    pairs = np.column_stack((key // n, key % n))
-    cosang = np.clip(np.sum(unit[pairs[:, 0]] * unit[pairs[:, 1]], axis=1), -1.0, 1.0)
-    scale = normalization_scale(pattern.surface)
-    adjacency = _adjacency(n, pairs, R * np.arccos(cosang) / scale)
-
-    # incident facets of each site in ascending facet order
-    corners = simplices.ravel()
-    facets = np.argsort(corners, kind="stable") // 3
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(corners, minlength=n))))
-    starts = offsets[:-1]
-
-    # tangent-plane basis to sort the incident circumcenters around each site
-    helper = np.where((np.abs(unit[:, 2]) < 0.9)[:, None], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-    e1 = np.cross(unit, helper)
-    e1 /= np.sqrt(_row_dot(e1, e1))[:, None]
-    e2 = np.cross(unit, e1)
-
-    areas = np.empty(n)
-    vertices = np.empty((len(corners), 2))
-    for k, rows in _blocks(np.diff(offsets)):
-        slots = starts[rows][:, None] + np.arange(k)
-        ring = centers[facets[slots]]  # (m, k, 3)
-        x = (ring @ e1[rows][:, :, None])[..., 0]
-        y = (ring @ e2[rows][:, :, None])[..., 0]
-        angle = np.arctan2(y, x)
-        ring = np.take_along_axis(ring, np.argsort(angle, axis=1)[..., None], axis=1)
-        # signed solid angles of the fan (ring[0], ring[j], ring[j + 1]),
-        # summed in fan order; math.atan2, since np.arctan2 rounds differently
-        fan = np.zeros(len(rows))
-        a = ring[:, 0]
-        for j in range(1, k - 1):
-            b, c = ring[:, j], ring[:, j + 1]
-            numer = _row_dot(a, np.cross(b, c))
-            denom = 1.0 + _row_dot(a, b) + _row_dot(b, c) + _row_dot(c, a)
-            fan += 2.0 * np.array(list(map(math.atan2, numer.tolist(), denom.tolist())))
-        areas[rows] = np.abs(fan) * R * R / (scale * scale)
-        # chart polygon of the ordered Voronoi vertices, for rendering
-        polar = 1.0 - ring[..., 2]
-        vertices[slots] = np.where(
-            polar[..., None] > 1e-12, ring[..., :2] / polar[..., None], np.inf
-        )
-
-    cells = Cells(np.diff(adjacency.indptr), areas, np.zeros(n, dtype=bool))
-    return Tessellation(pattern, cells, adjacency, offsets, vertices)
+    return hull.simplices, centers
 
 
 def tessellate(pattern: PhylloPattern) -> Tessellation:
     """Build the Voronoi tessellation of a pattern (deterministic).
 
-    Patterns Qhull cannot triangulate (too few sites, all sites on a line
-    or plane, coordinates below its precision) raise ValueError.
+    Patterns Qhull cannot triangulate (too few sites, all sites on a line or
+    plane, coordinates below its precision) raise ValueError, as do chart
+    triangulations that leave a site out or hold a zero-area triangle.
     """
-    build = _tessellate_sphere if pattern.surface.kind == SPHERE else _tessellate_chart
+    n, surface = pattern.n, pattern.surface
+    sphere = surface.kind == SPHERE
+    points = pattern.xyz if sphere else pattern.chart_xy
+    _check_distinct(points)
     try:
-        return build(pattern)
+        simplices, centers = (_sphere_triangles if sphere else _chart_triangles)(points)
     except QhullError as exc:
         raise ValueError(
-            f"Qhull cannot tessellate this {pattern.surface.kind} pattern of"
-            f" {pattern.n} sites: {exc}"
+            f"Qhull cannot tessellate this {surface.kind} pattern of {n} sites: {exc}"
         ) from exc
+    scale = normalization_scale(surface)
+
+    # each triangle edge once, as i * n + j with i < j; hull edges are in one triangle
+    edges = np.vstack((simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [0, 2]]))
+    edges.sort(axis=1)
+    key, count = np.unique(edges[:, 0].astype(np.int64) * n + edges[:, 1], return_counts=True)
+    pairs = np.column_stack((key // n, key % n))
+    if sphere:
+        R = surface.R
+        unit = points / R
+        cosang = np.clip(np.sum(unit[pairs[:, 0]] * unit[pairs[:, 1]], axis=1), -1.0, 1.0)
+        dist = R * np.arccos(cosang)
+    else:
+        dist = chart_distance_xy(surface, points[pairs[:, 0]], points[pairs[:, 1]])
+    # CSR links, each site's sorted by t: link 2e runs pairs[e, 0] -> pairs[e, 1], 2e + 1 back
+    s, t = pairs.ravel(), pairs[:, ::-1].ravel().astype(np.int64)
+    order = np.lexsort((t, s))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(s, minlength=n))))
+    adjacency = Adjacency(indptr, t[order], np.repeat(dist / scale, 2)[order])
+
+    # hull sites have unbounded cells, and the window cuts every cell with a
+    # vertex beyond the outermost site
+    boundary = np.zeros(n, dtype=bool)
+    boundary[pairs[count == 1]] = True
+    if not sphere:
+        boundary[simplices[np.sum(centers * centers, axis=1) > pattern.r.max() ** 2]] = True
+
+    # incident triangles of each site in ascending triangle order
+    corners = simplices.ravel()
+    fans = np.argsort(corners, kind="stable") // 3
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(corners, minlength=n))))
+    if sphere:
+        # tangent-plane basis to sort the circumcenters around each site
+        helper = np.where((np.abs(unit[:, 2]) < 0.9)[:, None], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+        e1 = np.cross(unit, helper)
+        e1 /= np.sqrt(_row_dot(e1, e1))[:, None]
+        e2 = np.cross(unit, e1)
+
+    areas = np.full(n, math.nan)
+    vertices = np.empty((len(corners), 2))
+    for k, rows in _blocks(np.diff(offsets)):
+        slots = offsets[rows][:, None] + np.arange(k)
+        ring = centers[fans[slots]]  # (m, k, 3) on the sphere, (m, k, 2) on a chart
+        if sphere:
+            x = (ring @ e1[rows][:, :, None])[..., 0]
+            y = (ring @ e2[rows][:, :, None])[..., 0]
+        else:
+            x, y = np.moveaxis(ring - points[rows][:, None, :], -1, 0)
+        ring = np.take_along_axis(ring, np.argsort(np.arctan2(y, x), axis=1)[..., None], axis=1)
+        inner = ~boundary[rows]
+        if surface.kind == PLANE:
+            area = _polygon_areas(ring[inner])
+        elif sphere:
+            area = _spherical_polygon_areas(ring[inner]) * R * R
+        else:
+            area = _hyperbolic_polygon_areas(ring[inner], surface.R)
+        # a cell is convex around its site, so its sorted fan turns counterclockwise
+        areas[rows[inner]] = area / (scale * scale)
+        if sphere:
+            # stereographic chart polygon of the ordered vertices, for rendering
+            polar = 1.0 - ring[..., 2]
+            ring = np.where(polar[..., None] > 1e-12, ring[..., :2] / polar[..., None], np.inf)
+        vertices[slots] = ring
+
+    cells = Cells(np.diff(adjacency.indptr), areas, boundary)
+    return Tessellation(pattern, cells, adjacency, offsets, vertices)
 
 
 def classify(tess: Tessellation) -> list[str]:

@@ -32,8 +32,8 @@ CASES = {
         ["analyze", "--geometry", "plane", "--n", "3000", "--out", "{out}"],
         {
             "stdout": "1cd67734f1e0b2121faa59e377f6d53368485bc8940670efd14c922c09d4348b",
-            "summary.json": "0c5c85a4864bc02ca874ea5dd25f10aca765fb4fc2e4aaf9be15ea4a14df36a1",
-            "tessellation.json": "ed2e425fc4d3a36691bd458972b062b4cd3f365809eefdb5746d68806c3d4833",
+            "summary.json": "3a6e0a3ebfe933dacd5311de696f59f75ec960962a0266000ff5f05ae28a556e",
+            "tessellation.json": "85e1e19e5a9404c366458958960125d203cac04cc69b5d1fd630dd2523d32d3e",
         },
     ),
     "hyperbolic-analyze-json": (
@@ -41,8 +41,8 @@ CASES = {
          "--out", "{out}"],
         {
             "stdout": "77e359a4b93cd27577722d04f0599148f0f981cc6f93aab069d04e40999c50ef",
-            "summary.json": "edc9ad8ceb4c070e88089639aa6400ad96649421d7adf40c31c64078bcfecc42",
-            "tessellation.json": "09c8953ebf3b6e568c5ab0d535554cc6486abb82e89e810fbda2d773ed73605d",
+            "summary.json": "87eaee9f1da9b4d6487dd5072b8b6bd3ce1c61ed8f6cdf72c027c1b55e846d09",
+            "tessellation.json": "cfaa304c32a2cd28818932c5cf808d4e497436ca6dd029bea335532e25add805",
         },
     ),
     "sphere-analyze-csv": (
@@ -63,10 +63,10 @@ CASES = {
          "--out", "{out}"],
         {
             "stdout": "1cd67734f1e0b2121faa59e377f6d53368485bc8940670efd14c922c09d4348b",
-            "areas.csv": "ffdd0fa2eabce06fae2c1a3620cc3788205961f34be25bd25f0615f0c5adc629",
+            "areas.csv": "e092fada304fbdb920bfe158aa76eb192fe431def6990bea8b4ec28af16b7924",
             "boundaries.csv": "9f4d0696aa4c166dc60d271f656ccfaf9b503412a649d6d24b2afebf68bae5b1",
             "distances.csv": "d281ac2903564393daf2f4678d253a18e9241029eee36309ee79cc0ca135f1c4",
-            "summary.json": "0c5c85a4864bc02ca874ea5dd25f10aca765fb4fc2e4aaf9be15ea4a14df36a1",
+            "summary.json": "3a6e0a3ebfe933dacd5311de696f59f75ec960962a0266000ff5f05ae28a556e",
         },
     ),
     "hyperbolic-render": (
@@ -74,7 +74,7 @@ CASES = {
          "--out", "{out}/figure.svg"],
         {
             "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            "figure.svg": "e5eb395368c98ff7159beac319fb818486876ca8aedd3a983a9520eb66241531",
+            "figure.svg": "7addb5581d43912a3075cf876590545be82a50c6dc14fbe9814c6accc2a21f50",
         },
     ),
     "sphere-render": (
@@ -115,17 +115,17 @@ LIBRARY_CASES = {
     # (generate arguments, tessellation document sha256, link bytes sha256)
     "hyperbolic-3000-a0.4": (
         ("hyperbolic", 3000, {"a": 0.4}),
-        "717ce4bacec5fcb32186046211dcb86070d6efa162b10cafd211dcecb3853c95",
+        "59be12e8cc10c98a7a8a6a46915537a8298157cf50d134c91bf2b82b6c3acb6d",
         "3d37179c03b16f226d5d58a9e763290b5aafea5c2395581ef002bfcbefc25d2c",
     ),
     "plane-3000-half": (
         ("plane", 3000, {"indexing": "half-integer"}),
-        "12ae88c0b242e16a6a8820715acf0cc2918f21537617078aa161f36e90b572fe",
+        "754f57000f5f5a5c7f0d09c8e5e2f96869c68b44a2efc6adf315df5f9881d02a",
         "1104f595d5e70f50acd7049eaff7e18afdb186b5e5d13b08605c4a71ab6a308c",
     ),
     "hyperbolic-3000-half": (
         ("hyperbolic", 3000, {"a": 0.025, "indexing": "half-integer"}),
-        "783f66bdbf5e4c7865c1ad751a41a0a53d900529726b14bdce0eb5c43fdde140",
+        "73c1d8eabb9fc3d2c38e2d22def26fc1a61a2426e5707c230c758cf964c14fe4",
         "dad14d8e1cd0a40817e83fdf29ae02d3cd2ace8dd20d58d0f62e3ae27b367f5d",
     ),
     "sphere-25": (

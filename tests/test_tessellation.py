@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull, Voronoi
+from scipy.spatial import ConvexHull, Delaunay, Voronoi, cKDTree
 
 from phyllo.generator import PhylloPattern, generate, generate_plane, normalization_scale
 from phyllo.geometry import SurfaceSpec, chart_distance_xy
@@ -256,18 +256,32 @@ def _reference_chart_area(verts, surface):
     return abs(float(np.sum(0.5 * cross * lam2.mean(axis=0))))
 
 
+def _circumcenter(a, b, c):
+    """Circumcenter of a chart triangle, in coordinates relative to a."""
+    bx, by = b[0] - a[0], b[1] - a[1]
+    cx, cy = c[0] - a[0], c[1] - a[1]
+    d = 2.0 * (bx * cy - by * cx)
+    b2, c2 = bx * bx + by * by, cx * cx + cy * cy
+    return a[0] + (cy * b2 - by * c2) / d, a[1] + (bx * c2 - cx * b2) / d
+
+
 def _reference_chart_areas(pattern):
-    vor = Voronoi(pattern.chart_xy)
+    """Each site's Voronoi cell from its own fan of Delaunay triangles."""
+    xy = pattern.chart_xy
+    tri = Delaunay(xy)
     r_max = pattern.r.max()
     scale = normalization_scale(pattern.surface)
     areas = []
     for s in range(pattern.n):
-        region = vor.regions[vor.point_region[s]]
-        verts = vor.vertices[[v for v in region if v != -1]]
-        if -1 in region or np.any(np.sum(verts * verts, axis=1) > r_max * r_max):
+        fan = tri.simplices[np.any(tri.simplices == s, axis=1)]
+        verts = np.array([_circumcenter(*xy[corners].tolist()) for corners in fan])
+        # the fan closes around s iff each of its neighbors is in two triangles
+        _, twice = np.unique(fan[fan != s], return_counts=True)
+        if np.any(twice != 2) or np.any(np.sum(verts * verts, axis=1) > r_max * r_max):
             areas.append(math.nan)
-        else:
-            areas.append(_reference_chart_area(verts, pattern.surface) / (scale * scale))
+            continue
+        verts = verts[np.argsort(np.arctan2(verts[:, 1] - xy[s, 1], verts[:, 0] - xy[s, 0]))]
+        areas.append(_reference_chart_area(verts, pattern.surface) / (scale * scale))
     return np.array(areas)
 
 
@@ -343,3 +357,110 @@ def test_adjacency_matches_per_link_reference(kind, n, kwargs):
     assert got == _reference_links(pattern)
     assert len(adjacency) == n
     assert adjacency.indptr[0] == 0 and adjacency.indptr[-1] == len(got)
+
+
+# The chart cells are built from Delaunay triangles; Qhull's own Voronoi
+# diagram of the same sites is the independent reference for them.
+
+CHART_PATTERNS = (
+    [("plane", n, {}) for n in (4, 5, 12, 20, 600, 2820, 3000, 30000)]
+    + [("plane", 3000, {"indexing": "half-integer"}), ("plane", 1500, {"a": 0.37})]
+    + [("plane", 3000, {"lam": lam}) for lam in (0.382, 0.3819, 0.4, 1 / 3, 0.55)]
+    + [("hyperbolic", 3000, {"a": a}) for a in (0.025, 0.4, 1.0)]
+    + [
+        ("hyperbolic", 20000, {"a": 0.025}),
+        ("hyperbolic", 1000, {"a": 0.025, "indexing": "half-integer"}),
+        ("hyperbolic", 3000, {"a": 0.1, "lam": 0.4}),
+        ("hyperbolic", 3000, {"a": 0.1, "lam": 1 / 3}),
+        ("hyperbolic", 12, {"a": 0.3}),
+    ]
+)
+
+
+def _voronoi_polygon_areas(vertices, flat, offsets, surface):
+    """Metric areas of the polygons vertices[flat[offsets[c]:offsets[c + 1]]]."""
+    counts = np.diff(offsets)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    after = np.arange(len(flat)) + 1
+    after[offsets[1:] - 1] = offsets[:-1]  # each polygon's last vertex wraps to its first
+    a, b = vertices[flat], vertices[flat[after]]
+    if surface.kind == "plane":
+        terms = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+    else:
+        g = (np.add.reduceat(a, offsets[:-1]) / counts[:, None])[owner]
+        cross = (a[:, 0] - g[:, 0]) * (b[:, 1] - g[:, 1]) - (a[:, 1] - g[:, 1]) * (b[:, 0] - g[:, 0])
+        mids = np.stack(((a + b) / 2, (g + a) / 2, (g + b) / 2))
+        lam2 = (2.0 * surface.R / (1.0 - np.sum(mids * mids, axis=-1))) ** 2
+        terms = 0.5 * cross * lam2.mean(axis=0)
+    return np.abs(np.add.reduceat(terms, offsets[:-1]))
+
+
+@pytest.mark.parametrize(
+    "kind,n,kwargs", CHART_PATTERNS, ids=[f"{k}-{n}-{kw}" for k, n, kw in CHART_PATTERNS]
+)
+def test_chart_cells_match_voronoi(kind, n, kwargs):
+    pattern = generate(kind, n, **kwargs)
+    tess = tessellate(pattern)
+    xy = pattern.chart_xy
+    vor = Voronoi(xy)
+    scale = normalization_scale(pattern.surface)
+
+    pairs = np.sort(vor.ridge_points, axis=1)
+    links = np.concatenate((pairs, pairs[:, ::-1]))
+    order = np.lexsort((links[:, 1], links[:, 0]))
+    dist = chart_distance_xy(pattern.surface, xy[pairs[:, 0]], xy[pairs[:, 1]]) / scale
+    adjacency = tess.adjacency
+    assert np.array_equal(adjacency.indptr, np.r_[0, np.cumsum(np.bincount(links[:, 0], minlength=n))])
+    assert np.array_equal(adjacency.indices, links[order, 1])
+    assert np.array_equal(adjacency.distance, np.tile(dist, 2)[order])
+    assert np.array_equal(tess.cells.sides, np.diff(adjacency.indptr))
+
+    # a cell is cut when Qhull leaves it unbounded or a vertex lies beyond
+    # the outermost site; its finite vertices are drawn all the same
+    regions = [vor.regions[r] for r in vor.point_region]
+    finite = [[v for v in region if v >= 0] for region in regions]
+    r_max = pattern.r.max()
+    far = np.sum(vor.vertices * vor.vertices, axis=1) > r_max * r_max
+    boundary = np.array([-1 in reg or bool(np.any(far[f])) for reg, f in zip(regions, finite)])
+    assert np.array_equal(tess.cells.is_boundary, boundary)
+    assert np.array_equal(np.diff(tess.vertex_offsets), [len(f) for f in finite])
+
+    # every vertex sits on a Qhull vertex, to rounding; the thin triangles
+    # along the hull have ill-conditioned circumcenters in both builds
+    gap, _ = cKDTree(vor.vertices).query(tess.vertices)
+    gap /= np.max(np.abs(vor.vertices))
+    cut = np.repeat(boundary, np.diff(tess.vertex_offsets))
+    assert np.all(gap[~cut] <= 1e-12)
+    assert np.all(gap[cut] <= 1e-10)
+
+    interior = np.flatnonzero(~boundary)
+    if len(interior):
+        flat = np.concatenate([finite[s] for s in interior])
+        offsets = np.r_[0, np.cumsum([len(finite[s]) for s in interior])]
+        want = _voronoi_polygon_areas(vor.vertices, flat, offsets, pattern.surface) / scale**2
+        np.testing.assert_allclose(tess.cells.area[interior], want, rtol=1e-9, atol=0)
+
+
+def test_degenerate_chart_triangle_rejected(monkeypatch):
+    # Qhull's triangulated output may hold zero-area triangles; the chart
+    # patterns probed so far leave sites out of every triangle instead
+    xy = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
+    rho = np.hypot(xy[:, 0], xy[:, 1])
+    pattern = PhylloPattern(
+        surface=SurfaceSpec("plane", R=None, a=1.0),
+        n=4,
+        indexing="integer",
+        s=np.arange(4),
+        rho=rho,
+        theta=np.arctan2(xy[:, 1], xy[:, 0]),
+        r=rho.copy(),
+    )
+
+    class Triangulation:
+        def __init__(self, points):
+            self.coplanar = np.empty((0, 3), dtype=np.intc)
+            self.simplices = np.array([[0, 1, 3], [1, 2, 3], [0, 1, 2]], dtype=np.intc)
+
+    monkeypatch.setattr("phyllo.tessellation.Delaunay", Triangulation)
+    with pytest.raises(ValueError, match=r"degenerate Delaunay triangle of sites \[0, 1, 2\]"):
+        tessellate(pattern)
