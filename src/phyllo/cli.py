@@ -38,6 +38,7 @@ from .export import (
     load_pattern,
     pattern_document,
     tessellation_document,
+    write_json,
 )
 from .generator import generate, normalization_scale
 from .geometry import SPHERE, SURFACE_KINDS
@@ -116,10 +117,14 @@ def _pattern_from_args(parser: _Parser, args) -> "PhylloPattern":
         parser.error(str(err))
 
 
-def _write_text(parser: _Parser, path: Path, text: str) -> None:
+def _write_text(parser: _Parser, path: Path, content) -> None:
+    """Write text to path; a JSON document (a dict) is written block by block."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            if isinstance(content, str):
+                fh.write(content)
+            else:
+                write_json(content, fh)
     except OSError as err:
         parser.error(f"cannot write {path}: {err.strerror or err}")
 
@@ -200,7 +205,7 @@ def _cmd_analyze(parser: _Parser, args) -> int:
         }
         _write_text(parser, out / "summary.json", dumps_json(summary))
         if args.format == "json":
-            _write_text(parser, out / "tessellation.json", dumps_json(tessellation_document(tess)))
+            _write_text(parser, out / "tessellation.json", tessellation_document(tess))
         else:
             _write_text(parser, out / "boundaries.csv", boundaries_csv(boundaries))
             _write_text(parser, out / "distances.csv", distance_csv(dist))

@@ -10,11 +10,11 @@ for their large lists: the sites of a pattern and the cells of a
 tessellation.  Those are written column by column.  Each numeric column is
 formatted from ``.tolist()`` with ``format(x, ".17g")`` (NaN as null), and
 the columns fill one row template per document.  This runs on at most
-tessellation._BLOCK rows at a time, so the temporaries stay small; the text
-of the whole list is kept as a pre-rendered fragment that dumps_json writes
-verbatim.  The text is the same as the generic writer gives for a list of
-per-row dicts.  The distance and area CSV files fill a row template from
-their columns in the same way.
+tessellation._BLOCK rows at a time, so the temporaries stay small; each
+block's text is kept as a pre-rendered fragment that the generic writer
+writes verbatim, straight to write_json's stream.  The text is the same as
+the generic writer gives for a list of per-row dicts.  The distance and
+area CSV files fill a row template from their columns in the same way.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "PATTERN_SCHEMA",
     "TESSELLATION_SCHEMA",
     "dumps_json",
+    "write_json",
     "pattern_document",
     "pattern_from_document",
     "load_pattern",
@@ -76,22 +77,27 @@ class _Fragment(str):
     __slots__ = ()
 
 
-def _json_rows(n: int, rows) -> _Fragment:
+def _json_rows(n: int, rows) -> list[_Fragment]:
     """JSON list of n rows; rows(lo, hi) yields the text of rows lo..hi-1.
 
     Rows are rendered _BLOCK at a time, so the per-row temporaries stay
-    small; only the text of each finished block is kept.
+    small; only the text of each finished block is kept, one fragment per
+    block, which the generic writer separates with ", " like any list items.
     """
-    blocks = (", ".join(rows(lo, min(lo + _BLOCK, n))) for lo in range(0, n, _BLOCK))
-    return _Fragment("[%s]" % ", ".join(blocks))
+    return [_Fragment(", ".join(rows(lo, min(lo + _BLOCK, n)))) for lo in range(0, n, _BLOCK)]
 
 
 def dumps_json(doc) -> str:
     """Canonical JSON text: fixed key order, 17-significant-digit floats."""
     out = io.StringIO()
+    write_json(doc, out)
+    return out.getvalue()
+
+
+def write_json(doc, out) -> None:
+    """dumps_json(doc) written to a text stream, without building the whole text."""
     _write_json(doc, out)
     out.write("\n")
-    return out.getvalue()
 
 
 def _write_json(node, out) -> None:
