@@ -67,23 +67,22 @@ def render_svg(tess: Tessellation, projection: str | None = None, size: int = 90
     offsets, verts = tess.vertex_offsets, tess.vertices
     owner = np.repeat(np.arange(tess.n), np.diff(offsets))
     keep = ~tess.cells.is_boundary
+    extent = 1.0  # the orthographic disc and the Poincare disc's limit circle
     if projection == "orthographic":
         # drop the back hemisphere (the origin pole sits at z = -1)
         xyz = _chart_to_unit_sphere(verts)
         keep &= np.bincount(owner, xyz[:, 2] > 0.0, minlength=tess.n) == 0
         verts = xyz[:, :2]
-        extent = 1.0
-    elif kind == HYPERBOLIC:
-        extent = 1.0  # the Poincare disc's limit circle
     elif projection == "stereographic":
         # the equator maps to r = 1; r = 4 reaches 150 degrees colatitude,
         # beyond which cells blow up toward the projection pole
         extent = 4.0
         far = ~(np.sum(verts * verts, axis=1) <= extent * extent)
         keep &= np.bincount(owner, far, minlength=tess.n) == 0
-    else:
-        if not keep.any():
-            raise ValueError(f"nothing to draw: all {tess.n} cells are boundary cells")
+    if not keep.any():
+        where = "out of view" if kind == SPHERE else "boundary cells"
+        raise ValueError(f"nothing to draw: all {tess.n} cells are {where}")
+    if projection == "chart" and kind != HYPERBOLIC:
         extent = 1.02 * float(np.max(np.abs(verts[keep[owner]])))
 
     stroke = extent / 600.0

@@ -168,6 +168,12 @@ def _write_inputs(tmp_path):
         # --n 0 is given, not missing
         ["analyze", "--in", "{tmp}/p.json", "--n", "0"],
         ["generate", "--geometry", "plane", "--n", "0"],
+        # collinear chart sites, which Qhull leaves out of every triangle
+        ["render", "--geometry", "plane", "--n", "300", "--lambda", "0.5"],
+        ["render", "--geometry", "hyperbolic", "--n", "300", "--a", "0.1", "--lambda", "0.5"],
+        ["analyze", "--geometry", "plane", "--n", "50", "--a", "1e-12", "--lambda", "0.5"],
+        # every cell is a boundary cell
+        ["render", "--geometry", "hyperbolic", "--n", "5", "--a", "0.3"],
     ],
 )
 def test_usage_errors_exit_1(argv, tmp_path, capsys):
@@ -195,6 +201,14 @@ def test_usage_errors_exit_1(argv, tmp_path, capsys):
          "nothing to draw: all 4 cells are boundary cells"),
         (["render", "--geometry", "plane", "--n", "5"],
          "nothing to draw: all 5 cells are boundary cells"),
+        (["render", "--geometry", "hyperbolic", "--n", "5", "--a", "0.3"],
+         "nothing to draw: all 5 cells are boundary cells"),
+        (["render", "--geometry", "plane", "--n", "300", "--lambda", "0.5"],
+         "site 91 lies in no Delaunay triangle"),
+        (["render", "--geometry", "hyperbolic", "--n", "300", "--a", "0.1", "--lambda", "0.5"],
+         "site 189 lies in no Delaunay triangle"),
+        (["analyze", "--geometry", "plane", "--n", "50", "--a", "1e-12", "--lambda", "0.5"],
+         "site 14 lies in no Delaunay triangle"),
     ],
 )
 def test_usage_error_messages(argv, message, capsys):
