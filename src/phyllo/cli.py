@@ -117,7 +117,7 @@ def _pattern_from_args(parser: _Parser, args) -> "PhylloPattern":
         parser.error(str(err))
 
 
-def _write_text(parser: _Parser, path: Path, content) -> None:
+def _write_text(parser: _Parser, path: Path, content: str | dict) -> None:
     """Write text to path; a JSON document (a dict) is written block by block."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -201,7 +201,7 @@ def _spherical_polygon_areas(ring: np.ndarray) -> np.ndarray:
 
 
 def _chart_triangles(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Delaunay triangles of chart sites and their circumcenters."""
+    """Delaunay triangles of chart sites and their circumcenters, none of zero area."""
     tri = Delaunay(xy)
     if len(tri.coplanar):
         raise ValueError(f"site {int(tri.coplanar[0, 0])} lies in no Delaunay triangle")
