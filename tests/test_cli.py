@@ -172,8 +172,9 @@ def _write_inputs(tmp_path):
         ["render", "--geometry", "plane", "--n", "300", "--lambda", "0.5"],
         ["render", "--geometry", "hyperbolic", "--n", "300", "--a", "0.1", "--lambda", "0.5"],
         ["analyze", "--geometry", "plane", "--n", "50", "--a", "1e-12", "--lambda", "0.5"],
-        # every cell is a boundary cell
+        # every cell is a boundary cell, or on the far side of the sphere
         ["render", "--geometry", "hyperbolic", "--n", "5", "--a", "0.3"],
+        ["render", "--geometry", "sphere", "--n", "5", "--indexing", "half-integer"],
     ],
 )
 def test_usage_errors_exit_1(argv, tmp_path, capsys):
@@ -203,6 +204,8 @@ def test_usage_errors_exit_1(argv, tmp_path, capsys):
          "nothing to draw: all 5 cells are boundary cells"),
         (["render", "--geometry", "hyperbolic", "--n", "5", "--a", "0.3"],
          "nothing to draw: all 5 cells are boundary cells"),
+        (["render", "--geometry", "sphere", "--n", "5", "--indexing", "half-integer"],
+         "nothing to draw: all 5 cells are out of view"),
         (["render", "--geometry", "plane", "--n", "300", "--lambda", "0.5"],
          "site 91 lies in no Delaunay triangle"),
         (["render", "--geometry", "hyperbolic", "--n", "300", "--a", "0.1", "--lambda", "0.5"],
