@@ -84,6 +84,39 @@ CASES = {
             "figure.svg": "2761ad67a0d74bd1a291088975649e2b42c94b81f838cb57000b30f4c6158ce0",
         },
     ),
+    # the plane's extent is computed from the drawn vertices
+    "plane-render": (
+        ["render", "--geometry", "plane", "--n", "3000", "--out", "{out}/figure.svg"],
+        {
+            "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "figure.svg": "e8d366da13fdb65ec70355a067906a3205b8dd1c1026d8b3cb0ed42cd4dc03d6",
+        },
+    ),
+    "sphere-render-stereographic": (
+        ["render", "--geometry", "sphere", "--n", "3001", "--projection", "stereographic",
+         "--out", "{out}/figure.svg"],
+        {
+            "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "figure.svg": "8d912ee8fec5338cc32e66375d426ea3fa7868afa4b46b68319e912ca5da986b",
+        },
+    ),
+    "sphere-render-chart": (
+        ["render", "--geometry", "sphere", "--n", "3001", "--projection", "chart",
+         "--out", "{out}/figure.svg"],
+        {
+            "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "figure.svg": "a8951643a7317a4ad0c021a71b53c6b155a2922b08f5a95936fa9f7b4cf8187d",
+        },
+    ),
+    # cells of 4 to 8 sides: yellow and lightgray fills
+    "hyperbolic-render-a0.4": (
+        ["render", "--geometry", "hyperbolic", "--n", "3000", "--a", "0.4",
+         "--out", "{out}/figure.svg"],
+        {
+            "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "figure.svg": "2f65dfd007fd8f7aa98fd9742eebf4e42a28aaa6b3c2a43f94435b380861ac4b",
+        },
+    ),
     "sphere-generate": (
         ["generate", "--geometry", "sphere", "--n", "3001", "--out", "{out}/pattern.json"],
         {
