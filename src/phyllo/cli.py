@@ -104,6 +104,8 @@ def _pattern_from_args(parser: _Parser, args) -> "PhylloPattern":
             parser.error(f"{args.input}:{err.lineno}:{err.colno}: {err.msg}")
         except ValueError as err:
             parser.error(f"{args.input}: {err}")
+        except MemoryError:
+            parser.error(f"{args.input}: not enough memory for its sites")
     if not args.geometry or args.n is None:
         parser.error("need --geometry and --n (or --in FILE)")
     if args.geometry == SPHERE and args.a is not None:
@@ -115,6 +117,8 @@ def _pattern_from_args(parser: _Parser, args) -> "PhylloPattern":
         return generate(args.geometry, args.n, **kwargs)
     except (ValueError, TypeError) as err:
         parser.error(str(err))
+    except MemoryError:
+        parser.error(f"not enough memory for {args.n} sites")
 
 
 def _write_text(parser: _Parser, path: Path, content: str | dict) -> None:
@@ -177,6 +181,8 @@ def _cmd_analyze(parser: _Parser, args) -> int:
         checks = _invariants(tess, boundaries, dist, areas)
     except ValueError as err:
         parser.error(str(err).partition("\n")[0])
+    except MemoryError:
+        parser.error(f"not enough memory for {pattern.n} sites")
 
     for b in boundaries:
         word = str(b.word) if b.word is not None else "-"
@@ -276,6 +282,8 @@ def _cmd_render(parser: _Parser, args) -> int:
         text = render_svg(tessellate(pattern), projection=args.projection, size=args.size)
     except ValueError as err:
         parser.error(str(err).partition("\n")[0])
+    except MemoryError:
+        parser.error(f"not enough memory for {pattern.n} sites")
     if args.out:
         _write_text(parser, Path(args.out), text)
     else:

@@ -9,7 +9,9 @@ The documents are dicts written by one generic writer, dumps_json, except
 for their large lists: the sites of a pattern and the cells of a
 tessellation.  Those are written column by column.  Each numeric column is
 formatted from ``.tolist()`` with ``format(x, ".17g")`` (NaN as null), and
-the columns fill one row template per document.  This runs on at most
+the columns fill one row template per document; the chart vertices, which
+neighboring cells share, are formatted once per distinct value of a block
+(_distinct_text, which render_svg uses as well).  This runs on at most
 tessellation._BLOCK rows at a time, so the temporaries stay small; each
 block's text is kept as a pre-rendered fragment that the generic writer
 writes verbatim, straight to write_json's stream.  The text is the same as
@@ -69,6 +71,15 @@ def _json_floats(values: np.ndarray) -> list[str]:
     for k in np.flatnonzero(np.isnan(values)).tolist():
         text[k] = "null"
     return text
+
+
+def _distinct_text(values: np.ndarray, fmt):
+    """Iterator over the strings fmt(values.ravel()) gives, each distinct value formatted once.
+
+    Values compare bit for bit, which keeps -0.0 apart from 0.0.
+    """
+    bits, inverse = np.unique(values.ravel().view(np.int64), return_inverse=True)
+    return map(fmt(bits.view(np.float64)).__getitem__, inverse.tolist())
 
 
 class _Fragment(str):
@@ -264,12 +275,7 @@ def tessellation_document(tess: Tessellation) -> dict:
     delta, indptr = adjacency.delta, adjacency.indptr
 
     def rows(lo: int, hi: int):
-        # a Voronoi vertex is shared by about three cells, so format each
-        # distinct value once; values compare bit for bit, keeping -0.0 apart
-        block = tess.vertices[offsets[lo] : offsets[hi]]
-        bits, inverse = np.unique(block.ravel().view(np.int64), return_inverse=True)
-        text = _json_floats(bits.view(np.float64))
-        xy = iter(map(text.__getitem__, inverse.tolist()))
+        xy = _distinct_text(tess.vertices[offsets[lo] : offsets[hi]], _json_floats)
         points = map("[%s, %s]".__mod__, zip(xy, xy))
         polygons = [", ".join(islice(points, k)) for k in corners[lo:hi]]
         steps = iter(map(str, delta[indptr[lo] : indptr[hi]].tolist()))

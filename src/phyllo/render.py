@@ -5,16 +5,22 @@ Figures are drawn straight from chart coordinates into a square viewBox, one
 hexagons red, heptagons green, four-sided cells yellow.  A white dot marks
 the pattern origin.  Output contains no timestamps or other run metadata,
 so identical input gives byte-identical SVG.
+
+Polygons are written from the columns, tessellation._BLOCK drawn cells at a
+time: each distinct x and -y value of a block's vertices is formatted once
+(``.6g``, export._distinct_text), the points joined per cell fill one
+``<polygon>`` template, and only the block's joined text is kept.
 """
 
 from __future__ import annotations
 
-import math
+from itertools import compress, islice, repeat
 
 import numpy as np
 
+from .export import _distinct_text
 from .geometry import HYPERBOLIC, SPHERE
-from .tessellation import Tessellation, classify
+from .tessellation import _BLOCK, Tessellation, classify
 
 __all__ = ["CELL_COLORS", "PROJECTIONS", "default_projection", "render_svg"]
 
@@ -33,24 +39,14 @@ def default_projection(tess: Tessellation) -> str:
     return "orthographic" if tess.pattern.surface.kind == SPHERE else "chart"
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".6g")
-
-
-def _polygon(points, color: str, stroke_width: float) -> str:
-    coords = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in points)
-    return (
-        f'<polygon points="{coords}" fill="{color}" '
-        f'stroke="black" stroke-width="{_fmt(stroke_width)}"/>'
-    )
+def _g6(values: np.ndarray) -> list[str]:
+    return list(map(format, values.tolist(), repeat(".6g")))
 
 
 def _chart_to_unit_sphere(verts: np.ndarray) -> np.ndarray:
     r2 = np.sum(verts * verts, axis=1)
     denom = 1.0 + r2
-    return np.column_stack(
-        [2.0 * verts[:, 0] / denom, 2.0 * verts[:, 1] / denom, (r2 - 1.0) / denom]
-    )
+    return np.column_stack((2.0 * verts / denom[:, None], (r2 - 1.0) / denom))
 
 
 def render_svg(tess: Tessellation, projection: str | None = None, size: int = 900) -> str:
@@ -63,7 +59,6 @@ def render_svg(tess: Tessellation, projection: str | None = None, size: int = 90
     if projection != "chart" and kind != SPHERE:
         raise ValueError(f"projection {projection!r} needs a sphere pattern")
 
-    labels = classify(tess)
     offsets, verts = tess.vertex_offsets, tess.vertices
     owner = np.repeat(np.arange(tess.n), np.diff(offsets))
     keep = ~tess.cells.is_boundary
@@ -82,27 +77,31 @@ def render_svg(tess: Tessellation, projection: str | None = None, size: int = 90
     if not keep.any():
         where = "out of view" if kind == SPHERE else "boundary cells"
         raise ValueError(f"nothing to draw: all {tess.n} cells are {where}")
+    corners = np.diff(offsets)[keep].tolist()
+    xy = np.column_stack((verts[:, 0], -verts[:, 1]))[keep[owner]]  # SVG's y points down
     if projection == "chart" and kind != HYPERBOLIC:
-        extent = 1.02 * float(np.max(np.abs(verts[keep[owner]])))
+        extent = 1.02 * float(np.max(np.abs(xy)))
 
     stroke = extent / 600.0
-    box = _fmt(2.0 * extent)
+    corner, box, width, dot = _g6(np.array([-extent, 2.0 * extent, stroke, 6.0 * stroke]))
+    pen = f'stroke="black" stroke-width="{width}"'
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="{_fmt(-extent)} {_fmt(-extent)} {box} {box}">',
-        f'<rect x="{_fmt(-extent)}" y="{_fmt(-extent)}" width="{box}" height="{box}" fill="white"/>',
+        f'viewBox="{corner} {corner} {box} {box}">',
+        f'<rect x="{corner}" y="{corner}" width="{box}" height="{box}" fill="white"/>',
     ]
     if kind == HYPERBOLIC:
-        lines.append(
-            f'<circle cx="0" cy="0" r="1" fill="none" stroke="black" stroke-width="{_fmt(stroke)}"/>'
-        )
-    for s in np.flatnonzero(keep).tolist():
-        color = CELL_COLORS.get(labels[s], FALLBACK_COLOR)
-        lines.append(_polygon(verts[offsets[s] : offsets[s + 1]], color, stroke))
-    # white dot on the pattern origin (chart center / near pole)
-    lines.append(
-        f'<circle cx="0" cy="0" r="{_fmt(6.0 * stroke)}" fill="white" stroke="black" '
-        f'stroke-width="{_fmt(stroke)}"/>'
-    )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        lines.append(f'<circle cx="0" cy="0" r="1" fill="none" {pen}/>')
+    template = f'<polygon points="%s" fill="%s" {pen}/>'
+    fills = [CELL_COLORS.get(label, FALLBACK_COLOR) for label in compress(classify(tess), keep)]
+    ends = np.cumsum([0] + corners)
+    for lo in range(0, len(corners), _BLOCK):
+        hi = min(lo + _BLOCK, len(corners))
+        text = _distinct_text(xy[ends[lo] : ends[hi]], _g6)
+        points = map("%s,%s".__mod__, zip(text, text))
+        coords = [" ".join(islice(points, k)) for k in corners[lo:hi]]
+        lines.append("\n".join(map(template.__mod__, zip(coords, fills[lo:hi]))))
+    # white dot on the pattern origin (chart center / near pole); joining a
+    # last "" ends the text with a newline without copying it
+    lines += [f'<circle cx="0" cy="0" r="{dot}" fill="white" {pen}/>', "</svg>", ""]
+    return "\n".join(lines)

@@ -317,10 +317,10 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
 
 def classify(tess: Tessellation) -> list[str]:
     """Per-site cell label from the side count; boundary cells set aside."""
-    return [
-        "boundary" if c.is_boundary else CELL_TYPE_BY_SIDES.get(c.sides, "other")
-        for c in tess.cells
-    ]
+    top = max(CELL_TYPE_BY_SIDES) + 1  # this and every larger side count is "other"
+    names = [CELL_TYPE_BY_SIDES.get(k, "other") for k in range(top + 1)] + ["boundary"]
+    code = np.where(tess.cells.is_boundary, top + 1, np.minimum(tess.cells.sides, top))
+    return np.array(names)[code].tolist()
 
 
 def cell_contains(tess: Tessellation, s: int, point) -> bool:

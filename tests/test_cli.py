@@ -221,6 +221,37 @@ def test_usage_error_messages(argv, message, capsys):
     assert capsys.readouterr().err.splitlines()[-1] == f"phyllo: error: {message}"
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "stage, argv, message",
+    [
+        ("generate", ["generate", "--geometry", "plane", "--n", "300000000000"],
+         "not enough memory for 300000000000 sites"),
+        ("generate", ["render", "--geometry", "hyperbolic", "--n", "300000000000"],
+         "not enough memory for 300000000000 sites"),
+        ("tessellate", ["analyze", "--geometry", "plane", "--n", "60"],
+         "not enough memory for 60 sites"),
+        ("tessellate", ["render", "--geometry", "sphere", "--n", "61"],
+         "not enough memory for 61 sites"),
+        ("load_pattern", ["analyze", "--in", "pattern.json"],
+         "pattern.json: not enough memory for its sites"),
+    ],
+)
+def test_out_of_memory_is_a_one_line_error(stage, argv, message, monkeypatch, capsys):
+    # the allocation fails by substitution: a real one of that size could
+    # succeed on a host that overcommits memory, and exhaust it
+    monkeypatch.setattr(cli, stage, _out_of_memory)
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 1
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    assert stderr.splitlines()[-1] == f"phyllo: error: {message}"
+
+
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(
     command=st.sampled_from(["analyze", "render"]),

@@ -8,11 +8,12 @@ tessellation document and every neighbor link of patterns the CLI cases
 miss: strong curvature (cells of 4 to 8 vertices), half-integer indexing,
 and spheres from a few dozen to several thousand sites; further library
 cases hash the pattern document of the plane, the disc and half-integer
-patterns, whose ``pattern.json`` no CLI case writes.  The reference case
-keeps the nested-dict document builders that the column writers of
-``phyllo.export`` replaced, and requires the same text from both.  The digests were recorded with
-numpy 2.4.6 and scipy 1.17.1; other builds of Qhull or libm may move the
-last printed digit of some floats.
+patterns, whose ``pattern.json`` no CLI case writes.  The reference cases
+keep the nested-dict document builders that the column writers of
+``phyllo.export`` replaced, and the one-polygon-at-a-time writer that the
+block writer of ``render_svg`` replaced, and require the same text from
+both.  The digests were recorded with numpy 2.4.6 and scipy 1.17.1; other
+builds of Qhull or libm may move the last printed digit of some floats.
 """
 
 import dataclasses
@@ -25,7 +26,9 @@ import pytest
 from phyllo import cli
 from phyllo.export import dumps_json, pattern_document, tessellation_document
 from phyllo.generator import generate
-from phyllo.tessellation import _BLOCK, tessellate
+from phyllo.geometry import HYPERBOLIC
+from phyllo.render import CELL_COLORS, FALLBACK_COLOR, render_svg
+from phyllo.tessellation import _BLOCK, CELL_TYPE_BY_SIDES, tessellate
 
 CASES = {
     "plane-analyze-json": (
@@ -304,6 +307,100 @@ def test_tessellation_document_keeps_signed_zeros_and_nans():
     text = dumps_json(tessellation_document(tess))
     _assert_same_text(text, dumps_json(_reference_tessellation_document(tess)))
     assert '"vertices": [[0, -0], [null, 1], [-0, 0]]' in text
+
+
+def _fmt(x: float) -> str:
+    return format(x, ".6g")
+
+
+def _polygon(points, color: str, stroke_width: float) -> str:
+    coords = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in points)
+    return (
+        f'<polygon points="{coords}" fill="{color}" '
+        f'stroke="black" stroke-width="{_fmt(stroke_width)}"/>'
+    )
+
+
+def _reference_render_svg(tess, projection: str, size: int = 900) -> str:
+    """One formatted polygon per drawn cell, as render_svg wrote before the block writer."""
+    kind = tess.pattern.surface.kind
+    offsets, verts = tess.vertex_offsets, tess.vertices
+    polygons = [verts[offsets[s] : offsets[s + 1]] for s in range(tess.n)]
+    drawn = [not c.is_boundary for c in tess.cells]
+    extent = 1.0
+    if projection == "orthographic":
+        for s, poly in enumerate(polygons):
+            r2 = np.sum(poly * poly, axis=1)
+            denom = 1.0 + r2
+            drawn[s] = drawn[s] and not np.any((r2 - 1.0) / denom > 0.0)
+            polygons[s] = np.column_stack([2.0 * poly[:, 0] / denom, 2.0 * poly[:, 1] / denom])
+    elif projection == "stereographic":
+        extent = 4.0
+        for s, poly in enumerate(polygons):
+            drawn[s] = drawn[s] and bool(np.all(np.sum(poly * poly, axis=1) <= 16.0))
+    if projection == "chart" and kind != HYPERBOLIC:
+        extent = 1.02 * max(float(np.max(np.abs(p))) for p, d in zip(polygons, drawn) if d)
+    stroke = extent / 600.0
+    box = _fmt(2.0 * extent)
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="{_fmt(-extent)} {_fmt(-extent)} {box} {box}">',
+        f'<rect x="{_fmt(-extent)}" y="{_fmt(-extent)}" width="{box}" height="{box}" fill="white"/>',
+    ]
+    if kind == HYPERBOLIC:
+        lines.append(
+            f'<circle cx="0" cy="0" r="1" fill="none" stroke="black" stroke-width="{_fmt(stroke)}"/>'
+        )
+    for s, cell in enumerate(tess.cells):
+        if drawn[s]:
+            color = CELL_COLORS.get(CELL_TYPE_BY_SIDES.get(cell.sides), FALLBACK_COLOR)
+            lines.append(_polygon(polygons[s], color, stroke))
+    lines.append(
+        f'<circle cx="0" cy="0" r="{_fmt(6.0 * stroke)}" fill="white" stroke="black" '
+        f'stroke-width="{_fmt(stroke)}"/>'
+    )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "kind, n, kwargs, projection",
+    [
+        ("sphere", 401, {}, "orthographic"),
+        ("sphere", 401, {}, "stereographic"),
+        ("sphere", 401, {}, "chart"),
+        ("plane", 600, {}, "chart"),  # extent from the drawn vertices
+        ("hyperbolic", 3000, {"a": 0.4}, "chart"),  # yellow and lightgray fills
+        ("sphere", 2 * _BLOCK + 1, {}, "chart"),  # two block seams, a one-cell last block
+    ],
+)
+def test_render_matches_polygon_writer(kind, n, kwargs, projection):
+    tess = tessellate(generate(kind, n, **kwargs))
+    text = render_svg(tess, projection)
+    _assert_same_text(text, _reference_render_svg(tess, projection))
+    if n > 2 * _BLOCK:
+        assert text.count("<polygon") == n  # the chart draws every sphere cell
+
+
+def test_render_keeps_signed_zeros_and_last_bits():
+    tess = tessellate(generate("plane", 600))
+    # zeros of both signs and two values one bit apart, in drawn cells of
+    # one block
+    offsets = tess.vertex_offsets
+    polygons = [tess.vertices[offsets[s] : offsets[s + 1]] for s in range(tess.n)]
+    close = np.nextafter(0.25, 1.0)
+    polygons[1] = np.array([[0.0, -0.0], [0.25, close], [-0.0, 0.0], [close, 0.25]])
+    polygons[2] = np.array([[-0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    tess = dataclasses.replace(
+        tess,
+        vertex_offsets=np.concatenate(([0], np.cumsum([len(p) for p in polygons]))),
+        vertices=np.concatenate(polygons),
+    )
+    assert not tess.cells.is_boundary[1:3].any()
+    text = render_svg(tess)
+    _assert_same_text(text, _reference_render_svg(tess, "chart"))
+    assert '<polygon points="0,0 0.25,-0.25 -0,-0 0.25,-0.25" ' in text
+    assert '<polygon points="-0,-0 1,-0 0,-1" ' in text
 
 
 def _assert_same_text(got: str, want: str) -> None:
