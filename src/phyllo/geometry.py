@@ -29,7 +29,8 @@ __all__ = [
     "circle_area",
     "circle_circumference",
     "sphere_cap_sites",
-    "sphere_chart_to_xyz",
+    "chart_to_unit_sphere",
+    "chart_to_unit_hyperboloid",
     "sphere_xyz_to_chart",
 ]
 
@@ -170,22 +171,29 @@ def sphere_cap_sites(nu: int, phi_colat: float) -> float:
     return nu * (1.0 - math.cos(phi_colat))
 
 
-def sphere_chart_to_xyz(surface: SurfaceSpec, xy):
-    """Inverse stereographic projection, chart (..., 2) -> sphere (..., 3).
+def chart_to_unit_sphere(xy):
+    """Inverse stereographic projection, chart (..., 2) -> unit sphere (..., 3).
 
-    The chart is centered on the pattern pole at (0, 0, -R); chart radius 1
-    maps to the equator and the opposite pole (0, 0, +R) lies at infinity.
+    The chart is centered on the pattern pole at (0, 0, -1); chart radius 1
+    maps to the equator and the opposite pole (0, 0, 1) lies at infinity.
     """
-    if surface.kind != SPHERE:
-        raise ValueError("chart embedding defined for spheres only")
     xy = np.asarray(xy, dtype=float)
     r2 = np.sum(xy * xy, axis=-1)
-    denom = 1.0 + r2
-    out = np.empty(xy.shape[:-1] + (3,))
-    out[..., 0] = 2.0 * xy[..., 0] / denom
-    out[..., 1] = 2.0 * xy[..., 1] / denom
-    out[..., 2] = (r2 - 1.0) / denom
-    return surface.R * out
+    denom = (1.0 + r2)[..., None]
+    return np.concatenate((2.0 * xy / denom, (r2 - 1.0)[..., None] / denom), axis=-1)
+
+
+def chart_to_unit_hyperboloid(xy):
+    """Lift of Poincare-disc points (..., 2) to the unit hyperboloid (..., 3).
+
+    The image lies on z^2 - x^2 - y^2 = 1, z > 0; the disc center maps to
+    (0, 0, 1), and the Poincare chart of a point (x, y, z) is (x, y)/(1 + z).
+    """
+    xy = np.asarray(xy, dtype=float)
+    r2 = np.sum(xy * xy, axis=-1)
+    _check_hyperbolic_r(r2)
+    denom = (1.0 - r2)[..., None]
+    return np.concatenate((2.0 * xy / denom, (1.0 + r2)[..., None] / denom), axis=-1)
 
 
 def sphere_xyz_to_chart(surface: SurfaceSpec, xyz):

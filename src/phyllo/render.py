@@ -19,7 +19,7 @@ from itertools import compress, islice, repeat
 import numpy as np
 
 from .export import _distinct_text
-from .geometry import HYPERBOLIC, SPHERE
+from .geometry import HYPERBOLIC, SPHERE, chart_to_unit_sphere
 from .tessellation import _BLOCK, Tessellation, classify
 
 __all__ = ["CELL_COLORS", "PROJECTIONS", "default_projection", "render_svg"]
@@ -43,12 +43,6 @@ def _g6(values: np.ndarray) -> list[str]:
     return list(map(format, values.tolist(), repeat(".6g")))
 
 
-def _chart_to_unit_sphere(verts: np.ndarray) -> np.ndarray:
-    r2 = np.sum(verts * verts, axis=1)
-    denom = 1.0 + r2
-    return np.column_stack((2.0 * verts / denom[:, None], (r2 - 1.0) / denom))
-
-
 def render_svg(tess: Tessellation, projection: str | None = None, size: int = 900) -> str:
     """Draw the tessellation; returns the SVG text."""
     if projection is None:
@@ -65,7 +59,7 @@ def render_svg(tess: Tessellation, projection: str | None = None, size: int = 90
     extent = 1.0  # the orthographic disc and the Poincare disc's limit circle
     if projection == "orthographic":
         # drop the back hemisphere (the origin pole sits at z = -1)
-        xyz = _chart_to_unit_sphere(verts)
+        xyz = chart_to_unit_sphere(verts)
         keep &= np.bincount(owner, xyz[:, 2] > 0.0, minlength=tess.n) == 0
         verts = xyz[:, :2]
     elif projection == "stereographic":

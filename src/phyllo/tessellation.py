@@ -3,20 +3,25 @@
 Every cell is the fan of circumcenters of the Delaunay triangles around its
 site.  Plane and disc patterns are triangulated on their charts with
 Euclidean predicates: both charts are conformal, so chart circles are metric
-circles and the Delaunay combinatorics agree with the intrinsic ones.  Cell
-edges are kept as straight chart segments (the combinatorics do not depend
-on how they are drawn); areas are always metric.  Sphere patterns are
-triangulated by the convex hull of the embedded points, whose facet normals
-point at the circumcenters.  Qhull yields the triangles and nothing else.
+circles and the Delaunay combinatorics agree with the intrinsic ones.  Sphere
+patterns are triangulated by the convex hull of the embedded points.  Qhull
+yields the triangles and nothing else.  Plane cells are Euclidean polygons.
+The curved surfaces share one cell rule: a vertex is the unit normal of the
+plane through the three lifted sites of its triangle (the hull facet normal
+on the sphere, a Minkowski normal on the unit hyperboloid over the disc),
+and the area is the fan of geodesic triangles of Van Oosterom and
+Strackee's solid-angle formula or its hyperbolic analogue.  The disc lifts
+each triangle and cell as seen from one of its sites, moved to the origin.
 
 From the triangles on, every surface takes one path: one edge list, one
-stable sort of the triangle corners by site, and one angle sort of each fan.
+stable sort of the triangle corners by site, and one sort of each fan by the
+direction of the geodesic to each vertex.
 Sites with the same number of triangles are processed together, at most
 _BLOCK at a time, which bounds the temporary memory.  Each value is reduced
 in the order, and through the same numpy and BLAS kernels, that a
 cell-by-cell computation would use (row dot products go through a stacked
-matmul, the sphere's fan solid angles are summed with math.atan2), so the
-results are bit-identical to the per-cell formulas.
+matmul, the fan terms are summed with math.atan2), so the results are
+bit-identical to the per-cell formulas.
 
 A Tessellation holds columns only: the Delaunay links as one CSR table, the
 fixed-width cell values as one array each, and every chart polygon as a
@@ -34,7 +39,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError
 
 from .generator import PhylloPattern, normalization_scale
-from .geometry import PLANE, SPHERE, chart_distance_xy
+from .geometry import HYPERBOLIC, PLANE, SPHERE, chart_distance_xy, chart_to_unit_hyperboloid
 from .numerics import MAX_FIB_RANK, fibonacci
 
 __all__ = [
@@ -54,6 +59,10 @@ _FIBS = np.array([fibonacci(u) for u in range(2, MAX_FIB_RANK + 1)], dtype=np.in
 
 #: sites per array block; bounds the temporary arrays of the cell geometry
 _BLOCK = 2048
+
+#: the ambient bilinear forms of the unit sphere and the unit hyperboloid
+_EUCLIDEAN = np.array([1.0, 1.0, 1.0])
+_MINKOWSKI = np.array([1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,40 +177,25 @@ def _polygon_areas(poly: np.ndarray) -> np.ndarray:
     return 0.5 * (_row_dot(x, np.roll(y, -1, axis=1)) - _row_dot(y, np.roll(x, -1, axis=1)))
 
 
-def _hyperbolic_polygon_areas(poly: np.ndarray, R: float) -> np.ndarray:
-    """Metric areas of m straight-edge chart polygons, by midpoint quadrature.
-
-    Fans each polygon around its chart centroid and integrates the area
-    density (2R/(1-r^2))^2 with the degree-2 edge-midpoint rule on each
-    triangle.  Cell-sized triangles keep the rule's error far below any
-    tolerance used in the analysis.
-    """
-    g = poly.mean(axis=1)[:, None, :]
-    a = poly
-    b = np.roll(poly, -1, axis=1)
-    cross = (a[..., 0] - g[..., 0]) * (b[..., 1] - g[..., 1]) - (a[..., 1] - g[..., 1]) * (
-        b[..., 0] - g[..., 0]
-    )
-    mids = np.stack(((a + b) / 2, (g + a) / 2, (g + b) / 2))  # (3, m, k, 2)
-    lam2 = (2.0 * R / (1.0 - np.sum(mids * mids, axis=-1))) ** 2
-    return np.sum(0.5 * cross * lam2.mean(axis=0), axis=1)
-
-
-def _spherical_polygon_areas(ring: np.ndarray) -> np.ndarray:
-    """Signed solid angles of m spherical polygons given as (m, k, 3) unit vectors."""
-    # fan triangles (ring[0], ring[j], ring[j + 1]); np.arctan2 rounds differently
+def _fan_areas(ring: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """Signed areas of m geodesic polygons, (m, k, 3) points of the unit surface of form."""
+    # fan triangles (ring[0], ring[j], ring[j + 1]): tan(A/2) = a.(b x c) /
+    # (1 + s<a,b> + s<b,c> + s<c,a>), s = form[2], where each s<x,y> is the
+    # cosine or hyperbolic cosine of a side; on the sphere every factor is
+    # 1.0; np.arctan2 rounds differently from math.atan2
+    cosine = ring * (form[2] * form)
     fan = np.zeros(len(ring))
     a = ring[:, 0]
     for j in range(1, ring.shape[1] - 1):
         b, c = ring[:, j], ring[:, j + 1]
         numer = _row_dot(a, np.cross(b, c))
-        denom = 1.0 + _row_dot(a, b) + _row_dot(b, c) + _row_dot(c, a)
+        denom = 1.0 + _row_dot(a, cosine[:, j]) + _row_dot(b, cosine[:, j + 1]) + _row_dot(c, cosine[:, 0])
         fan += 2.0 * np.array(list(map(math.atan2, numer.tolist(), denom.tolist())))
     return fan
 
 
-def _chart_triangles(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Delaunay triangles of chart sites and their circumcenters, none of zero area."""
+def _delaunay(xy: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Delaunay triangles, none of zero area: corners, a, b - a, c - a, 2 x chart area."""
     tri = Delaunay(xy)
     if len(tri.coplanar):
         raise ValueError(f"site {int(tri.coplanar[0, 0])} lies in no Delaunay triangle")
@@ -213,9 +207,40 @@ def _chart_triangles(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not d.all():
         corners = sorted(simplices[np.argmin(np.abs(d))].tolist())
         raise ValueError(f"degenerate Delaunay triangle of sites {corners}")
+    return simplices, a, b, c, d
+
+
+def _plane_triangles(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Delaunay triangles of plane sites and their circumcenters."""
+    simplices, a, b, c, d = _delaunay(xy)
     b2, c2 = np.sum(b * b, axis=1), np.sum(c * c, axis=1)
     offset = np.column_stack((c[:, 1] * b2 - b[:, 1] * c2, b[:, 0] * c2 - c[:, 0] * b2))
     return simplices, a + offset / d[:, None]
+
+
+def _to_origin(z: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Complex disc points z as seen from p: the isometry taking p to the origin."""
+    return (z - p) / (1.0 - np.conj(p) * z)
+
+
+def _disc_triangles(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Delaunay triangles of disc sites and their circumcenters.
+
+    Each triangle is moved so that its first corner a sits at the origin.
+    The lift of w minus the lift (0, 0, 1) of the origin is 2 (w, |w|^2) /
+    (1 - |w|^2), whose positive factor leaves the Minkowski normal as is.  A
+    timelike normal is the circumcenter, with chart image (x, y)/(1 + z); any
+    other (no hyperbolic circle) puts its vertex at (x, y)/z, beyond the disc.
+    """
+    simplices = _delaunay(xy)[0]
+    z = xy.view(complex)[:, 0]
+    a = z[simplices[:, 0]]
+    b, c = (_to_origin(z[simplices[:, j]], a) for j in (1, 2))
+    normal = np.cross(*(np.column_stack((w.real, w.imag, w.real**2 + w.imag**2)) for w in (b, c)))
+    normal *= np.where(normal[:, 2] > 0.0, -1.0, 1.0)[:, None] * _MINKOWSKI  # upper sheet
+    norm = np.sqrt(np.maximum(-_row_dot(normal, normal * _MINKOWSKI), 0.0))
+    v = _to_origin((normal[:, 0] + 1j * normal[:, 1]) / (norm + normal[:, 2]), -a)
+    return simplices, v[:, None].view(float)
 
 
 def _sphere_triangles(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,15 +262,19 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
     plane, coordinates below its precision) raise ValueError, as do chart
     triangulations that leave a site out or hold a zero-area triangle.
     """
-    n, surface = pattern.n, pattern.surface
-    sphere = surface.kind == SPHERE
-    points = pattern.xyz if sphere else pattern.chart_xy
+    n, surface, kind, R = pattern.n, pattern.surface, pattern.surface.kind, pattern.surface.R
+    points = pattern.xyz if kind == SPHERE else pattern.chart_xy
     _check_distinct(points)
     try:
-        simplices, centers = (_sphere_triangles if sphere else _chart_triangles)(points)
+        if kind == SPHERE:
+            simplices, centers = _sphere_triangles(points)
+        elif kind == HYPERBOLIC:
+            simplices, centers = _disc_triangles(points)
+        else:
+            simplices, centers = _plane_triangles(points)
     except QhullError as exc:
         raise ValueError(
-            f"Qhull cannot tessellate this {surface.kind} pattern of {n} sites: {exc}"
+            f"Qhull cannot tessellate this {kind} pattern of {n} sites: {exc}"
         ) from exc
     scale = normalization_scale(surface)
 
@@ -254,8 +283,7 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
     edges.sort(axis=1)
     key, count = np.unique(edges[:, 0].astype(np.int64) * n + edges[:, 1], return_counts=True)
     pairs = np.column_stack((key // n, key % n))
-    if sphere:
-        R = surface.R
+    if kind == SPHERE:
         unit = points / R
         cosang = np.clip(np.sum(unit[pairs[:, 0]] * unit[pairs[:, 1]], axis=1), -1.0, 1.0)
         dist = R * np.arccos(cosang)
@@ -271,41 +299,50 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
     # vertex beyond the outermost site
     boundary = np.zeros(n, dtype=bool)
     boundary[pairs[count == 1]] = True
-    if not sphere:
+    if kind != SPHERE:
         boundary[simplices[np.sum(centers * centers, axis=1) > pattern.r.max() ** 2]] = True
 
     # incident triangles of each site in ascending triangle order
     corners = simplices.ravel()
     fans = np.argsort(corners, kind="stable") // 3
     offsets = np.concatenate(([0], np.cumsum(np.bincount(corners, minlength=n))))
-    if sphere:
+    if kind == SPHERE:
         # tangent-plane basis to sort the circumcenters around each site
         helper = np.where((np.abs(unit[:, 2]) < 0.9)[:, None], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
         e1 = np.cross(unit, helper)
         e1 /= np.sqrt(_row_dot(e1, e1))[:, None]
         e2 = np.cross(unit, e1)
+    elif kind == HYPERBOLIC:
+        sites = points.view(complex)
 
     areas = np.full(n, math.nan)
     vertices = np.empty((len(corners), 2))
     for k, rows in _blocks(np.diff(offsets)):
         slots = offsets[rows][:, None] + np.arange(k)
         ring = centers[fans[slots]]  # (m, k, 3) on the sphere, (m, k, 2) on a chart
-        if sphere:
+        if kind == SPHERE:
             x = (ring @ e1[rows][:, :, None])[..., 0]
             y = (ring @ e2[rows][:, :, None])[..., 0]
+        elif kind == HYPERBOLIC:
+            # each cell as seen from its site: geodesics from the origin are
+            # diameters, and the lift is well conditioned there
+            moved = _to_origin(ring.view(complex)[..., 0], sites[rows])[..., None].view(float)
+            x, y = moved[..., 0], moved[..., 1]
         else:
             x, y = np.moveaxis(ring - points[rows][:, None, :], -1, 0)
-        ring = np.take_along_axis(ring, np.argsort(np.arctan2(y, x), axis=1)[..., None], axis=1)
+        turn = np.argsort(np.arctan2(y, x), axis=1)[..., None]
+        ring = np.take_along_axis(ring, turn, axis=1)
         inner = ~boundary[rows]
-        if surface.kind == PLANE:
-            area = _polygon_areas(ring[inner])
-        elif sphere:
-            area = _spherical_polygon_areas(ring[inner]) * R * R
-        else:
-            area = _hyperbolic_polygon_areas(ring[inner], surface.R)
         # a cell is convex around its site, so its sorted fan turns counterclockwise
+        if kind == PLANE:
+            area = _polygon_areas(ring[inner])
+        elif kind == SPHERE:
+            area = _fan_areas(ring[inner], _EUCLIDEAN) * R * R
+        else:
+            moved = chart_to_unit_hyperboloid(np.take_along_axis(moved, turn, axis=1)[inner])
+            area = _fan_areas(moved, _MINKOWSKI) * R * R
         areas[rows[inner]] = area / (scale * scale)
-        if sphere:
+        if kind == SPHERE:
             # stereographic chart polygon of the ordered vertices, for rendering
             polar = 1.0 - ring[..., 2]
             ring = np.where(polar[..., None] > 1e-12, ring[..., :2] / polar[..., None], np.inf)

@@ -313,7 +313,7 @@ RENDER_CASES = [
     (["--geometry", "plane", "--n", "400"], 345),
     (["--geometry", "sphere", "--n", "401"], 178),
     (["--geometry", "sphere", "--n", "401", "--projection", "stereographic"], 365),
-    (["--geometry", "hyperbolic", "--n", "400", "--a", "0.05"], 337),
+    (["--geometry", "hyperbolic", "--n", "400", "--a", "0.05"], 336),
 ]
 
 

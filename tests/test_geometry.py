@@ -9,12 +9,13 @@ from phyllo.geometry import (
     SurfaceSpec,
     chart_distance_xy,
     chart_radius_from_geodesic,
+    chart_to_unit_hyperboloid,
+    chart_to_unit_sphere,
     circle_area,
     circle_circumference,
     conformal_factor,
     geodesic_radius_from_chart,
     sphere_cap_sites,
-    sphere_chart_to_xyz,
     sphere_xyz_to_chart,
 )
 
@@ -142,6 +143,20 @@ def test_sphere_chart_embedding_round_trip():
     rng = np.random.default_rng(3)
     sph = SurfaceSpec("sphere", 18.378, 1.0)
     xy = rng.normal(size=(50, 2))
-    xyz = sphere_chart_to_xyz(sph, xy)
+    xyz = sph.R * chart_to_unit_sphere(xy)
     np.testing.assert_allclose(np.linalg.norm(xyz, axis=1), sph.R, rtol=1e-12)
     np.testing.assert_allclose(sphere_xyz_to_chart(sph, xyz), xy, atol=1e-12)
+
+
+def test_disc_hyperboloid_lift_round_trip():
+    rng = np.random.default_rng(4)
+    xy = rng.uniform(-0.7, 0.7, size=(50, 2))
+    lifted = chart_to_unit_hyperboloid(xy)
+    form = lifted[:, 2] ** 2 - np.sum(lifted[:, :2] ** 2, axis=1)
+    np.testing.assert_allclose(form, 1.0, rtol=1e-12)
+    np.testing.assert_allclose(lifted[:, :2] / (1.0 + lifted[:, 2:]), xy, atol=1e-15)
+    # the Minkowski product of two lifts is -cosh of their distance
+    dot = np.sum(lifted[:25, :2] * lifted[25:, :2], axis=1) - lifted[:25, 2] * lifted[25:, 2]
+    np.testing.assert_allclose(-dot, np.cosh(chart_distance_xy(HYP1, xy[:25], xy[25:])), rtol=1e-12)
+    with pytest.raises(ValueError):
+        chart_to_unit_hyperboloid([[0.6, 0.8]])

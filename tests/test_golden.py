@@ -44,8 +44,8 @@ CASES = {
          "--out", "{out}"],
         {
             "stdout": "77e359a4b93cd27577722d04f0599148f0f981cc6f93aab069d04e40999c50ef",
-            "summary.json": "87eaee9f1da9b4d6487dd5072b8b6bd3ce1c61ed8f6cdf72c027c1b55e846d09",
-            "tessellation.json": "cfaa304c32a2cd28818932c5cf808d4e497436ca6dd029bea335532e25add805",
+            "summary.json": "894ffee67c4be575a56ee7cf67252fe42fb0d6ec5b5fcf4ea359758e37338c78",
+            "tessellation.json": "4f3c50dcc44224724124ec389b2be6dc35915820254dc0103aeebd24f707b384",
         },
     ),
     "sphere-analyze-csv": (
@@ -77,7 +77,7 @@ CASES = {
          "--out", "{out}/figure.svg"],
         {
             "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            "figure.svg": "7addb5581d43912a3075cf876590545be82a50c6dc14fbe9814c6accc2a21f50",
+            "figure.svg": "a47794bf2e2b8f99890fd06c729a0e5ae729ef2da82cf7d3bd2dce85549b6786",
         },
     ),
     "sphere-render": (
@@ -117,7 +117,7 @@ CASES = {
          "--out", "{out}/figure.svg"],
         {
             "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            "figure.svg": "2f65dfd007fd8f7aa98fd9742eebf4e42a28aaa6b3c2a43f94435b380861ac4b",
+            "figure.svg": "82783670c57604942c5043b2d3106a8c96b50347ce09a6e585b3e8b294bb81ca",
         },
     ),
     "sphere-generate": (
@@ -151,7 +151,7 @@ LIBRARY_CASES = {
     # (generate arguments, tessellation document sha256, link bytes sha256)
     "hyperbolic-3000-a0.4": (
         ("hyperbolic", 3000, {"a": 0.4}),
-        "59be12e8cc10c98a7a8a6a46915537a8298157cf50d134c91bf2b82b6c3acb6d",
+        "4bd73801706754dec42281f242144177ac3ee36d01c8258877902cec4f29ecde",
         "3d37179c03b16f226d5d58a9e763290b5aafea5c2395581ef002bfcbefc25d2c",
     ),
     "plane-3000-half": (
@@ -161,7 +161,7 @@ LIBRARY_CASES = {
     ),
     "hyperbolic-3000-half": (
         ("hyperbolic", 3000, {"a": 0.025, "indexing": "half-integer"}),
-        "73c1d8eabb9fc3d2c38e2d22def26fc1a61a2426e5707c230c758cf964c14fe4",
+        "389be09c2b58b7240dd4695f7256ddf2a4d2a74c6bfdddc4c733c60b5a9131e6",
         "dad14d8e1cd0a40817e83fdf29ae02d3cd2ace8dd20d58d0f62e3ae27b367f5d",
     ),
     "sphere-25": (

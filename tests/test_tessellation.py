@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, Delaunay, Voronoi, cKDTree
 
+from phyllo.analysis import area_series
 from phyllo.generator import PhylloPattern, generate, generate_plane, normalization_scale
 from phyllo.geometry import SurfaceSpec, chart_distance_xy
 from phyllo.numerics import fibonacci
@@ -244,16 +247,45 @@ def _reference_sphere_areas(pattern):
     return np.array(areas)
 
 
+def _disc_centers(center, radius):
+    """Hyperbolic centers of chart circles of Euclidean center (..., 2) and radius (...).
+
+    A chart circle inside the disc is a hyperbolic circle, centered at the
+    hyperbolic midpoint of its diameter through the origin; any other
+    circle has no center (nan).
+    """
+    d = np.hypot(center[..., 0], center[..., 1])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = np.tanh((np.arctanh(d - radius) + np.arctanh(d + radius)) / 2.0)
+    ratio = np.divide(rho, d, out=np.ones_like(d), where=d > 0)
+    return np.where((d + radius < 1.0)[..., None], center * ratio[..., None], np.nan)
+
+
+def _angle_defect_areas(z, offsets, R):
+    """Gauss-Bonnet areas R^2 ((k - 2) pi - sum of the angles) of geodesic disc polygons.
+
+    Polygon c has the complex chart vertices z[offsets[c]:offsets[c + 1]],
+    in cyclic order.  The disc isometry taking a vertex to the origin
+    straightens both sides through it and keeps the angle between them.
+    """
+    after = np.arange(len(z)) + 1
+    after[offsets[1:] - 1] = offsets[:-1]
+    before = np.arange(len(z)) - 1
+    before[offsets[:-1]] = offsets[1:] - 1
+
+    def seen_from_vertex(w):
+        return (w - z) / (1.0 - np.conj(z) * w)
+
+    angle = np.abs(np.angle(seen_from_vertex(z[after]) / seen_from_vertex(z[before])))
+    return R * R * ((np.diff(offsets) - 2) * math.pi - np.add.reduceat(angle, offsets[:-1]))
+
+
 def _reference_chart_area(verts, surface):
     if surface.kind == "plane":
         x, y = verts[:, 0], verts[:, 1]
         return abs(0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-    g = verts.mean(axis=0)
-    a, b = verts, np.roll(verts, -1, axis=0)
-    cross = (a[:, 0] - g[0]) * (b[:, 1] - g[1]) - (a[:, 1] - g[1]) * (b[:, 0] - g[0])
-    mids = np.stack(((a + b) / 2, (g + a) / 2, (g + b) / 2))
-    lam2 = (2.0 * surface.R / (1.0 - np.sum(mids * mids, axis=-1))) ** 2
-    return abs(float(np.sum(0.5 * cross * lam2.mean(axis=0))))
+    z = verts[:, 0] + 1j * verts[:, 1]
+    return float(_angle_defect_areas(z, np.array([0, len(z)]), surface.R)[0])
 
 
 def _circumcenter(a, b, c):
@@ -271,16 +303,24 @@ def _reference_chart_areas(pattern):
     tri = Delaunay(xy)
     r_max = pattern.r.max()
     scale = normalization_scale(pattern.surface)
+    disc = pattern.surface.kind == "hyperbolic"
     areas = []
     for s in range(pattern.n):
         fan = tri.simplices[np.any(tri.simplices == s, axis=1)]
         verts = np.array([_circumcenter(*xy[corners].tolist()) for corners in fan])
+        if disc:
+            verts = _disc_centers(verts, np.hypot(*(verts - xy[s]).T))
         # the fan closes around s iff each of its neighbors is in two triangles
         _, twice = np.unique(fan[fan != s], return_counts=True)
-        if np.any(twice != 2) or np.any(np.sum(verts * verts, axis=1) > r_max * r_max):
+        if np.any(twice != 2) or not np.all(np.sum(verts * verts, axis=1) <= r_max * r_max):
             areas.append(math.nan)
             continue
-        verts = verts[np.argsort(np.arctan2(verts[:, 1] - xy[s, 1], verts[:, 0] - xy[s, 0]))]
+        toward = verts - xy[s]
+        if disc:  # the direction of the geodesic from s
+            p, v = complex(*xy[s]), verts[:, 0] + 1j * verts[:, 1]
+            w = (v - p) / (1.0 - np.conj(p) * v)
+            toward = np.column_stack((w.real, w.imag))
+        verts = verts[np.argsort(np.arctan2(toward[:, 1], toward[:, 0]))]
         areas.append(_reference_chart_area(verts, pattern.surface) / (scale * scale))
     return np.array(areas)
 
@@ -298,7 +338,12 @@ def _reference_chart_areas(pattern):
 def test_areas_match_per_cell_reference(kind, n, kwargs):
     pattern = generate(kind, n, **kwargs)
     reference = _reference_sphere_areas if kind == "sphere" else _reference_chart_areas
-    assert np.array_equal(tessellate(pattern).cells.area, reference(pattern), equal_nan=True)
+    areas = tessellate(pattern).cells.area
+    if kind == "hyperbolic":
+        # the angle-defect reference sums its terms differently from the fan
+        np.testing.assert_allclose(areas, reference(pattern), rtol=1e-9, atol=0)
+    else:
+        assert np.array_equal(areas, reference(pattern), equal_nan=True)
 
 
 # Links built one Python tuple per link direction from Qhull's unique site
@@ -379,19 +424,12 @@ CHART_PATTERNS = (
 
 def _voronoi_polygon_areas(vertices, flat, offsets, surface):
     """Metric areas of the polygons vertices[flat[offsets[c]:offsets[c + 1]]]."""
-    counts = np.diff(offsets)
-    owner = np.repeat(np.arange(len(counts)), counts)
+    if surface.kind == "hyperbolic":
+        return _angle_defect_areas(vertices[flat, 0] + 1j * vertices[flat, 1], offsets, surface.R)
     after = np.arange(len(flat)) + 1
     after[offsets[1:] - 1] = offsets[:-1]  # each polygon's last vertex wraps to its first
     a, b = vertices[flat], vertices[flat[after]]
-    if surface.kind == "plane":
-        terms = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-    else:
-        g = (np.add.reduceat(a, offsets[:-1]) / counts[:, None])[owner]
-        cross = (a[:, 0] - g[:, 0]) * (b[:, 1] - g[:, 1]) - (a[:, 1] - g[:, 1]) * (b[:, 0] - g[:, 0])
-        mids = np.stack(((a + b) / 2, (g + a) / 2, (g + b) / 2))
-        lam2 = (2.0 * surface.R / (1.0 - np.sum(mids * mids, axis=-1))) ** 2
-        terms = 0.5 * cross * lam2.mean(axis=0)
+    terms = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
     return np.abs(np.add.reduceat(terms, offsets[:-1]))
 
 
@@ -419,26 +457,104 @@ def test_chart_cells_match_voronoi(kind, n, kwargs):
     # the outermost site; its finite vertices are drawn all the same
     regions = [vor.regions[r] for r in vor.point_region]
     finite = [[v for v in region if v >= 0] for region in regions]
+    vertices = vor.vertices
+    disc = kind == "hyperbolic"
+    if disc:
+        # Qhull's vertex is the Euclidean center of a Delaunay circumcircle
+        # through each site whose region holds it; the cell vertex is its
+        # hyperbolic center, and a circle with none leaves its cells open
+        flat = np.concatenate(finite)
+        owner = np.repeat(np.arange(n), [len(f) for f in finite])
+        radius = np.empty(len(vertices))
+        radius[flat] = np.hypot(*(vertices[flat] - xy[owner]).T)
+        vertices = _disc_centers(vertices, radius)
     r_max = pattern.r.max()
-    far = np.sum(vor.vertices * vor.vertices, axis=1) > r_max * r_max
+    far = ~(np.sum(vertices * vertices, axis=1) <= r_max * r_max)
     boundary = np.array([-1 in reg or bool(np.any(far[f])) for reg, f in zip(regions, finite)])
     assert np.array_equal(tess.cells.is_boundary, boundary)
     assert np.array_equal(np.diff(tess.vertex_offsets), [len(f) for f in finite])
 
-    # every vertex sits on a Qhull vertex, to rounding; the thin triangles
+    # every vertex sits on a reference vertex, to rounding; the thin triangles
     # along the hull have ill-conditioned circumcenters in both builds
-    gap, _ = cKDTree(vor.vertices).query(tess.vertices)
-    gap /= np.max(np.abs(vor.vertices))
+    known = ~np.isnan(vertices[:, 0])
+    size = np.max(np.abs(vertices[known]))
+    gap, _ = cKDTree(vertices[known]).query(tess.vertices)
+    gap /= size
     cut = np.repeat(boundary, np.diff(tess.vertex_offsets))
     assert np.all(gap[~cut] <= 1e-12)
+    if disc:
+        # a circumcircle that is no hyperbolic circle puts its vertex on or
+        # outside the unit circle
+        outside = np.sum(tess.vertices * tess.vertices, axis=1) >= 1.0
+        assert np.sum(outside) == sum(np.count_nonzero(~known[f]) for f in finite)
+        cut &= ~outside
     assert np.all(gap[cut] <= 1e-10)
+    back, _ = cKDTree(tess.vertices).query(vertices[known])
+    assert np.all(back <= 1e-10 * size)
 
     interior = np.flatnonzero(~boundary)
     if len(interior):
         flat = np.concatenate([finite[s] for s in interior])
         offsets = np.r_[0, np.cumsum([len(finite[s]) for s in interior])]
-        want = _voronoi_polygon_areas(vor.vertices, flat, offsets, pattern.surface) / scale**2
+        want = _voronoi_polygon_areas(vertices, flat, offsets, pattern.surface) / scale**2
         np.testing.assert_allclose(tess.cells.area[interior], want, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("a", [0.1, 0.4, 1.0])
+def test_disc_areas_match_grid_oracle(a):
+    # the metric density integrated over the exact cell_contains region, on
+    # a 400 x 400 midpoint grid over each cell's padded bounding box; points
+    # beyond the unit circle pass the chart predicate too and are left out
+    pattern = generate("hyperbolic", 500, a=a)
+    tess = tessellate(pattern)
+    xy, R = pattern.chart_xy, pattern.surface.R
+    scale = normalization_scale(pattern.surface)
+    interior = np.flatnonzero(~tess.cells.is_boundary)
+    rng = np.random.default_rng(5)
+    for s in interior[np.linspace(0, len(interior) - 1, 12).astype(int)]:
+        poly = tess.vertices[tess.vertex_offsets[s] : tess.vertex_offsets[s + 1]]
+        lo, hi = poly.min(axis=0), poly.max(axis=0)
+        lo, hi = lo - 0.25 * (hi - lo), hi + 0.25 * (hi - lo)
+        step = (hi - lo) / 400
+        gx, gy = (lo[:, None] + step[:, None] * (np.arange(400) + 0.5)).tolist()
+        grid = np.stack(np.meshgrid(gx, gy), axis=-1).reshape(-1, 2)
+        r2 = np.sum(grid * grid, axis=1)
+        others = xy[tess.adjacency[s]]
+        d2s = np.sum((grid - xy[s]) ** 2, axis=1)
+        d2t = np.sum((grid[:, None, :] - others[None, :, :]) ** 2, axis=-1)
+        w_s, w_t = 1.0 - np.sum(xy[s] ** 2), 1.0 - np.sum(others * others, axis=1)
+        inside = np.all(d2s[:, None] * w_t <= d2t * w_s, axis=1)
+        for k in rng.choice(len(grid), 40, replace=False):
+            assert inside[k] == cell_contains(tess, s, grid[k])
+        inside &= r2 < 1.0
+        assert not inside.reshape(400, 400)[[0, -1]].any()
+        assert not inside.reshape(400, 400)[:, [0, -1]].any()
+        oracle = np.sum((2.0 * R / (1.0 - r2[inside])) ** 2) * step[0] * step[1]
+        assert tess.cells.area[s] * scale**2 == pytest.approx(oracle, rel=0.01), s
+    if a <= 0.4:
+        assert area_series(tess).mean == pytest.approx(math.pi, rel=0.01)
+
+
+def _disc_distance(R, p, q):
+    diff = np.sum((p - q) ** 2, axis=-1)
+    return 2.0 * R * np.arcsinh(np.sqrt(diff / ((1.0 - np.sum(p * p, axis=-1)) * (1.0 - np.sum(q * q, axis=-1)))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(a=st.floats(0.02, 1.0), n=st.integers(12, 400))
+def test_disc_vertices_are_hyperbolic_circumcenters(a, n):
+    pattern = generate("hyperbolic", n, a=a)
+    tess = tessellate(pattern)
+    xy, R = pattern.chart_xy, pattern.surface.R
+    interior = np.flatnonzero(~tess.cells.is_boundary)
+    assert np.all(tess.cells.area[interior] > 0)
+    for s in interior:
+        # each vertex is as far from s as from the two neighbors that share
+        # its triangle, and every other neighbor is farther
+        verts = tess.vertices[tess.vertex_offsets[s] : tess.vertex_offsets[s + 1]]
+        to_site = _disc_distance(R, verts, xy[s])
+        to_others = np.sort(_disc_distance(R, verts[:, None, :], xy[tess.adjacency[s]][None]), axis=1)
+        np.testing.assert_allclose(to_others[:, :2], np.column_stack((to_site, to_site)), rtol=1e-9)
 
 
 def test_degenerate_chart_triangle_rejected(monkeypatch):
