@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import PhylloPattern, _effective_index, normalization_scale
+from .generator import PhylloPattern, _effective_index, _radial_law, normalization_scale
 from .geometry import HYPERBOLIC, PLANE, SPHERE, SurfaceSpec, circle_circumference, conformal_factor
 from .numerics import LSWord, fibonacci
 from .tessellation import Tessellation
@@ -418,29 +418,6 @@ def _reduced_turn(lam: float, f: int) -> float:
     return 2.0 * math.pi * frac
 
 
-def _chart_profile(surface: SurfaceSpec, s):
-    """(r(s), dr/ds, conformal factor at r) for the radial chart profile."""
-    s = np.asarray(s, dtype=float)
-    a = surface.a
-    if surface.kind == PLANE:
-        r = a * np.sqrt(s)
-        return r, a / (2.0 * np.sqrt(s)), np.ones_like(r)
-    if surface.kind == HYPERBOLIC:
-        rho_hat = np.arccosh(a * a * s / 2.0 + 1.0)
-        r = np.tanh(rho_hat / 2.0)
-        dr = (1.0 - r * r) / 2.0 * (a * a / 2.0) / np.sinh(rho_hat)
-        return r, dr, conformal_factor(surface, r)
-    # integer-indexed sites sit at cos(colat) = 1 - s/nu exactly, which is
-    # mirror-symmetric about the equator (the continuum 1 - 2s/n is not,
-    # and its skew is what the far-pole links feel)
-    nu = (4.0 / (a * a) - 1.0) / 2.0
-    cos_colat = 1.0 - s / nu
-    colat = np.arccos(cos_colat)
-    r = np.tan(colat / 2.0)
-    dr = (1.0 + r * r) / (2.0 * nu * np.sin(colat))
-    return r, dr, conformal_factor(surface, r)
-
-
 def analytic_distance(surface: SurfaceSpec, s, u: int):
     """First-order parastichy distance d_u(s) between sites s and s + f_u.
 
@@ -457,13 +434,22 @@ def analytic_distance(surface: SurfaceSpec, s, u: int):
     f = fibonacci(u)
     if f < 1:
         raise ValueError(f"rank {u} has no parastichy step")
-    if surface.kind == SPHERE and np.any(s + f >= 4.0 / (surface.a * surface.a) - 1.0):
+    # the sphere reads the integer lattice law z/R = (s - nu)/nu, n = 2 nu + 1,
+    # which is mirror-symmetric about the equator (the continuum 2s/n - 1 is
+    # not, and its skew is what the far-pole links feel)
+    sphere = surface.kind == SPHERE
+    nu = (round(4.0 / (surface.a * surface.a)) - 1) / 2 if sphere else None
+    if sphere and np.any(s + f >= 2 * nu):
         raise ValueError("s + f_u at or beyond the far pole")
     gamma = _reduced_turn(surface.lam, f)
 
     def one_sided(ss):
-        r, dr, lam_factor = _chart_profile(surface, ss)
-        return f * lam_factor * np.hypot(dr, (gamma / f) * r)
+        if sphere:
+            _, r, dr = _radial_law(surface, (ss - nu) / nu)
+            dr /= nu
+        else:
+            _, r, dr = _radial_law(surface, ss)
+        return f * conformal_factor(surface, r) * np.hypot(dr, (gamma / f) * r)
 
     scale = normalization_scale(surface)
     return (one_sided(s) + one_sided(s + f)) / 2.0 / scale

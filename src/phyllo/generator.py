@@ -67,6 +67,30 @@ class PhylloPattern:
         return self._chart_xy
 
 
+def _radial_law(surface: SurfaceSpec, x):
+    """Geodesic radius rho, chart radius r and dr/dx of the spiral at coordinate x.
+
+    x is the real site index s on the plane and the disc, where the disc
+    out to site s encloses area pi*s: rho = a*sqrt(s), and R*acosh(a^2*s/2 + 1)
+    on the disc.  On the sphere x is z/R, with rho = R*acos(-x) from the
+    s = 0 pole; the integer lattice has x = (s - nu)/nu with n = 2*nu + 1.
+    dr/dx is infinite at a pole.
+    """
+    x = np.asarray(x, dtype=float)
+    a = surface.a
+    with np.errstate(divide="ignore"):
+        if surface.kind == PLANE:
+            rho = a * np.sqrt(x)
+            return rho, rho.copy(), a / (2.0 * np.sqrt(x))
+        if surface.kind == HYPERBOLIC:
+            rho_hat = np.arccosh(a * a * x / 2.0 + 1.0)  # rho/R
+            r = np.tanh(rho_hat / 2.0)
+            return surface.R * rho_hat, r, (1.0 - r * r) / 2.0 * (a * a / 2.0) / np.sinh(rho_hat)
+        colat = np.arccos(np.clip(-x, -1.0, 1.0))
+        r = np.tan(colat / 2.0)
+        return surface.R * colat, r, (1.0 + r * r) / (2.0 * np.sin(colat))
+
+
 def generate_plane(
     n: int,
     a: float = 1.0,
@@ -78,9 +102,9 @@ def generate_plane(
         raise ValueError(f"need n >= 1, got {n}")
     surface = SurfaceSpec(PLANE, None, a, lam)
     s_eff = _effective_index(n, indexing)
-    rho = a * np.sqrt(s_eff)
+    rho, r, _ = _radial_law(surface, s_eff)
     theta = (2.0 * math.pi * lam) * s_eff
-    return PhylloPattern(surface, n, indexing, np.arange(n), rho, theta, rho.copy())
+    return PhylloPattern(surface, n, indexing, np.arange(n), rho, theta, r)
 
 
 def generate_hyperbolic(
@@ -100,12 +124,11 @@ def generate_hyperbolic(
         raise ValueError(f"need n >= 1, got {n}")
     if not 0 < a <= 1:
         raise ValueError(f"need 0 < a <= 1, got {a}")
-    R = 1.0 / a
-    surface = SurfaceSpec(HYPERBOLIC, R, a, lam)
+    surface = SurfaceSpec(HYPERBOLIC, 1.0 / a, a, lam)
     s_eff = _effective_index(n, indexing)
-    rho_hat = np.arccosh(a * a * s_eff / 2.0 + 1.0)  # rho/R
+    rho, r, _ = _radial_law(surface, s_eff)
     theta = (2.0 * math.pi * lam) * s_eff
-    return PhylloPattern(surface, n, indexing, np.arange(n), R * rho_hat, theta, np.tanh(rho_hat / 2.0))
+    return PhylloPattern(surface, n, indexing, np.arange(n), rho, theta, r)
 
 
 def generate_sphere(
@@ -137,11 +160,10 @@ def generate_sphere(
     s_eff = _effective_index(n, indexing)
     theta = (2.0 * math.pi * lam) * s_eff
     phi = np.arcsin(z_hat)
-    colat = np.arccos(np.clip(-z_hat, -1.0, 1.0))  # from the s=0 pole
+    rho, r, _ = _radial_law(surface, z_hat)
     sin_colat = np.sqrt(np.maximum(0.0, 1.0 - z_hat * z_hat))
     xyz = np.column_stack((R * sin_colat * np.cos(theta), R * sin_colat * np.sin(theta), R * z_hat))
-    r = np.tan(colat / 2.0)
-    return PhylloPattern(surface, n, indexing, s, R * colat, theta, r, phi=phi, xyz=xyz)
+    return PhylloPattern(surface, n, indexing, s, rho, theta, r, phi=phi, xyz=xyz)
 
 
 def generate(

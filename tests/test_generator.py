@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phyllo.generator import (
+    _radial_law,
     generate,
     generate_hyperbolic,
     generate_plane,
@@ -111,6 +112,17 @@ def test_chart_positions_match_embedding():
     np.testing.assert_allclose(
         sphere_xyz_to_chart(p.surface, p.xyz[:-1]), p.chart_xy[:-1], atol=1e-12
     )
+
+
+@pytest.mark.parametrize("kind,n,a", [("plane", 400, 0.7), ("hyperbolic", 400, 0.3), ("sphere", 401, None)])
+def test_radial_law_slope(kind, n, a):
+    p = generate(kind, n) if a is None else generate(kind, n, a=a)
+    x = np.linspace(0.05, 0.95, 7) * (n - 1) if kind != "sphere" else np.linspace(-0.9, 0.9, 7)
+    h = 1e-6 * (n if kind != "sphere" else 1)
+    _, r, slope = _radial_law(p.surface, x)
+    secant = (_radial_law(p.surface, x + h)[1] - _radial_law(p.surface, x - h)[1]) / (2 * h)
+    np.testing.assert_allclose(slope, secant, rtol=1e-6)
+    assert np.all(np.diff(r) > 0)
 
 
 def _star_discrepancy(x: np.ndarray) -> float:

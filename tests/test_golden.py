@@ -55,7 +55,7 @@ CASES = {
             "stdout": "3b4c8a9346733dfe06d320c3888231609524876e5997fbe4bb8286f7d4d9286c",
             "areas.csv": "834a65639c451eaff5e808cca0fea49fcb2c4c334ec9ebc38c8ea9cecbff09a9",
             "boundaries.csv": "4c349e0dbfb07bfdde2aa254b2b4eeee5aa98d5bbc0c9db5d0a00e4591df6bf4",
-            "distances.csv": "f531448af63c4bd6a6bb2943be5d56d0a1f4c3c6505d7360bd534d442a775b3f",
+            "distances.csv": "72d5830252dcf9806b0db4d54710f0517c02459f4f3a85f9c574a7e681dcd26b",
             "summary.json": "40963d63d93648ffcbd626dc0759411d32b4ec57cff2ce63dc2ef429448f8e58",
         },
     ),
