@@ -15,13 +15,12 @@ neighboring cells share, are formatted once per distinct value of a block
 tessellation._BLOCK rows at a time, so the temporaries stay small; each
 block's text is kept as a pre-rendered fragment that the generic writer
 writes verbatim, straight to write_json's stream.  The text is the same as
-the generic writer gives for a list of per-row dicts.  The distance and
-area CSV files fill a row template from their columns in the same way.
+the generic writer gives for a list of per-row dicts.  The three CSV files
+fill a row template from their columns in the same way.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -242,10 +241,11 @@ def pattern_from_document(doc: dict) -> PhylloPattern:
         kwargs["indexing"] = _field(doc, "indexing", str, "document")
     if kind != SPHERE:
         kwargs["a"] = _field(surface, "a", float, "surface")
-    pattern = generate(kind, _field(doc, "n", int, "document"), **kwargs)
+    n = _field(doc, "n", int, "document")
     stored = _field(doc, "sites", list, "document")
-    if len(stored) != pattern.n:
+    if len(stored) != n:  # before regenerating: n may ask for any amount of memory
         raise ValueError("site list does not match n")
+    pattern = generate(kind, n, **kwargs)
     rho = _site_numbers(stored, "rho")
     theta = _site_numbers(stored, "theta")
     if not np.allclose(rho, pattern.rho, rtol=1e-12, atol=1e-12):
@@ -334,27 +334,20 @@ def boundary_rows(boundaries) -> list[dict]:
     return rows
 
 
-def _csv_text(columns, rows) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(
-            [
-                format(v, ".17g") if isinstance(v, float) else v
-                for v in (row[c] for c in columns)
-            ]
-        )
-    return out.getvalue()
-
-
-def boundaries_csv(boundaries) -> str:
-    return _csv_text(BOUNDARY_COLUMNS, boundary_rows(boundaries))
-
-
 def _csv_columns(columns, template: str, *values) -> str:
     """CSV text of a header row and one template row per entry of the columns."""
     return ",".join(columns) + "\n" + "".join(map(template.__mod__, zip(*values)))
+
+
+def _csv_cell(v) -> str:
+    """CSV text of one boundary value: 17-digit floats, an empty field for None."""
+    return "" if v is None else format(v, ".17g") if isinstance(v, float) else str(v)
+
+
+def boundaries_csv(boundaries) -> str:
+    rows = boundary_rows(boundaries)
+    cells = [[_csv_cell(row[c]) for row in rows] for c in BOUNDARY_COLUMNS]
+    return _csv_columns(BOUNDARY_COLUMNS, ",".join(["%s"] * len(BOUNDARY_COLUMNS)) + "\n", *cells)
 
 
 DISTANCE_COLUMNS = ["s_from", "s_to", "rank", "measured", "analytic", "interior"]

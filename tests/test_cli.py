@@ -114,6 +114,20 @@ def test_analyze_rejects_tampered_pattern_file(tmp_path):
     assert err.value.code == 1
 
 
+def test_pattern_file_site_count_is_checked_before_regenerating(tmp_path, monkeypatch):
+    doc = json.loads(dumps_json(pattern_document(generate("plane", 3))))
+    doc["n"] = 300000000000
+    path = tmp_path / "pattern.json"
+    path.write_text(json.dumps(doc))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("regenerated before the site count was checked")
+
+    monkeypatch.setattr("phyllo.export.generate", refuse)
+    with pytest.raises(ValueError, match="site list does not match n"):
+        load_pattern(path)
+
+
 def _write_inputs(tmp_path):
     """Pattern files that are valid JSON but not valid pattern documents."""
     no_rho = json.loads(dumps_json(pattern_document(generate("plane", 5))))

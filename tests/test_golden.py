@@ -16,15 +16,25 @@ both.  The digests were recorded with numpy 2.4.6 and scipy 1.17.1; other
 builds of Qhull or libm may move the last printed digit of some floats.
 """
 
+import csv
 import dataclasses
 import hashlib
+import io
 import os
 
 import numpy as np
 import pytest
 
 from phyllo import cli
-from phyllo.export import dumps_json, pattern_document, tessellation_document
+from phyllo.analysis import detect_grain_boundaries
+from phyllo.export import (
+    BOUNDARY_COLUMNS,
+    boundaries_csv,
+    boundary_rows,
+    dumps_json,
+    pattern_document,
+    tessellation_document,
+)
 from phyllo.generator import generate
 from phyllo.geometry import HYPERBOLIC
 from phyllo.render import CELL_COLORS, FALLBACK_COLOR, render_svg
@@ -307,6 +317,28 @@ def test_tessellation_document_keeps_signed_zeros_and_nans():
     text = dumps_json(tessellation_document(tess))
     _assert_same_text(text, dumps_json(_reference_tessellation_document(tess)))
     assert '"vertices": [[0, -0], [null, 1], [-0, 0]]' in text
+
+
+def _reference_boundaries_csv(boundaries) -> str:
+    """One csv.writer row per ring, as boundaries_csv wrote before the column writer."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(BOUNDARY_COLUMNS)
+    for row in boundary_rows(boundaries):
+        writer.writerow(
+            [format(row[c], ".17g") if isinstance(row[c], float) else row[c] for c in BOUNDARY_COLUMNS]
+        )
+    return out.getvalue()
+
+
+def test_boundaries_csv_matches_csv_writer(tess_plane_3000):
+    boundaries = detect_grain_boundaries(tess_plane_3000)
+    # an anomalous ring has no rank and no word: both write empty fields
+    anomalous = dataclasses.replace(boundaries[0], rank=None, word=None, complete=False, anomalous=True)
+    text = boundaries_csv([*boundaries, anomalous])
+    _assert_same_text(text, _reference_boundaries_csv([*boundaries, anomalous]))
+    last = text.splitlines()[-1].split(",")
+    assert (last[0], last[-1], last[7], last[8]) == ("", "", "False", "True")
 
 
 def _fmt(x: float) -> str:
