@@ -68,13 +68,10 @@ class PhylloPattern:
 
 
 def _radial_law(surface: SurfaceSpec, x):
-    """Geodesic radius rho, chart radius r and dr/dx of the spiral at coordinate x.
+    """Geodesic radius, chart radius r and dr/dx of the generate_* spirals.
 
-    x is the real site index s on the plane and the disc, where the disc
-    out to site s encloses area pi*s: rho = a*sqrt(s), and R*acosh(a^2*s/2 + 1)
-    on the disc.  On the sphere x is z/R, with rho = R*acos(-x) from the
-    s = 0 pole; the integer lattice has x = (s - nu)/nu with n = 2*nu + 1.
-    dr/dx is infinite at a pole.
+    x is the real site index on the plane and the disc, and z/R on the
+    sphere; dr/dx is infinite at a pole.
     """
     x = np.asarray(x, dtype=float)
     a = surface.a

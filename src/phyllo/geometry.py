@@ -29,9 +29,7 @@ __all__ = [
     "circle_area",
     "circle_circumference",
     "sphere_cap_sites",
-    "chart_to_unit_sphere",
-    "chart_to_unit_hyperboloid",
-    "sphere_xyz_to_chart",
+    "chart_to_unit_surface",
 ]
 
 PLANE = "plane"
@@ -171,40 +169,18 @@ def sphere_cap_sites(nu: int, phi_colat: float) -> float:
     return nu * (1.0 - math.cos(phi_colat))
 
 
-def chart_to_unit_sphere(xy):
-    """Inverse stereographic projection, chart (..., 2) -> unit sphere (..., 3).
+def chart_to_unit_surface(kind: str, xy):
+    """Chart points (..., 2) on the unit sphere or the unit hyperboloid (..., 3).
 
-    The chart is centered on the pattern pole at (0, 0, -1); chart radius 1
-    maps to the equator and the opposite pole (0, 0, 1) lies at infinity.
+    Sphere: inverse stereographic projection, the chart center to the pole
+    (0, 0, -1).  Disc: the lift onto z^2 - x^2 - y^2 = 1, z > 0, inverse to
+    (x, y, z) -> (x, y)/(1 + z).
     """
     xy = np.asarray(xy, dtype=float)
     r2 = np.sum(xy * xy, axis=-1)
-    denom = (1.0 + r2)[..., None]
-    return np.concatenate((2.0 * xy / denom, (r2 - 1.0)[..., None] / denom), axis=-1)
-
-
-def chart_to_unit_hyperboloid(xy):
-    """Lift of Poincare-disc points (..., 2) to the unit hyperboloid (..., 3).
-
-    The image lies on z^2 - x^2 - y^2 = 1, z > 0; the disc center maps to
-    (0, 0, 1), and the Poincare chart of a point (x, y, z) is (x, y)/(1 + z).
-    """
-    xy = np.asarray(xy, dtype=float)
-    r2 = np.sum(xy * xy, axis=-1)
-    _check_hyperbolic_r(r2)
-    denom = (1.0 - r2)[..., None]
-    return np.concatenate((2.0 * xy / denom, (1.0 + r2)[..., None] / denom), axis=-1)
-
-
-def sphere_xyz_to_chart(surface: SurfaceSpec, xyz):
-    """Stereographic projection from (0, 0, +R), sphere (..., 3) -> chart (..., 2).
-
-    The projection pole itself has no chart image.
-    """
-    if surface.kind != SPHERE:
-        raise ValueError("chart projection defined for spheres only")
-    xyz = np.asarray(xyz, dtype=float)
-    denom = surface.R - xyz[..., 2]
-    if np.any(denom <= 0):
-        raise ValueError("point at or beyond the projection pole has no chart image")
-    return xyz[..., :2] / denom[..., None]
+    if kind == HYPERBOLIC:
+        _check_hyperbolic_r(r2)
+        z, denom = 1.0 + r2, (1.0 - r2)[..., None]
+    else:
+        z, denom = r2 - 1.0, (1.0 + r2)[..., None]
+    return np.concatenate((2.0 * xy / denom, z[..., None] / denom), axis=-1)

@@ -19,7 +19,7 @@ from itertools import compress, islice, repeat
 import numpy as np
 
 from .export import _distinct_text
-from .geometry import HYPERBOLIC, SPHERE, chart_to_unit_sphere
+from .geometry import HYPERBOLIC, SPHERE, chart_to_unit_surface
 from .tessellation import _BLOCK, Tessellation, classify
 
 __all__ = ["CELL_COLORS", "PROJECTIONS", "default_projection", "render_svg"]
@@ -59,7 +59,7 @@ def render_svg(tess: Tessellation, projection: str | None = None, size: int = 90
     extent = 1.0  # the orthographic disc and the Poincare disc's limit circle
     if projection == "orthographic":
         # drop the back hemisphere (the origin pole sits at z = -1)
-        xyz = chart_to_unit_sphere(verts)
+        xyz = chart_to_unit_surface(SPHERE, verts)
         keep &= np.bincount(owner, xyz[:, 2] > 0.0, minlength=tess.n) == 0
         verts = xyz[:, :2]
     elif projection == "stereographic":

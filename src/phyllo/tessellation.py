@@ -6,22 +6,19 @@ Euclidean predicates: both charts are conformal, so chart circles are metric
 circles and the Delaunay combinatorics agree with the intrinsic ones.  Sphere
 patterns are triangulated by the convex hull of the embedded points.  Qhull
 yields the triangles and nothing else.  Plane cells are Euclidean polygons.
-The curved surfaces share one cell rule: a vertex is the unit normal of the
-plane through the three lifted sites of its triangle (the hull facet normal
-on the sphere, a Minkowski normal on the unit hyperboloid over the disc),
-and the area is the fan of geodesic triangles of Van Oosterom and
-Strackee's solid-angle formula or its hyperbolic analogue.  The disc lifts
-each triangle and cell as seen from one of its sites, moved to the origin.
+On both curved surfaces a vertex is the unit normal of the plane through the
+lifted sites of its triangle (the hull facet normal on the sphere, a
+Minkowski normal on the hyperboloid over the disc, lifted as seen from one
+corner moved to the origin), and an area is the fan of geodesic triangles.
 
 From the triangles on, every surface takes one path: one edge list, one
 stable sort of the triangle corners by site, and one sort of each fan by the
-direction of the geodesic to each vertex.
-Sites with the same number of triangles are processed together, at most
-_BLOCK at a time, which bounds the temporary memory.  Each value is reduced
-in the order, and through the same numpy and BLAS kernels, that a
-cell-by-cell computation would use (row dot products go through a stacked
-matmul, the fan terms are summed with math.atan2), so the results are
-bit-identical to the per-cell formulas.
+direction of the geodesic to each vertex.  Sites with the same number of
+triangles are processed together, at most _BLOCK at a time, which bounds the
+temporary memory.  Each value is reduced in the order, and through the same
+numpy and BLAS kernels, that a cell-by-cell computation would use (row dot
+products go through a stacked matmul, fan terms are summed with math.atan2),
+so the results are bit-identical to the per-cell formulas.
 
 A Tessellation holds columns only: the Delaunay links as one CSR table, the
 fixed-width cell values as one array each, and every chart polygon as a
@@ -39,7 +36,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError
 
 from .generator import PhylloPattern, normalization_scale
-from .geometry import HYPERBOLIC, PLANE, SPHERE, chart_distance_xy, chart_to_unit_hyperboloid
+from .geometry import HYPERBOLIC, PLANE, SPHERE, chart_distance_xy, chart_to_unit_surface
 from .numerics import MAX_FIB_RANK, fibonacci
 
 __all__ = [
@@ -59,10 +56,6 @@ _FIBS = np.array([fibonacci(u) for u in range(2, MAX_FIB_RANK + 1)], dtype=np.in
 
 #: sites per array block; bounds the temporary arrays of the cell geometry
 _BLOCK = 2048
-
-#: the ambient bilinear forms of the unit sphere and the unit hyperboloid
-_EUCLIDEAN = np.array([1.0, 1.0, 1.0])
-_MINKOWSKI = np.array([1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,13 +170,12 @@ def _polygon_areas(poly: np.ndarray) -> np.ndarray:
     return 0.5 * (_row_dot(x, np.roll(y, -1, axis=1)) - _row_dot(y, np.roll(x, -1, axis=1)))
 
 
-def _fan_areas(ring: np.ndarray, form: np.ndarray) -> np.ndarray:
-    """Signed areas of m geodesic polygons, (m, k, 3) points of the unit surface of form."""
-    # fan triangles (ring[0], ring[j], ring[j + 1]): tan(A/2) = a.(b x c) /
-    # (1 + s<a,b> + s<b,c> + s<c,a>), s = form[2], where each s<x,y> is the
-    # cosine or hyperbolic cosine of a side; on the sphere every factor is
-    # 1.0; np.arctan2 rounds differently from math.atan2
-    cosine = ring * (form[2] * form)
+def _fan_areas(ring: np.ndarray, sign: float) -> np.ndarray:
+    """Signed areas of m geodesic polygons on the unit sphere (sign 1) or hyperboloid (-1)."""
+    # Van Oosterom and Strackee's fan: tan(A/2) = a.(b x c) / (1 + a.cb + b.cc
+    # + c.ca), where x.cy is the cosine or hyperbolic cosine of a side (cy = y
+    # on the sphere, bit for bit); np.arctan2 rounds differently from math's
+    cosine = ring * np.array([sign, sign, 1.0])
     fan = np.zeros(len(ring))
     a = ring[:, 0]
     for j in range(1, ring.shape[1] - 1):
@@ -226,19 +218,17 @@ def _to_origin(z: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _disc_triangles(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Delaunay triangles of disc sites and their circumcenters.
 
-    Each triangle is moved so that its first corner a sits at the origin.
-    The lift of w minus the lift (0, 0, 1) of the origin is 2 (w, |w|^2) /
-    (1 - |w|^2), whose positive factor leaves the Minkowski normal as is.  A
-    timelike normal is the circumcenter, with chart image (x, y)/(1 + z); any
-    other (no hyperbolic circle) puts its vertex at (x, y)/z, beyond the disc.
+    With corner a moved to the origin, the lift of corner w minus that of a is
+    2 (w, |w|^2) / (1 - |w|^2).  A timelike normal is the circumcenter, (x, y)/(1 + z)
+    in the chart; any other (no hyperbolic circle) puts its vertex at (x, y)/z.
     """
-    simplices = _delaunay(xy)[0]
+    simplices, minkowski = _delaunay(xy)[0], np.array([1.0, 1.0, -1.0])
     z = xy.view(complex)[:, 0]
     a = z[simplices[:, 0]]
     b, c = (_to_origin(z[simplices[:, j]], a) for j in (1, 2))
     normal = np.cross(*(np.column_stack((w.real, w.imag, w.real**2 + w.imag**2)) for w in (b, c)))
-    normal *= np.where(normal[:, 2] > 0.0, -1.0, 1.0)[:, None] * _MINKOWSKI  # upper sheet
-    norm = np.sqrt(np.maximum(-_row_dot(normal, normal * _MINKOWSKI), 0.0))
+    normal *= np.where(normal[:, 2] > 0.0, -1.0, 1.0)[:, None] * minkowski  # upper sheet
+    norm = np.sqrt(np.maximum(-_row_dot(normal, normal * minkowski), 0.0))
     v = _to_origin((normal[:, 0] + 1j * normal[:, 1]) / (norm + normal[:, 2]), -a)
     return simplices, v[:, None].view(float)
 
@@ -265,13 +255,9 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
     n, surface, kind, R = pattern.n, pattern.surface, pattern.surface.kind, pattern.surface.R
     points = pattern.xyz if kind == SPHERE else pattern.chart_xy
     _check_distinct(points)
+    triangles = {SPHERE: _sphere_triangles, HYPERBOLIC: _disc_triangles, PLANE: _plane_triangles}
     try:
-        if kind == SPHERE:
-            simplices, centers = _sphere_triangles(points)
-        elif kind == HYPERBOLIC:
-            simplices, centers = _disc_triangles(points)
-        else:
-            simplices, centers = _plane_triangles(points)
+        simplices, centers = triangles[kind](points)
     except QhullError as exc:
         raise ValueError(
             f"Qhull cannot tessellate this {kind} pattern of {n} sites: {exc}"
@@ -312,8 +298,6 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
         e1 = np.cross(unit, helper)
         e1 /= np.sqrt(_row_dot(e1, e1))[:, None]
         e2 = np.cross(unit, e1)
-    elif kind == HYPERBOLIC:
-        sites = points.view(complex)
 
     areas = np.full(n, math.nan)
     vertices = np.empty((len(corners), 2))
@@ -324,9 +308,8 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
             x = (ring @ e1[rows][:, :, None])[..., 0]
             y = (ring @ e2[rows][:, :, None])[..., 0]
         elif kind == HYPERBOLIC:
-            # each cell as seen from its site: geodesics from the origin are
-            # diameters, and the lift is well conditioned there
-            moved = _to_origin(ring.view(complex)[..., 0], sites[rows])[..., None].view(float)
+            # each cell as seen from its site, where geodesics are diameters
+            moved = _to_origin(ring.view(complex)[..., 0], points.view(complex)[rows])[..., None].view(float)
             x, y = moved[..., 0], moved[..., 1]
         else:
             x, y = np.moveaxis(ring - points[rows][:, None, :], -1, 0)
@@ -337,10 +320,10 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
         if kind == PLANE:
             area = _polygon_areas(ring[inner])
         elif kind == SPHERE:
-            area = _fan_areas(ring[inner], _EUCLIDEAN) * R * R
+            area = _fan_areas(ring[inner], 1.0) * R * R
         else:
-            moved = chart_to_unit_hyperboloid(np.take_along_axis(moved, turn, axis=1)[inner])
-            area = _fan_areas(moved, _MINKOWSKI) * R * R
+            moved = chart_to_unit_surface(kind, np.take_along_axis(moved, turn, axis=1)[inner])
+            area = _fan_areas(moved, -1.0) * R * R
         areas[rows[inner]] = area / (scale * scale)
         if kind == SPHERE:
             # stereographic chart polygon of the ordered vertices, for rendering

@@ -106,11 +106,11 @@ def test_sphere_band_counts_proportional_to_axial_extent():
 
 
 def test_chart_positions_match_embedding():
-    from phyllo.geometry import sphere_xyz_to_chart
+    from phyllo.geometry import chart_to_unit_surface
 
     p = generate_sphere(501)
     np.testing.assert_allclose(
-        sphere_xyz_to_chart(p.surface, p.xyz[:-1]), p.chart_xy[:-1], atol=1e-12
+        p.surface.R * chart_to_unit_surface("sphere", p.chart_xy[:-1]), p.xyz[:-1], atol=1e-12
     )
 
 

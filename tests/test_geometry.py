@@ -9,14 +9,12 @@ from phyllo.geometry import (
     SurfaceSpec,
     chart_distance_xy,
     chart_radius_from_geodesic,
-    chart_to_unit_hyperboloid,
-    chart_to_unit_sphere,
+    chart_to_unit_surface,
     circle_area,
     circle_circumference,
     conformal_factor,
     geodesic_radius_from_chart,
     sphere_cap_sites,
-    sphere_xyz_to_chart,
 )
 
 PLANE = SurfaceSpec("plane", None, 1.0)
@@ -70,11 +68,9 @@ def test_sphere_distance_agrees_with_great_circle():
     rng = np.random.default_rng(7)
     R = 2.5
     sph = SurfaceSpec("sphere", R, 1.0)
-    v = rng.normal(size=(40, 3))
-    v *= R / np.linalg.norm(v, axis=1)[:, None]
-    v[:, 2] = -np.abs(v[:, 2])  # keep away from the projection pole at +R
-    p = sphere_xyz_to_chart(sph, v[:20])
-    q = sphere_xyz_to_chart(sph, v[20:])
+    xy = rng.normal(size=(40, 2))
+    p, q = xy[:20], xy[20:]
+    v = R * chart_to_unit_surface("sphere", xy)
     expected = R * np.arccos(np.clip(np.sum(v[:20] * v[20:], axis=1) / R**2, -1, 1))
     np.testing.assert_allclose(chart_distance_xy(sph, p, q), expected, atol=1e-12)
 
@@ -143,15 +139,16 @@ def test_sphere_chart_embedding_round_trip():
     rng = np.random.default_rng(3)
     sph = SurfaceSpec("sphere", 18.378, 1.0)
     xy = rng.normal(size=(50, 2))
-    xyz = sph.R * chart_to_unit_sphere(xy)
+    xyz = sph.R * chart_to_unit_surface("sphere", xy)
     np.testing.assert_allclose(np.linalg.norm(xyz, axis=1), sph.R, rtol=1e-12)
-    np.testing.assert_allclose(sphere_xyz_to_chart(sph, xyz), xy, atol=1e-12)
+    # stereographic projection from the pole (0, 0, R) inverts it
+    np.testing.assert_allclose(xyz[:, :2] / (sph.R - xyz[:, 2:]), xy, atol=1e-12)
 
 
 def test_disc_hyperboloid_lift_round_trip():
     rng = np.random.default_rng(4)
     xy = rng.uniform(-0.7, 0.7, size=(50, 2))
-    lifted = chart_to_unit_hyperboloid(xy)
+    lifted = chart_to_unit_surface("hyperbolic", xy)
     form = lifted[:, 2] ** 2 - np.sum(lifted[:, :2] ** 2, axis=1)
     np.testing.assert_allclose(form, 1.0, rtol=1e-12)
     np.testing.assert_allclose(lifted[:, :2] / (1.0 + lifted[:, 2:]), xy, atol=1e-15)
@@ -159,4 +156,4 @@ def test_disc_hyperboloid_lift_round_trip():
     dot = np.sum(lifted[:25, :2] * lifted[25:, :2], axis=1) - lifted[:25, 2] * lifted[25:, 2]
     np.testing.assert_allclose(-dot, np.cosh(chart_distance_xy(HYP1, xy[:25], xy[25:])), rtol=1e-12)
     with pytest.raises(ValueError):
-        chart_to_unit_hyperboloid([[0.6, 0.8]])
+        chart_to_unit_surface("hyperbolic", [[0.6, 0.8]])
