@@ -181,6 +181,8 @@ def chart_to_unit_surface(kind: str, xy):
     if kind == HYPERBOLIC:
         _check_hyperbolic_r(r2)
         z, denom = 1.0 + r2, (1.0 - r2)[..., None]
-    else:
+    elif kind == SPHERE:
         z, denom = r2 - 1.0, (1.0 + r2)[..., None]
+    else:
+        raise ValueError(f"the {kind} chart lifts onto no unit surface")
     return np.concatenate((2.0 * xy / denom, z[..., None] / denom), axis=-1)

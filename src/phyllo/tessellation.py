@@ -172,16 +172,16 @@ def _polygon_areas(poly: np.ndarray) -> np.ndarray:
 
 def _fan_areas(ring: np.ndarray, sign: float) -> np.ndarray:
     """Signed areas of m geodesic polygons on the unit sphere (sign 1) or hyperboloid (-1)."""
-    # Van Oosterom and Strackee's fan: tan(A/2) = a.(b x c) / (1 + a.cb + b.cc
-    # + c.ca), where x.cy is the cosine or hyperbolic cosine of a side (cy = y
-    # on the sphere, bit for bit); np.arctan2 rounds differently from math's
-    cosine = ring * np.array([sign, sign, 1.0])
+    # Van Oosterom and Strackee's fan: tan(A/2) = a.(b x c) / (1 + a.cos b +
+    # b.cos c + c.cos a), where x.cos y is the cosine or hyperbolic cosine of a
+    # side (cos y = y on the sphere, bit for bit); np.arctan2 rounds differently
+    cos = ring * np.array([sign, sign, 1.0])
     fan = np.zeros(len(ring))
     a = ring[:, 0]
     for j in range(1, ring.shape[1] - 1):
         b, c = ring[:, j], ring[:, j + 1]
         numer = _row_dot(a, np.cross(b, c))
-        denom = 1.0 + _row_dot(a, cosine[:, j]) + _row_dot(b, cosine[:, j + 1]) + _row_dot(c, cosine[:, 0])
+        denom = 1.0 + _row_dot(a, cos[:, j]) + _row_dot(b, cos[:, j + 1]) + _row_dot(c, cos[:, 0])
         fan += 2.0 * np.array(list(map(math.atan2, numer.tolist(), denom.tolist())))
     return fan
 
@@ -210,27 +210,28 @@ def _plane_triangles(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return simplices, a + offset / d[:, None]
 
 
-def _to_origin(z: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Complex disc points z as seen from p: the isometry taking p to the origin."""
-    return (z - p) / (1.0 - np.conj(p) * z)
+def _to_origin(xy: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Disc points (..., 2) as seen from p: the isometry taking p to the origin."""
+    z, p = xy.view(complex), p.view(complex)
+    return ((z - p) / (1.0 - np.conj(p) * z)).view(float)
 
 
 def _disc_triangles(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Delaunay triangles of disc sites and their circumcenters.
 
-    With corner a moved to the origin, the lift of corner w minus that of a is
-    2 (w, |w|^2) / (1 - |w|^2).  A timelike normal is the circumcenter, (x, y)/(1 + z)
-    in the chart; any other (no hyperbolic circle) puts its vertex at (x, y)/z.
+    With corner a moved to the origin, the lift of a corner w minus that of a
+    is 2 (w, |w|^2) / (1 - |w|^2), parallel to (w, |w|^2).  A timelike normal
+    is the circumcenter, (x, y)/(1 + z) in the chart; any other (no hyperbolic
+    circle) puts its vertex at (x, y)/z, on or outside the unit circle.
     """
     simplices, minkowski = _delaunay(xy)[0], np.array([1.0, 1.0, -1.0])
-    z = xy.view(complex)[:, 0]
-    a = z[simplices[:, 0]]
-    b, c = (_to_origin(z[simplices[:, j]], a) for j in (1, 2))
-    normal = np.cross(*(np.column_stack((w.real, w.imag, w.real**2 + w.imag**2)) for w in (b, c)))
+    a = xy[simplices[:, 0]]
+    b, c = (_to_origin(xy[simplices[:, j]], a) for j in (1, 2))
+    normal = np.cross(*(np.column_stack((w, np.sum(w * w, axis=1))) for w in (b, c)))
     normal *= np.where(normal[:, 2] > 0.0, -1.0, 1.0)[:, None] * minkowski  # upper sheet
     norm = np.sqrt(np.maximum(-_row_dot(normal, normal * minkowski), 0.0))
-    v = _to_origin((normal[:, 0] + 1j * normal[:, 1]) / (norm + normal[:, 2]), -a)
-    return simplices, v[:, None].view(float)
+    center = (normal[:, 0] + 1j * normal[:, 1]) / (norm + normal[:, 2])
+    return simplices, _to_origin(center[:, None].view(float), -a)
 
 
 def _sphere_triangles(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,7 +310,7 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
             y = (ring @ e2[rows][:, :, None])[..., 0]
         elif kind == HYPERBOLIC:
             # each cell as seen from its site, where geodesics are diameters
-            moved = _to_origin(ring.view(complex)[..., 0], points.view(complex)[rows])[..., None].view(float)
+            moved = _to_origin(ring, points[rows][:, None, :])
             x, y = moved[..., 0], moved[..., 1]
         else:
             x, y = np.moveaxis(ring - points[rows][:, None, :], -1, 0)

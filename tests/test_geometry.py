@@ -157,3 +157,5 @@ def test_disc_hyperboloid_lift_round_trip():
     np.testing.assert_allclose(-dot, np.cosh(chart_distance_xy(HYP1, xy[:25], xy[25:])), rtol=1e-12)
     with pytest.raises(ValueError):
         chart_to_unit_surface("hyperbolic", [[0.6, 0.8]])
+    with pytest.raises(ValueError):
+        chart_to_unit_surface("plane", xy)
