@@ -535,25 +535,20 @@ def test_disc_areas_match_grid_oracle(a):
         assert area_series(tess).mean == pytest.approx(math.pi, rel=0.01)
 
 
-def _disc_distance(R, p, q):
-    diff = np.sum((p - q) ** 2, axis=-1)
-    return 2.0 * R * np.arcsinh(np.sqrt(diff / ((1.0 - np.sum(p * p, axis=-1)) * (1.0 - np.sum(q * q, axis=-1)))))
-
-
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(a=st.floats(0.02, 1.0), n=st.integers(12, 400))
 def test_disc_vertices_are_hyperbolic_circumcenters(a, n):
     pattern = generate("hyperbolic", n, a=a)
     tess = tessellate(pattern)
-    xy, R = pattern.chart_xy, pattern.surface.R
+    xy, surface = pattern.chart_xy, pattern.surface
     interior = np.flatnonzero(~tess.cells.is_boundary)
     assert np.all(tess.cells.area[interior] > 0)
     for s in interior:
         # each vertex is as far from s as from the two neighbors that share
         # its triangle, and every other neighbor is farther
         verts = tess.vertices[tess.vertex_offsets[s] : tess.vertex_offsets[s + 1]]
-        to_site = _disc_distance(R, verts, xy[s])
-        to_others = np.sort(_disc_distance(R, verts[:, None, :], xy[tess.adjacency[s]][None]), axis=1)
+        to_site = chart_distance_xy(surface, verts, xy[s])
+        to_others = np.sort(chart_distance_xy(surface, verts[:, None], xy[tess.adjacency[s]]), axis=1)
         np.testing.assert_allclose(to_others[:, :2], np.column_stack((to_site, to_site)), rtol=1e-9)
 
 
