@@ -55,6 +55,9 @@ EXIT_ANOMALY = 2
 #: empirical threshold sweeps refuse spheres larger than this
 EMPIRICAL_N_CAP = 4001
 
+#: characters of a text written to a file at a time
+_WRITE_CHARS = 1 << 20
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; the contract here wants 1."""
@@ -122,15 +125,33 @@ def _pattern_from_args(parser: _Parser, args) -> "PhylloPattern":
 
 
 def _write_text(parser: _Parser, path: Path, content: str | dict) -> None:
-    """Write text to path; a JSON document (a dict) is written block by block."""
+    """Write text to path; a JSON document (a dict) is written block by block.
+
+    A write that fails part-way removes the partial file.
+    """
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            if isinstance(content, str):
-                fh.write(content)
-            else:
-                write_json(content, fh)
+        fh = open(path, "w", encoding="utf-8", newline="\n")
     except OSError as err:
         parser.error(f"cannot write {path}: {err.strerror or err}")
+    try:
+        with fh:
+            if isinstance(content, str):
+                # a slice at a time: the file encodes what it is given as a whole
+                for lo in range(0, len(content), _WRITE_CHARS):
+                    fh.write(content[lo : lo + _WRITE_CHARS])
+            else:
+                write_json(content, fh)
+    except BaseException as err:
+        if path.is_file() and not path.is_symlink():  # not /dev/stdout or the like
+            try:
+                path.unlink()
+            except OSError:
+                pass
+        if isinstance(err, MemoryError):
+            parser.error(f"not enough memory to write {path}")
+        if isinstance(err, OSError):
+            parser.error(f"cannot write {path}: {err.strerror or err}")
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +344,10 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     # subparser errors must exit 1 as well; they share the _Parser class
-    return args.func(parser, args)
+    try:
+        return args.func(parser, args)
+    except MemoryError:  # one that no command step names more precisely
+        parser.error(f"not enough memory to finish {args.command}")
 
 
 if __name__ == "__main__":

@@ -7,16 +7,19 @@ records a timestamp.
 
 The documents are dicts written by one generic writer, dumps_json, except
 for their large lists: the sites of a pattern and the cells of a
-tessellation.  Those are written column by column.  Each numeric column is
-formatted from ``.tolist()`` with ``format(x, ".17g")`` (NaN as null), and
-the columns fill one row template per document; the chart vertices, which
-neighboring cells share, are formatted once per distinct value of a block
-(_distinct_text, which render_svg uses as well).  This runs on at most
-tessellation._BLOCK rows at a time, so the temporaries stay small; each
-block's text is kept as a pre-rendered fragment that the generic writer
-writes verbatim, straight to write_json's stream.  The text is the same as
-the generic writer gives for a list of per-row dicts.  The three CSV files
-fill a row template from their columns in the same way.
+tessellation.  Those are written column by column, at most
+tessellation._BLOCK rows at a time.  Each block formats its numeric columns
+from ``.tolist()`` with ``format(x, ".17g")`` (NaN as null), each distinct
+value once (_distinct_text, which render_svg uses as well): the chart
+vertices that neighboring cells share, and on the plane the equal radii
+rho and r.  The columns fill one row template per document.  A document
+holds its list as a _JsonRows, which renders the blocks only while it is
+written: write_json writes each block's text to its stream as soon as it
+is made and keeps nothing, so the whole text of a tessellation is never in
+memory.  The text is the same as the generic writer gives for a list of
+per-row dicts.  The three CSV files fill a row template from slices of
+their columns in the same way, _BLOCK rows at a time, and return their
+text.
 """
 
 from __future__ import annotations
@@ -81,20 +84,23 @@ def _distinct_text(values: np.ndarray, fmt):
     return map(fmt(bits.view(np.float64)).__getitem__, inverse.tolist())
 
 
-class _Fragment(str):
-    """JSON text rendered ahead of time; _write_json writes it verbatim."""
+class _JsonRows:
+    """JSON list of n rows, rendered _BLOCK rows at a time whenever it is iterated.
 
-    __slots__ = ()
-
-
-def _json_rows(n: int, rows) -> list[_Fragment]:
-    """JSON list of n rows; rows(lo, hi) yields the text of rows lo..hi-1.
-
-    Rows are rendered _BLOCK at a time, so the per-row temporaries stay
-    small; only the text of each finished block is kept, one fragment per
-    block, which the generic writer separates with ", " like any list items.
+    rows(lo, hi) yields the text of rows lo..hi-1.  Iteration yields the
+    text of one block at a time, which _write_json writes verbatim and
+    separates with ", " like any list items; nothing is kept between
+    blocks, so a document can be written any number of times.
     """
-    return [_Fragment(", ".join(rows(lo, min(lo + _BLOCK, n)))) for lo in range(0, n, _BLOCK)]
+
+    __slots__ = ("n", "rows")
+
+    def __init__(self, n: int, rows):
+        self.n, self.rows = n, rows
+
+    def __iter__(self):
+        for lo in range(0, self.n, _BLOCK):
+            yield ", ".join(self.rows(lo, min(lo + _BLOCK, self.n)))
 
 
 def dumps_json(doc) -> str:
@@ -117,8 +123,6 @@ def _write_json(node, out) -> None:
         out.write("true")
     elif node is False:
         out.write("false")
-    elif isinstance(node, _Fragment):
-        out.write(node)
     elif isinstance(node, str):
         out.write(json.dumps(node))
     elif isinstance(node, (int, np.integer)):
@@ -134,12 +138,14 @@ def _write_json(node, out) -> None:
             out.write(": ")
             _write_json(node[key], out)
         out.write("}")
-    elif isinstance(node, (list, tuple, np.ndarray)):
+    elif isinstance(node, (list, tuple, np.ndarray, _JsonRows)):
+        # the items of a _JsonRows are blocks of JSON text already
+        write = out.write if isinstance(node, _JsonRows) else lambda item: _write_json(item, out)
         out.write("[")
         for k, item in enumerate(node):
             if k:
                 out.write(", ")
-            _write_json(item, out)
+            write(item)
         out.write("]")
     else:
         raise TypeError(f"cannot serialize {type(node).__name__}")
@@ -167,15 +173,16 @@ def pattern_document(pattern: PhylloPattern) -> dict:
     template += "}"
 
     def rows(lo: int, hi: int):
-        texts = [_json_floats(column[lo:hi]) for column in columns]
-        return map(template.__mod__, zip(pattern.s[lo:hi].tolist(), *texts))
+        # row by row, so that one iterator fills every float of a row
+        text = _distinct_text(np.column_stack([column[lo:hi] for column in columns]), _json_floats)
+        return map(template.__mod__, zip(pattern.s[lo:hi].tolist(), *[text] * len(columns)))
 
     return {
         "schema": PATTERN_SCHEMA,
         "surface": _surface_document(pattern.surface),
         "n": pattern.n,
         "indexing": pattern.indexing,
-        "sites": _json_rows(pattern.n, rows),
+        "sites": _JsonRows(pattern.n, rows),
     }
 
 
@@ -268,29 +275,25 @@ def tessellation_document(tess: Tessellation) -> dict:
         '{"s": %d, "vertices": [%s], "sides": %d, "area": %s, "isBoundary": %s,'
         ' "neighborDeltas": [%s]}'
     )
-    area = np.where(cells.is_boundary, math.nan, cells.area)  # boundary cells write null
-    sides = cells.sides.tolist()
-    flags = np.where(cells.is_boundary, "true", "false").tolist()
-    corners = np.diff(offsets).tolist()
     delta, indptr = adjacency.delta, adjacency.indptr
 
     def rows(lo: int, hi: int):
         xy = _distinct_text(tess.vertices[offsets[lo] : offsets[hi]], _json_floats)
         points = map("[%s, %s]".__mod__, zip(xy, xy))
-        polygons = [", ".join(islice(points, k)) for k in corners[lo:hi]]
+        polygons = [", ".join(islice(points, k)) for k in np.diff(offsets[lo : hi + 1]).tolist()]
+        sides = cells.sides[lo:hi].tolist()
         steps = iter(map(str, delta[indptr[lo] : indptr[hi]].tolist()))
-        deltas = [", ".join(islice(steps, k)) for k in sides[lo:hi]]
-        areas = _json_floats(area[lo:hi])
-        return map(
-            template.__mod__,
-            zip(range(lo, hi), polygons, sides[lo:hi], areas, flags[lo:hi], deltas),
-        )
+        deltas = [", ".join(islice(steps, k)) for k in sides]
+        boundary = cells.is_boundary[lo:hi]
+        areas = _json_floats(np.where(boundary, math.nan, cells.area[lo:hi]))  # boundary: null
+        flags = map(("false", "true").__getitem__, boundary.tolist())
+        return map(template.__mod__, zip(range(lo, hi), polygons, sides, areas, flags, deltas))
 
     return {
         "schema": TESSELLATION_SCHEMA,
         "surface": _surface_document(pattern.surface),
         "n": pattern.n,
-        "cells": _json_rows(pattern.n, rows),
+        "cells": _JsonRows(pattern.n, rows),
     }
 
 
@@ -334,9 +337,21 @@ def boundary_rows(boundaries) -> list[dict]:
     return rows
 
 
-def _csv_columns(columns, template: str, *values) -> str:
-    """CSV text of a header row and one template row per entry of the columns."""
-    return ",".join(columns) + "\n" + "".join(map(template.__mod__, zip(*values)))
+def _csv_text(columns, template: str, *values) -> str:
+    """CSV text of a header row and one template row per entry of the value arrays.
+
+    Rows are filled _BLOCK at a time from slices of the arrays: float
+    columns as 17-digit text (_g17), the others as their Python values.
+    """
+    n = len(values[0])
+    blocks = [",".join(columns) + "\n"]
+    for lo in range(0, n, _BLOCK):
+        fields = [
+            _g17(v[lo : lo + _BLOCK]) if v.dtype.kind == "f" else v[lo : lo + _BLOCK].tolist()
+            for v in values
+        ]
+        blocks.append("".join(map(template.__mod__, zip(*fields))))
+    return "".join(blocks)
 
 
 def _csv_cell(v) -> str:
@@ -346,30 +361,20 @@ def _csv_cell(v) -> str:
 
 def boundaries_csv(boundaries) -> str:
     rows = boundary_rows(boundaries)
-    cells = [[_csv_cell(row[c]) for row in rows] for c in BOUNDARY_COLUMNS]
-    return _csv_columns(BOUNDARY_COLUMNS, ",".join(["%s"] * len(BOUNDARY_COLUMNS)) + "\n", *cells)
+    cells = [np.array([_csv_cell(row[c]) for row in rows], dtype=object) for c in BOUNDARY_COLUMNS]
+    return _csv_text(BOUNDARY_COLUMNS, ",".join(["%s"] * len(BOUNDARY_COLUMNS)) + "\n", *cells)
 
 
 DISTANCE_COLUMNS = ["s_from", "s_to", "rank", "measured", "analytic", "interior"]
 
 
 def distance_csv(series) -> str:
-    return _csv_columns(
-        DISTANCE_COLUMNS,
-        "%d,%d,%d,%s,%s,%s\n",
-        series.s_from.tolist(),
-        series.s_to.tolist(),
-        series.rank.tolist(),
-        _g17(series.measured),
-        _g17(series.analytic),
-        series.interior.tolist(),
-    )
+    values = [getattr(series, name) for name in DISTANCE_COLUMNS]  # the series' own field names
+    return _csv_text(DISTANCE_COLUMNS, "%d,%d,%d,%s,%s,%s\n", *values)
 
 
 AREA_COLUMNS = ["s", "area", "in_window"]
 
 
 def area_csv(series) -> str:
-    return _csv_columns(
-        AREA_COLUMNS, "%d,%s,%s\n", series.s.tolist(), _g17(series.area), series.window.tolist()
-    )
+    return _csv_text(AREA_COLUMNS, "%d,%s,%s\n", series.s, series.area, series.window)

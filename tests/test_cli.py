@@ -4,8 +4,10 @@ Everything runs in-process through ``cli.main`` so exit codes and stream
 routing are observable without spawning subprocesses.
 """
 
+import errno
 import io
 import json
+import os
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phyllo import cli
+from phyllo import cli, export
 from phyllo.export import (
     BOUNDARY_COLUMNS,
     PATTERN_SCHEMA,
@@ -264,6 +266,51 @@ def test_out_of_memory_is_a_one_line_error(stage, argv, message, monkeypatch, ca
     stderr = capsys.readouterr().err
     assert "Traceback" not in stderr
     assert stderr.splitlines()[-1] == f"phyllo: error: {message}"
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (MemoryError(), "not enough memory to write {path}"),
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+         f"cannot write {{path}}: {os.strerror(errno.ENOSPC)}"),
+    ],
+)
+def test_failed_write_leaves_no_partial_file(error, message, tmp_path, monkeypatch, capsys):
+    # the first block of cells formats its vertices, then fails on its areas,
+    # after the file was opened and its head written
+    json_floats = export._json_floats
+    calls = []
+
+    def fail_second_call(values):
+        calls.append(len(values))
+        if len(calls) == 2:
+            raise error
+        return json_floats(values)
+
+    monkeypatch.setattr(export, "_json_floats", fail_second_call)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["analyze", "--geometry", "plane", "--n", "600", "--out", str(tmp_path)])
+    assert err.value.code == 1
+    assert len(calls) == 2
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    path = tmp_path / "tessellation.json"
+    errors = [line for line in stderr.splitlines() if "error" in line]
+    assert errors == ["phyllo: error: " + message.format(path=path)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
+
+
+def test_out_of_memory_outside_any_step_is_a_one_line_error(tmp_path, monkeypatch, capsys):
+    # the CSV text is made before its file is opened
+    monkeypatch.setattr(cli, "distance_csv", _out_of_memory)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["analyze", "--geometry", "plane", "--n", "600", "--format", "csv",
+                  "--out", str(tmp_path)])
+    assert err.value.code == 1
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    assert stderr.splitlines()[-1] == "phyllo: error: not enough memory to finish analyze"
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
