@@ -129,11 +129,9 @@ def _write_text(parser: _Parser, path: Path, content: str | dict) -> None:
 
     A write that fails part-way removes the partial file.
     """
+    fh = None
     try:
         fh = open(path, "w", encoding="utf-8", newline="\n")
-    except OSError as err:
-        parser.error(f"cannot write {path}: {err.strerror or err}")
-    try:
         with fh:
             if isinstance(content, str):
                 # a slice at a time: the file encodes what it is given as a whole
@@ -142,7 +140,7 @@ def _write_text(parser: _Parser, path: Path, content: str | dict) -> None:
             else:
                 write_json(content, fh)
     except BaseException as err:
-        if path.is_file() and not path.is_symlink():  # not /dev/stdout or the like
+        if fh is not None and path.is_file() and not path.is_symlink():  # not /dev/stdout
             try:
                 path.unlink()
             except OSError:

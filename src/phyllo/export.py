@@ -369,8 +369,16 @@ DISTANCE_COLUMNS = ["s_from", "s_to", "rank", "measured", "analytic", "interior"
 
 
 def distance_csv(series) -> str:
-    values = [getattr(series, name) for name in DISTANCE_COLUMNS]  # the series' own field names
-    return _csv_text(DISTANCE_COLUMNS, "%d,%d,%d,%s,%s,%s\n", *values)
+    return _csv_text(
+        DISTANCE_COLUMNS,
+        "%d,%d,%d,%s,%s,%s\n",
+        series.s_from,
+        series.s_to,
+        series.rank,
+        series.measured,
+        series.analytic,
+        series.interior,
+    )
 
 
 AREA_COLUMNS = ["s", "area", "in_window"]
