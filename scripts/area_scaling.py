@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from phyllo.analysis import area_series
-from phyllo.generator import generate_plane
+from phyllo.generator import generate
 from phyllo.tessellation import tessellate
 
 DEFAULT_SIZES = [750, 1060, 1500, 2121, 3000, 4243, 6000]
@@ -24,7 +24,7 @@ def main() -> None:
 
     rows = []
     for n in args.sizes:
-        ar = area_series(tessellate(generate_plane(n)))
+        ar = area_series(tessellate(generate("plane", n)))
         rows.append((n, ar.mean, ar.stddev, int(ar.window.sum())))
         print(f"n={n:6d}  window={rows[-1][3]:6d}  mean={ar.mean:.6f}"
               f"  stddev={ar.stddev:.6f}  stddev*sqrt(n)={ar.stddev * math.sqrt(n):.4f}")

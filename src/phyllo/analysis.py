@@ -25,12 +25,8 @@ from .tessellation import Tessellation
 
 __all__ = [
     "CORE_DEPTH",
-    "EDGE_MARGIN_CELLS",
-    "GrainBoundary",
-    "DipoleAngles",
-    "DistanceSeries",
-    "AreaSeries",
-    "site_depth",
+    "DISTANCE_MIN",
+    "DISTANCE_MAX",
     "detect_grain_boundaries",
     "ring_spans_equator",
     "verify_inflation",
@@ -39,12 +35,9 @@ __all__ = [
     "boundary_radius",
     "sphere_thresholds",
     "boundary_polar_angle",
-    "grain_bounds_estimate",
     "analytic_distance",
     "distance_series",
     "area_series",
-    "DISTANCE_MIN",
-    "DISTANCE_MAX",
 ]
 
 #: sites closer than this (in index steps) to a pattern pole form the
@@ -378,32 +371,12 @@ def sphere_thresholds(u_max: int) -> list[int]:
         ]
 
 
-def _ring_fit(u: int, nu: int) -> float:
-    """sin^2 of the rank-u ring's colatitude on the sphere with n = 2*nu + 1."""
-    arg = fibonacci(2 * u + 1) / ((2 * nu + 1) * math.pi)
-    if arg > 1.0:
-        raise ValueError(f"ring of rank {u} does not fit on a sphere of {2 * nu + 1} sites")
-    return arg
-
-
 def boundary_polar_angle(u: int, nu: int) -> float:
     """Colatitude of the rank-u dipole ring on the sphere with n = 2*nu + 1."""
-    return math.asin(math.sqrt(_ring_fit(u, nu)))
-
-
-def grain_bounds_estimate(u: int, nu: int) -> tuple[int, int]:
-    """Spiral-index bounds of the rank-u ring's hexagon band on the sphere.
-
-    The band is centered where the ring circle sits (cap population
-    nu*(1 - cos phi)) and spans the f_{u-1} hexagons of the ring; values
-    can land one site off the detected band.
-    """
-    cap = nu * (1.0 - math.sqrt(1.0 - _ring_fit(u, nu)))
-    f = fibonacci(u - 1)
-    return (
-        math.floor((5.0 - f) / 2.0 + cap),
-        math.floor((f + 3.0) / 2.0 + cap),
-    )
+    sin2 = fibonacci(2 * u + 1) / ((2 * nu + 1) * math.pi)
+    if sin2 > 1.0:
+        raise ValueError(f"ring of rank {u} does not fit on a sphere of {2 * nu + 1} sites")
+    return math.asin(math.sqrt(sin2))
 
 
 # ---------------------------------------------------------------------------

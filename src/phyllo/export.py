@@ -36,12 +36,9 @@ from .geometry import SPHERE, SurfaceSpec
 from .tessellation import _BLOCK, Tessellation
 
 __all__ = [
-    "PATTERN_SCHEMA",
-    "TESSELLATION_SCHEMA",
     "dumps_json",
     "write_json",
     "pattern_document",
-    "pattern_from_document",
     "load_pattern",
     "tessellation_document",
     "boundary_rows",

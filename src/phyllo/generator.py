@@ -18,14 +18,7 @@ import numpy as np
 from .geometry import HYPERBOLIC, PLANE, SPHERE, SurfaceSpec
 from .numerics import DIVERGENCE
 
-__all__ = [
-    "PhylloPattern",
-    "generate_plane",
-    "generate_hyperbolic",
-    "generate_sphere",
-    "generate",
-    "normalization_scale",
-]
+__all__ = ["generate", "normalization_scale"]
 
 INDEXINGS = ("integer", "half-integer")
 
@@ -68,14 +61,14 @@ class PhylloPattern:
 
 
 def _radial_law(surface: SurfaceSpec, x):
-    """Geodesic radius, chart radius r and dr/dx of the generate_* spirals.
+    """Geodesic radius, chart radius r and dr/dx of generate's spirals.
 
     x is the real site index on the plane and the disc, and z/R on the
     sphere; dr/dx is infinite at a pole.
     """
     x = np.asarray(x, dtype=float)
     a = surface.a
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         if surface.kind == PLANE:
             rho = a * np.sqrt(x)
             return rho, rho.copy(), a / (2.0 * np.sqrt(x))
@@ -88,81 +81,6 @@ def _radial_law(surface: SurfaceSpec, x):
         return surface.R * colat, r, (1.0 + r * r) / (2.0 * np.sin(colat))
 
 
-def generate_plane(
-    n: int,
-    a: float = 1.0,
-    lam: float = DIVERGENCE,
-    indexing: str = "integer",
-) -> PhylloPattern:
-    """Square-root spiral on the plane: rho = a*sqrt(s), theta = 2*pi*lam*s."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    surface = SurfaceSpec(PLANE, None, a, lam)
-    s_eff = _effective_index(n, indexing)
-    rho, r, _ = _radial_law(surface, s_eff)
-    theta = (2.0 * math.pi * lam) * s_eff
-    return PhylloPattern(surface, n, indexing, np.arange(n), rho, theta, r)
-
-
-def generate_hyperbolic(
-    n: int,
-    a: float,
-    lam: float = DIVERGENCE,
-    indexing: str = "integer",
-) -> PhylloPattern:
-    """Equal-area spiral on the hyperbolic plane of curvature -a^2.
-
-    With R = 1/a the geodesic radius of site s is R*acosh(a^2*s/2 + 1), so
-    the disc out to site s encloses area exactly pi*s; the disc-chart radius
-    is tanh(rho/(2R)).  Small s reduces to the flat spiral a*sqrt(s) in
-    curvature units.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not 0 < a <= 1:
-        raise ValueError(f"need 0 < a <= 1, got {a}")
-    surface = SurfaceSpec(HYPERBOLIC, 1.0 / a, a, lam)
-    s_eff = _effective_index(n, indexing)
-    rho, r, _ = _radial_law(surface, s_eff)
-    theta = (2.0 * math.pi * lam) * s_eff
-    return PhylloPattern(surface, n, indexing, np.arange(n), rho, theta, r)
-
-
-def generate_sphere(
-    n: int,
-    lam: float = DIVERGENCE,
-    indexing: str = "integer",
-) -> PhylloPattern:
-    """Equal-area spiral on the sphere of radius R = sqrt(n)/2.
-
-    Sites are uniform in the axial coordinate (the cylinder-to-sphere
-    equal-area map): with n = 2*nu + 1 and s' = s - nu, site s sits at
-    latitude arcsin(s'/nu), so z = R*s'/nu exactly and both poles are
-    occupied.  The R choice makes the area per site 4*pi*R^2/n = pi.
-    Half-integer indexing instead spreads z uniformly over open midpoints,
-    leaving both poles empty (and works for even n).
-    """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    if indexing == "integer" and n % 2 == 0:
-        raise ValueError(f"integer indexing needs odd n, got {n}")
-    R = math.sqrt(n) / 2.0
-    surface = SurfaceSpec(SPHERE, R, 2.0 / math.sqrt(n), lam)
-    s = np.arange(n)
-    if indexing == "integer":
-        nu = (n - 1) // 2
-        z_hat = (s - nu) / nu  # z/R, exactly s'/nu
-    else:
-        z_hat = (2.0 * _effective_index(n, indexing)) / n - 1.0
-    s_eff = _effective_index(n, indexing)
-    theta = (2.0 * math.pi * lam) * s_eff
-    phi = np.arcsin(z_hat)
-    rho, r, _ = _radial_law(surface, z_hat)
-    sin_colat = np.sqrt(np.maximum(0.0, 1.0 - z_hat * z_hat))
-    xyz = np.column_stack((R * sin_colat * np.cos(theta), R * sin_colat * np.sin(theta), R * z_hat))
-    return PhylloPattern(surface, n, indexing, s, rho, theta, r, phi=phi, xyz=xyz)
-
-
 def generate(
     kind: str,
     n: int,
@@ -170,14 +88,53 @@ def generate(
     lam: float = DIVERGENCE,
     indexing: str = "integer",
 ) -> PhylloPattern:
-    """Dispatch to the per-geometry constructor (a is ignored on the sphere)."""
-    if kind == PLANE:
-        return generate_plane(n, a, lam, indexing)
-    if kind == HYPERBOLIC:
-        return generate_hyperbolic(n, a, lam, indexing)
+    """Equal-area spiral of n sites on the surface `kind`; a is ignored on the sphere.
+
+    Site s sits at azimuth 2*pi*lam*s on every surface, and the radial laws are:
+
+    - plane: the square-root spiral rho = a*sqrt(s).
+    - hyperbolic, curvature -a^2 with 0 < a <= 1: with R = 1/a the geodesic
+      radius of site s is R*acosh(a^2*s/2 + 1), so the disc out to site s
+      encloses area exactly pi*s; the disc-chart radius is tanh(rho/(2R)).
+      Small s reduces to the flat spiral a*sqrt(s) in curvature units.
+    - sphere of radius R = sqrt(n)/2: sites are uniform in the axial
+      coordinate (the cylinder-to-sphere equal-area map).  With n = 2*nu + 1
+      and s' = s - nu, site s sits at latitude arcsin(s'/nu), so z = R*s'/nu
+      exactly and both poles are occupied.  The R choice makes the area per
+      site 4*pi*R^2/n = pi.  Half-integer indexing instead spreads z
+      uniformly over open midpoints, leaving both poles empty (and works for
+      even n).
+    """
     if kind == SPHERE:
-        return generate_sphere(n, lam, indexing)
-    raise ValueError(f"unknown surface kind {kind!r}")
+        if n < 3:
+            raise ValueError(f"need n >= 3, got {n}")
+        if indexing == "integer" and n % 2 == 0:
+            raise ValueError(f"integer indexing needs odd n, got {n}")
+        surface = SurfaceSpec(SPHERE, math.sqrt(n) / 2.0, 2.0 / math.sqrt(n), lam)
+    elif kind in (PLANE, HYPERBOLIC):
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
+        if kind == HYPERBOLIC and not 0 < a <= 1:
+            raise ValueError(f"need 0 < a <= 1, got {a}")
+        surface = SurfaceSpec(kind, None if kind == PLANE else 1.0 / a, a, lam)
+    else:
+        raise ValueError(f"unknown surface kind {kind!r}")
+    s = np.arange(n)
+    s_eff = _effective_index(n, indexing)
+    theta = (2.0 * math.pi * lam) * s_eff
+    x, phi, xyz = s_eff, None, None
+    if kind == SPHERE:
+        nu = (n - 1) // 2
+        x = (s - nu) / nu if indexing == "integer" else (2.0 * s_eff) / n - 1.0  # z/R
+        phi = np.arcsin(x)
+        R, sin_colat = surface.R, np.sqrt(np.maximum(0.0, 1.0 - x * x))
+        xyz = np.column_stack((R * sin_colat * np.cos(theta), R * sin_colat * np.sin(theta), R * x))
+    rho, r, _ = _radial_law(surface, x)
+    bad = ~(np.isfinite(rho) & np.isfinite(r))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"site {k} lies at a non-finite radius (rho={rho[k]}) with a={a}")
+    return PhylloPattern(surface, n, indexing, s, rho, theta, r, phi=phi, xyz=xyz)
 
 
 def normalization_scale(surface: SurfaceSpec) -> float:

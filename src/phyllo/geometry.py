@@ -16,21 +16,7 @@ import numpy as np
 
 from .numerics import DIVERGENCE
 
-__all__ = [
-    "PLANE",
-    "SPHERE",
-    "HYPERBOLIC",
-    "SURFACE_KINDS",
-    "SurfaceSpec",
-    "conformal_factor",
-    "chart_distance_xy",
-    "chart_radius_from_geodesic",
-    "geodesic_radius_from_chart",
-    "circle_area",
-    "circle_circumference",
-    "sphere_cap_sites",
-    "chart_to_unit_surface",
-]
+__all__ = ["PLANE", "SPHERE", "HYPERBOLIC", "SURFACE_KINDS"]
 
 PLANE = "plane"
 SPHERE = "sphere"
@@ -63,8 +49,12 @@ class SurfaceSpec:
         else:
             if self.R is None or not self.R > 0:
                 raise ValueError(f"{self.kind} needs R > 0, got {self.R}")
+            if not math.isfinite(self.R):
+                raise ValueError(f"{self.kind} needs a finite R, got {self.R}")
         if not self.a > 0:
             raise ValueError(f"scale a must be > 0, got {self.a}")
+        if not math.isfinite(self.a):
+            raise ValueError(f"scale a must be finite, got {self.a}")
         if not 0 < self.lam < 1:
             raise ValueError(f"divergence must lie in (0, 1), got {self.lam}")
 
@@ -113,40 +103,6 @@ def chart_distance_xy(surface: SurfaceSpec, p, q):
     return 2.0 * surface.R * np.arcsin(np.clip(arg, -1.0, 1.0))
 
 
-def chart_radius_from_geodesic(surface: SurfaceSpec, rho):
-    """Chart radius of the circle at geodesic radius rho from the origin."""
-    rho = np.asarray(rho, dtype=float)
-    if surface.kind == PLANE:
-        return rho
-    if surface.kind == HYPERBOLIC:
-        return np.tanh(rho / (2.0 * surface.R))
-    return np.tan(rho / (2.0 * surface.R))
-
-
-def geodesic_radius_from_chart(surface: SurfaceSpec, r):
-    """Inverse of chart_radius_from_geodesic."""
-    r = np.asarray(r, dtype=float)
-    if surface.kind == PLANE:
-        return r
-    if surface.kind == HYPERBOLIC:
-        _check_hyperbolic_r(r)
-        return 2.0 * surface.R * np.arctanh(r)
-    return 2.0 * surface.R * np.arctan(r)
-
-
-def circle_area(surface: SurfaceSpec, rho):
-    """Area enclosed by the geodesic circle of radius rho about the origin."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise ValueError("geodesic radius must be >= 0")
-    if surface.kind == PLANE:
-        return math.pi * rho * rho
-    R = surface.R
-    if surface.kind == HYPERBOLIC:
-        return 2.0 * math.pi * R * R * (np.cosh(rho / R) - 1.0)
-    return 2.0 * math.pi * R * R * (1.0 - np.cos(rho / R))
-
-
 def circle_circumference(surface: SurfaceSpec, rho):
     """Length of the geodesic circle of radius rho about the origin."""
     rho = np.asarray(rho, dtype=float)
@@ -156,17 +112,6 @@ def circle_circumference(surface: SurfaceSpec, rho):
     if surface.kind == HYPERBOLIC:
         return 2.0 * math.pi * R * np.sinh(rho / R)
     return 2.0 * math.pi * R * np.sin(rho / R)
-
-
-def sphere_cap_sites(nu: int, phi_colat: float) -> float:
-    """Expected number of lattice sites inside the polar cap of colatitude phi.
-
-    The equal-area construction spreads 2*nu + 1 sites uniformly in axial
-    coordinate, so a cap of colatitude phi holds nu*(1 - cos phi) of them.
-    """
-    if not 0 <= phi_colat <= math.pi:
-        raise ValueError(f"colatitude must lie in [0, pi], got {phi_colat}")
-    return nu * (1.0 - math.cos(phi_colat))
 
 
 def chart_to_unit_surface(kind: str, xy):

@@ -1,9 +1,8 @@
 """Integer and symbolic helpers shared by the generators and the analysis.
 
-Everything in here is exact: Fibonacci numbers as Python ints, convergents as
-Fractions, substitution words as tuples of 'L'/'S' symbols, and the square
-lattice strip model of a defect ring as int64 arrays.  Floating point enters
-only through the
+Everything in here is exact: Fibonacci numbers as Python ints, substitution
+words as tuples of 'L'/'S' symbols, and the square lattice strip model of a
+defect ring as int64 arrays.  Floating point enters only through the
 golden-ratio constants, which are derived once from a 50-digit Decimal value.
 """
 
@@ -11,22 +10,10 @@ from __future__ import annotations
 
 import decimal
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-__all__ = [
-    "GOLDEN_RATIO",
-    "DIVERGENCE",
-    "MAX_FIB_RANK",
-    "fibonacci",
-    "golden_approximant",
-    "LSWord",
-    "inflate",
-    "words_equal",
-    "strip_sequence",
-    "strip_dipole_word",
-]
+__all__ = ["DIVERGENCE", "strip_sequence", "strip_dipole_word"]
 
 with decimal.localcontext() as _ctx:
     _ctx.prec = 50
@@ -61,13 +48,6 @@ def fibonacci(u: int) -> int:
     if u > MAX_FIB_RANK:
         raise OverflowError(f"rank {u} exceeds supported maximum {MAX_FIB_RANK}")
     return _FIB[u]
-
-
-def golden_approximant(u: int) -> Fraction:
-    """Convergent f_u / f_{u-1} of the golden ratio, as an exact Fraction."""
-    if u < 2:
-        raise ValueError(f"approximant needs rank >= 2, got {u}")
-    return Fraction(fibonacci(u), fibonacci(u - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .export import _distinct_text
 from .geometry import HYPERBOLIC, SPHERE, chart_to_unit_surface
 from .tessellation import _BLOCK, Tessellation, classify
 
-__all__ = ["CELL_COLORS", "PROJECTIONS", "default_projection", "render_svg"]
+__all__ = ["PROJECTIONS", "render_svg"]
 
 CELL_COLORS = {
     "pentagon": "blue",
@@ -35,21 +35,17 @@ FALLBACK_COLOR = "lightgray"
 PROJECTIONS = ("chart", "orthographic", "stereographic")
 
 
-def default_projection(tess: Tessellation) -> str:
-    return "orthographic" if tess.pattern.surface.kind == SPHERE else "chart"
-
-
 def _g6(values: np.ndarray) -> list[str]:
     return list(map(format, values.tolist(), repeat(".6g")))
 
 
 def render_svg(tess: Tessellation, projection: str | None = None, size: int = 900) -> str:
-    """Draw the tessellation; returns the SVG text."""
+    """SVG text of the tessellation; the sphere is drawn orthographic by default."""
+    kind = tess.pattern.surface.kind
     if projection is None:
-        projection = default_projection(tess)
+        projection = "orthographic" if kind == SPHERE else "chart"
     if projection not in PROJECTIONS:
         raise ValueError(f"unknown projection {projection!r}")
-    kind = tess.pattern.surface.kind
     if projection != "chart" and kind != SPHERE:
         raise ValueError(f"projection {projection!r} needs a sphere pattern")
 

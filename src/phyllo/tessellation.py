@@ -39,13 +39,7 @@ from .generator import PhylloPattern, normalization_scale
 from .geometry import HYPERBOLIC, PLANE, SPHERE, chart_distance_xy, chart_to_unit_surface
 from .numerics import MAX_FIB_RANK, fibonacci
 
-__all__ = [
-    "Tessellation",
-    "tessellate",
-    "classify",
-    "CELL_TYPE_BY_SIDES",
-    "cell_contains",
-]
+__all__ = ["Tessellation", "tessellate"]
 
 #: side count -> cell label; anything else is "other"
 CELL_TYPE_BY_SIDES = {4: "square", 5: "pentagon", 6: "hexagon", 7: "heptagon"}

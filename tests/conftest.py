@@ -7,47 +7,47 @@ subsets stay fast.
 
 import pytest
 
-from phyllo.generator import generate_hyperbolic, generate_plane, generate_sphere
+from phyllo.generator import generate
 from phyllo.tessellation import tessellate
 
 
 @pytest.fixture(scope="session")
 def tess_plane_1500():
-    return tessellate(generate_plane(1500))
+    return tessellate(generate("plane", 1500))
 
 
 @pytest.fixture(scope="session")
 def tess_plane_3000():
-    return tessellate(generate_plane(3000))
+    return tessellate(generate("plane", 3000))
 
 
 @pytest.fixture(scope="session")
 def tess_plane_6000():
-    return tessellate(generate_plane(6000))
+    return tessellate(generate("plane", 6000))
 
 
 @pytest.fixture(scope="session")
 def tess_hyperbolic_3000():
-    return tessellate(generate_hyperbolic(3000, a=1.0 / 40.0))
+    return tessellate(generate("hyperbolic", 3000, a=1.0 / 40.0))
 
 
 @pytest.fixture(scope="session")
 def tess_sphere_1351():
-    return tessellate(generate_sphere(1351))
+    return tessellate(generate("sphere", 1351))
 
 
 @pytest.fixture(scope="session")
 def tess_sphere_9301():
-    return tessellate(generate_sphere(9301))
+    return tessellate(generate("sphere", 9301))
 
 
 # the equatorial defect ring of dipole rank 9 appears between these two
 # site counts (analytic threshold 1331)
 @pytest.fixture(scope="session")
 def tess_sphere_1329():
-    return tessellate(generate_sphere(1329))
+    return tessellate(generate("sphere", 1329))
 
 
 @pytest.fixture(scope="session")
 def tess_sphere_1333():
-    return tessellate(generate_sphere(1333))
+    return tessellate(generate("sphere", 1333))

@@ -21,7 +21,7 @@ from phyllo.analysis import (
     sphere_thresholds,
     verify_inflation,
 )
-from phyllo.generator import generate, generate_plane
+from phyllo.generator import generate
 from phyllo.geometry import chart_distance_xy
 from phyllo.numerics import fibonacci, strip_sequence
 from phyllo.tessellation import cell_contains, classify, tessellate
@@ -49,7 +49,7 @@ def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_01_plane_boundary_census():
     t0 = time.perf_counter()
-    boundaries = detect_grain_boundaries(tessellate(generate_plane(3000)))
+    boundaries = detect_grain_boundaries(tessellate(generate("plane", 3000)))
     elapsed = time.perf_counter() - t0
 
     expected = [

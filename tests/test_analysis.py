@@ -14,12 +14,11 @@ from phyllo.analysis import (
     detect_grain_boundaries,
     dipole_angles,
     distance_series,
-    grain_bounds_estimate,
     site_depth,
     sphere_thresholds,
     verify_inflation,
 )
-from phyllo.generator import generate, generate_plane
+from phyllo.generator import generate
 from phyllo.geometry import SurfaceSpec
 from phyllo.numerics import fibonacci, strip_dipole_word, words_equal
 from phyllo.tessellation import tessellate
@@ -236,13 +235,6 @@ def test_perimeter_prediction_value():
     assert boundary_perimeter_prediction(6) == pytest.approx(27.055334, abs=1e-6)
 
 
-def test_grain_bounds_examples():
-    assert grain_bounds_estimate(6, 675) == (18, 22)
-    assert grain_bounds_estimate(8, 4650) == (124, 136)
-    lo, hi = grain_bounds_estimate(5, 675)
-    assert lo < hi
-
-
 def test_analytic_distance_minimum():
     plane = SurfaceSpec("plane", None, 1.0)
     s = np.arange(200, 3000)
@@ -311,7 +303,7 @@ def test_area_series_windows(tess_plane_3000, tess_sphere_9301, tess_hyperbolic_
 def test_area_series_refuses_empty_window():
     # four sites: every cell is a boundary cell
     with pytest.raises(ValueError, match="no cell in the area window"):
-        area_series(tessellate(generate_plane(4)))
+        area_series(tessellate(generate("plane", 4)))
 
 
 def test_site_depth_conventions(tess_plane_3000, tess_sphere_1351):
@@ -322,5 +314,5 @@ def test_site_depth_conventions(tess_plane_3000, tess_sphere_1351):
 
 
 def test_small_pattern_has_no_rings():
-    tess = tessellate(generate_plane(60))
+    tess = tessellate(generate("plane", 60))
     assert detect_grain_boundaries(tess) == []

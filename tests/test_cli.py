@@ -237,6 +237,26 @@ def test_usage_error_messages(argv, message, capsys):
     assert capsys.readouterr().err.splitlines()[-1] == f"phyllo: error: {message}"
 
 
+@pytest.mark.parametrize(
+    "a, message",
+    [
+        ("inf", "scale a must be finite, got inf"),
+        # a*sqrt(s) overflows from site 4 on
+        ("1e308", "site 4 lies at a non-finite radius (rho=inf) with a=1e+308"),
+    ],
+)
+def test_non_finite_sites_are_a_one_line_error(a, message, tmp_path, capsys):
+    out = tmp_path / "p.json"
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(SystemExit) as err:
+        warnings.simplefilter("always")
+        cli.main(["generate", "--geometry", "plane", "--n", "10", "--a", a, "--out", str(out)])
+    assert err.value.code == 1
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == [f"phyllo: error: {message}"]
+    assert not out.exists()
+
+
 def _out_of_memory(*args, **kwargs):
     raise MemoryError
 

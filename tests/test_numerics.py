@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from phyllo.numerics import (
     GOLDEN_RATIO,
     LSWord,
     fibonacci,
-    golden_approximant,
     inflate,
     strip_dipole_word,
     strip_sequence,
@@ -53,7 +51,7 @@ def test_sum_of_squares_identity(u):
 
 @given(st.integers(min_value=2, max_value=30))
 def test_approximant_error_decays_alternating(u):
-    err = float(golden_approximant(u)) - GOLDEN_RATIO
+    err = fibonacci(u) / fibonacci(u - 1) - GOLDEN_RATIO
     assert abs(err) < 3 * GOLDEN_RATIO ** (-2 * (u - 1))
     # exact sign via the minimal polynomial t^2 - t - 1 of the golden ratio:
     # sign(x/y - tau) = sign(x^2 - x*y - y^2) for y > 0
@@ -61,13 +59,6 @@ def test_approximant_error_decays_alternating(u):
     assert x * x - x * y - y * y == (-1) ** (u - 1)
     if u <= 25:  # far enough from double-precision rounding
         assert (err > 0) == (u % 2 == 1)
-
-
-def test_approximant_values():
-    assert golden_approximant(7) == Fraction(13, 8)
-    assert golden_approximant(13) == Fraction(233, 144)
-    with pytest.raises(ValueError):
-        golden_approximant(1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, Delaunay, Voronoi, cKDTree
 
 from phyllo.analysis import area_series
-from phyllo.generator import PhylloPattern, generate, generate_plane, normalization_scale
+from phyllo.generator import PhylloPattern, generate, normalization_scale
 from phyllo.geometry import SurfaceSpec, chart_distance_xy
 from phyllo.numerics import fibonacci
 from phyllo.tessellation import (
@@ -185,7 +185,7 @@ def test_membership_matches_nearest_site(geometry, n, a):
 
 
 def test_membership_excludes_other_cells():
-    pattern = generate_plane(120)
+    pattern = generate("plane", 120)
     tess = tessellate(pattern)
     rng = np.random.default_rng(3141)
     xy = pattern.chart_xy
@@ -208,8 +208,8 @@ def test_classify_labels(tess_plane_3000):
 
 
 def test_tessellation_is_deterministic():
-    a = tessellate(generate_plane(400))
-    b = tessellate(generate_plane(400))
+    a = tessellate(generate("plane", 400))
+    b = tessellate(generate("plane", 400))
     assert np.array_equal(a.cells.sides, b.cells.sides)
     assert np.array_equal(a.cells.area, b.cells.area, equal_nan=True)
     for name in ("indptr", "indices", "distance"):
