@@ -458,7 +458,7 @@ class DistanceSeries:
             "interior_links": int(np.sum(self.interior)),
             "min_interior": self.confinement()[0],
             "max_interior": self.confinement()[1],
-            "ranks": sorted(int(u) for u in np.unique(self.rank) if u > 0),
+            "ranks": np.flatnonzero(np.bincount(self.rank[self.rank > 0])).tolist(),
         }
 
 
@@ -480,9 +480,7 @@ def distance_series(tess: Tessellation) -> DistanceSeries:
     s_eff = _effective_index(pattern.n, pattern.indexing)
     if pattern.surface.kind == SPHERE and pattern.indexing != "integer":
         s_eff *= (pattern.n - 1) / pattern.n
-    for u in np.unique(rank):
-        if u < 2:
-            continue
+    for u in np.flatnonzero(np.bincount(rank[rank >= 2])):
         m = (rank == u) & (s_from >= 1)
         if pattern.surface.kind == SPHERE:
             m &= s_to < pattern.n - 1

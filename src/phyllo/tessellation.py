@@ -4,12 +4,26 @@ Every cell is the fan of circumcenters of the Delaunay triangles around its
 site.  Plane and disc patterns are triangulated on their charts with
 Euclidean predicates: both charts are conformal, so chart circles are metric
 circles and the Delaunay combinatorics agree with the intrinsic ones.  Sphere
-patterns are triangulated by the convex hull of the embedded points.  Qhull
-yields the triangles and nothing else.  Plane cells are Euclidean polygons.
-On both curved surfaces a vertex is the unit normal of the plane through the
-lifted sites of its triangle (the hull facet normal on the sphere, a
-Minkowski normal on the hyperboloid over the disc, lifted as seen from one
-corner moved to the origin), and an area is the fan of geodesic triangles.
+patterns are triangulated by the convex hull of the embedded points.
+
+The triangles come from the pattern's own parastichies.  Site s sits at
+azimuth 2 pi lam s, so outside the disordered core each Delaunay neighbour
+of s is a site s +- q for a parastichy number q of lam (a Fibonacci number
+for the golden divergence).  Each site's fan is found among a few such
+candidates, and the fans are kept only if a certificate proves them the
+Delaunay triangulation: each triangle is found from all three corners,
+every edge passes the in-circle test with a margin, and the triangles number
+what Euler's formula asks.  Patterns that do not certify (rational or
+unusual divergences, nearly cocircular sites, fewer than three sites) are
+triangulated by Qhull, which scipy provides and which is imported only then.
+Either way each triangle's corners are put in ascending order, so both
+paths round every circumcenter alike.
+
+Plane cells are Euclidean polygons.  On both curved surfaces a vertex is
+the unit normal of the plane through the lifted sites of its triangle (the
+hull facet normal on the sphere, a Minkowski normal on the hyperboloid over
+the disc, lifted as seen from one corner moved to the origin), and an area
+is the fan of geodesic triangles.
 
 From the triangles on, every surface takes one path: one edge list, one
 stable sort of the triangle corners by site, and one sort of each fan by the
@@ -33,7 +47,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import ConvexHull, Delaunay, QhullError
 
 from .generator import PhylloPattern, normalization_scale
 from .geometry import HYPERBOLIC, PLANE, SPHERE, chart_distance_xy, chart_to_unit_surface
@@ -50,6 +63,18 @@ _FIBS = np.array([fibonacci(u) for u in range(2, MAX_FIB_RANK + 1)], dtype=np.in
 
 #: sites per array block; bounds the temporary arrays of the cell geometry
 _BLOCK = 2048
+
+#: candidate steps of the parastichy triangulation, as ranks relative to the step
+#: to a site's nearest site: for most sites, for the rim, and for a retry
+_BULK, _RIM, _RETRY = (-2, 2), (-6, 2), (-7, 3)
+
+#: the disordered core: sites this close in index to either end of the
+#: index range also take every one of the _CORE_POOL sites at that end
+_CORE, _CORE_POOL = 12, 32
+
+#: a turn whose sine is smaller is too close to four cocircular sites for
+#: the parastichy triangulation to decide; Qhull decides such patterns
+_MIN_SINE = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +175,21 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis of (..., 3) arrays.
+
+    The products and differences of np.cross in its order, so the same bits,
+    without its per-call overhead.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+
+
 def _blocks(sizes: np.ndarray):
     """(k, indices of sizes equal to k) in ascending order, _BLOCK at a time."""
-    for k in np.unique(sizes).tolist():
+    # (np.unique would import numpy.ma, about 35 ms, the first time it runs)
+    for k in np.flatnonzero(np.bincount(sizes)).tolist():
         sites = np.flatnonzero(sizes == k)
         for lo in range(0, len(sites), _BLOCK):
             yield k, sites[lo : lo + _BLOCK]
@@ -174,18 +211,303 @@ def _fan_areas(ring: np.ndarray, sign: float) -> np.ndarray:
     a = ring[:, 0]
     for j in range(1, ring.shape[1] - 1):
         b, c = ring[:, j], ring[:, j + 1]
-        numer = _row_dot(a, np.cross(b, c))
+        numer = _row_dot(a, _cross(b, c))
         denom = 1.0 + _row_dot(a, cos[:, j]) + _row_dot(b, cos[:, j + 1]) + _row_dot(c, cos[:, 0])
         fan += 2.0 * np.array(list(map(math.atan2, numer.tolist(), denom.tolist())))
     return fan
 
 
-def _delaunay(xy: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Delaunay triangles, none of zero area: corners, a, b - a, c - a, 2 x chart area."""
-    tri = Delaunay(xy)
+def _tangent_frames(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal tangent vectors e1, e2 at each unit vector, with e1 x e2 the vector."""
+    helper = np.where((np.abs(unit[:, 2]) < 0.9)[:, None], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+    e1 = _cross(unit, helper)
+    e1 /= np.sqrt(_row_dot(e1, e1))[:, None]
+    return e1, _cross(unit, e1)
+
+
+# ---------------------------------------------------------------------------
+# Delaunay triangles from the pattern's own parastichies
+# ---------------------------------------------------------------------------
+
+def _parastichy_steps(lam: float, n: int) -> np.ndarray:
+    """Index steps below n of lam's convergents and intermediate convergents, ascending.
+
+    These are the parastichy numbers of the spiral lattice (Coxeter, J.
+    Algebra 20, 167-175, 1972; Rothen and Koch, J. Phys. France 50, 633-657,
+    1989): the Fibonacci numbers for the golden divergence.
+    """
+    # the continued fraction of the float lam = num/den, exactly
+    num, den = float(lam).as_integer_ratio()
+    steps, num = [], num % den
+    q2, q1 = 0, 1  # the last two convergent denominators
+    while num and q1 < n:
+        a, rest = divmod(den, num)
+        num, den = rest, num
+        steps += [q2 + j * q1 for j in range(1, min(a, (n - 1 - q2) // q1) + 1)]
+        q2, q1 = q1, q2 + a * q1
+    return np.array(steps, dtype=np.int64)
+
+
+def _local_rank(coords: tuple[np.ndarray, ...], steps: np.ndarray) -> np.ndarray:
+    """Per site s, the position in steps of the q for which s + q or s - q is nearest."""
+    n = len(coords[0])
+    best, rank = np.full(n, np.inf), np.zeros(n, dtype=np.int64)
+    for k, q in enumerate(steps.tolist()):
+        d2 = sum((c[q:] - c[:-q]) ** 2 for c in coords)
+        for sites in (slice(0, n - q), slice(q, n)):
+            nearer = d2 < best[sites]
+            best[sites][nearer] = d2[nearer]
+            rank[sites][nearer] = k
+    return rank
+
+
+def _inverted(coords, frames, sites: np.ndarray, cand: np.ndarray):
+    """x, y and |d|^2 of d = (candidate - site) for (m,) sites and (m, c) candidates.
+
+    (x, y)/|d|^2 is the candidate inverted in a circle about the site: on a
+    chart, the chart offset; on the sphere, the offset in the site's tangent
+    frame, which makes it the stereographic projection from the site.
+    """
+    if frames is None:
+        x, y = (c[cand] - c[sites][:, None] for c in coords)
+        return x, y, x * x + y * y
+    e1, e2 = frames[0][sites], frames[1][sites]
+    x = y = d2 = 0.0
+    for j, c in enumerate(coords):
+        d = c[cand] - c[sites][:, None]
+        x, y, d2 = x + d * e1[:, j, None], y + d * e2[:, j, None], d2 + d * d
+    return x, y, d2
+
+
+def _fans(coords, frames, sites: np.ndarray, cand: np.ndarray, open_ok: bool):
+    """Delaunay fans of (m,) sites among their (m, c) candidates (-1 for none).
+
+    Inversion in a circle about site s maps the circles through s to lines.
+    So candidate t is a Delaunay neighbour of s among the candidates iff its
+    image is a vertex of the convex hull of the images, and of the origin
+    when s lies on the hull of the pattern (its images then leave a gap of a
+    half turn or more, and the fan is open).  The hull is found by deleting
+    the reflex vertices of the images sorted by angle until none is left,
+    for every site at once.  The turn at a kept vertex t is the in-circle
+    test of the edge (s, t) against the neighbours before and after t.
+
+    Returns the neighbours in counterclockwise order, flat, their count per
+    site, whether each fan closes, and whether it is sound: every turn and
+    every triangle (s, t, next t) counterclockwise with a sine above
+    _MIN_SINE, and an open fan spanning less than a half turn by as much.
+    """
+    m, c = cand.shape
+    given = cand >= 0
+    cand = np.where(given, cand, sites[:, None])
+    x, y, d2 = _inverted(coords, frames, sites, cand)
+    d2[~given] = 1.0
+    # images sorted by angle; every position below as a flat index
+    flat = np.arange(m * c).reshape(m, c)
+    order = np.argsort(np.where(given, np.arctan2(y, x), np.inf), axis=1) + flat[:, :1]
+    wx, wy, cand = np.take(x / d2, order), np.take(y / d2, order), np.take(cand, order)
+    count = given.sum(axis=1)[:, None]
+    alive = flat - flat[:, :1] < count
+    first, last = flat[:, :1], flat[:, :1] + count - 1
+    behind, ahead = np.where(flat > first, flat - 1, last), np.where(flat < last, flat + 1, first)
+    closed = np.ones(m, dtype=bool)
+    if open_ok:
+        # a gap of a half turn or more between images: the fan is open
+        gap = alive & ~(wx * np.take(wy, ahead) - wy * np.take(wx, ahead) > 0)
+        closed = ~gap.any(axis=1)
+        rows = np.flatnonzero(~closed)
+        # an open fan starts after its gap; its ends link to themselves
+        start = np.argmax(gap[rows], axis=1)[:, None] + 1
+        at = np.where(alive[rows], (flat[rows] - first[rows] + start) % count[rows] + first[rows], flat[rows])
+        for a in (wx, wy, cand):
+            a[rows] = np.take(a, at)
+        behind[rows] = np.where(flat[rows] > first[rows], flat[rows] - 1, flat[rows])
+        ahead[rows] = np.where(flat[rows] < last[rows], flat[rows] + 1, flat[rows])
+
+    wrap = closed[:, None]
+    while True:
+        qx, qy = np.take(wx, ahead), np.take(wy, ahead)
+        ux, uy = wx - np.take(wx, behind), wy - np.take(wy, behind)
+        vx, vy = qx - wx, qy - wy
+        turn = ux * vy - uy * vx
+        inner = alive & (behind != flat) & (ahead != flat)
+        reflex = inner & ~(turn > 0)
+        if not reflex.any():
+            break
+        alive &= ~reflex
+        # relink each position to the nearest live one on either side
+        up = np.maximum.accumulate(np.where(alive, flat, -1), axis=1)
+        down = np.minimum.accumulate(np.where(alive, flat, m * c)[:, ::-1], axis=1)[:, ::-1]
+        behind[:, 0], behind[:, 1:] = -1, up[:, :-1]
+        ahead[:, -1], ahead[:, :-1] = m * c, down[:, 1:]
+        # a closed fan wraps around (within its row, should no site be left)
+        behind = np.where(behind < 0, np.where(wrap, np.maximum(up[:, -1:], flat[:, :1]), flat), behind)
+        ahead = np.where(ahead == m * c, np.where(wrap, np.minimum(down[:, :1], flat[:, -1:]), flat), ahead)
+    floor = _MIN_SINE * _MIN_SINE
+    spin = wx * qy - wy * qx
+    sound = np.all(
+        (~inner | (turn > 0) & (turn * turn > floor * (ux * ux + uy * uy) * (vx * vx + vy * vy)))
+        & (~alive | (ahead == flat) | (spin > 0) & (spin * spin > floor * (wx * wx + wy * wy) * (qx * qx + qy * qy)))
+        & np.isfinite(wx) & np.isfinite(wy),
+        axis=1,
+    )
+    k = alive.sum(axis=1)
+    sound &= k >= np.where(closed, 3, 2)
+    if not closed.all():
+        # an open fan spans less than a half turn: last to first turns clockwise
+        end = np.max(np.where(alive, flat, 0), axis=1)
+        lx, ly, fx, fy = np.take(wx, end), np.take(wy, end), wx[:, 0], wy[:, 0]
+        span = lx * fy - ly * fx
+        sound &= closed | (span < 0) & (span * span > floor * (lx * lx + ly * ly) * (fx * fx + fy * fy))
+    return cand[alive], k, closed, sound
+
+
+def _certify(sphere: bool, count, neighbors, closed, sound):
+    """Simplices of the Delaunay triangulation the fans describe, or None; and suspect sites.
+
+    The fans pass when each is sound, each triangle (s, t, next t) is found
+    from all three of its corners, and the triangles number 2n - 2 - h on a
+    chart (h open fans) and 2n - 4 on the sphere.  The triangles then form a
+    triangulation of the hull (of the sphere) whose every inner edge passed
+    the in-circle test, which is the Delaunay triangulation by Delaunay's
+    lemma.  Each simplex is returned counterclockwise, least site first.
+    """
+    n = len(count)
+    offsets = np.concatenate(([0], np.cumsum(count)))
+    pos = np.arange(len(neighbors))
+    last = np.repeat(offsets[1:] - 1, count)
+    use = (pos != last) | np.repeat(closed, count)
+    s = np.repeat(np.arange(n), count)[use]
+    a = neighbors[use]
+    b = neighbors[np.where(pos == last, np.repeat(offsets[:-1], count), pos + 1)[use]]
+    # rotate each triangle to put its least site first; n**3 < 2**63
+    low_a, low_b = (a < s) & (a < b), (b < s) & (b < a)
+    key = np.where(low_a, a, np.where(low_b, b, s)) * n
+    key = (key + np.where(low_a, b, np.where(low_b, s, a))) * n
+    key += np.where(low_a, s, np.where(low_b, a, b))
+    key.sort()
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    seen = np.diff(starts, append=len(key))
+    odd = key[starts[seen != 3]]
+    suspect = ~sound
+    suspect[np.concatenate((odd // (n * n), odd // n % n, odd % n))] = True
+    suspects = np.flatnonzero(suspect)
+    triangles = 2 * n - 4 if sphere else 2 * n - 2 - int(np.sum(~closed))
+    if len(suspects) or len(starts) != triangles or triangles < 1:
+        return None, suspects
+    key = key[starts]
+    return np.column_stack((key // (n * n), key // n % n, key % n)), suspects
+
+
+def _parastichy_simplices(points: np.ndarray, lam: float, frames=None) -> np.ndarray | None:
+    """Delaunay triangles found from index steps, or None when they do not certify.
+
+    Site s sits at azimuth 2 pi lam s, so outside the disordered core its
+    Delaunay neighbours are sites s +- q, for parastichy numbers q near the
+    step to its nearest site.  Each site takes the candidates of _BULK steps
+    around that one; sites whose outward steps leave the pattern (its rim,
+    where the hull edges are long) take _RIM; the _CORE sites nearest each
+    end of the index range take every site of a pool as well.  Sites that
+    fail the certificate are retried, with their fans' neighbours, on
+    _RETRY steps.  The rest is left to Qhull.
+
+    points are chart points, or on the sphere unit vectors with their
+    tangent frames.
+    """
+    n = len(points)
+    if not 3 <= n < 2**21:  # the certificate packs a triangle into n**3 < 2**63
+        return None
+    with np.errstate(all="ignore"):
+        sphere = frames is not None
+        if sphere:
+            coords = tuple(np.ascontiguousarray(points.T))
+        else:
+            # scaled by a power of two, which moves no rounding, to keep
+            # squared lengths and their inverses in range
+            scale = np.ldexp(1.0, -int(np.frexp(np.max(np.abs(points)))[1]))
+            coords = tuple(np.ascontiguousarray(points.T) * scale)
+        steps = _parastichy_steps(lam, n)
+        rank = _local_rank(coords, steps)
+        site = np.arange(n)
+        # index distance to the nearer end: s = 0, or on the sphere either pole
+        depth = np.minimum(site, n - 1 - site) if sphere else site
+        pool = min(n, _CORE_POOL)
+
+        def candidates(sites, window, pooled):
+            ks = rank[sites, None] + np.arange(window[0], window[1] + 1)
+            q = steps[np.clip(ks, 0, len(steps) - 1)]
+            cand = np.hstack((sites[:, None] + q, sites[:, None] - q))
+            keep = np.tile((ks >= 0) & (ks < len(steps)), 2) & (cand >= 0) & (cand < n)
+            if not pooled:
+                return np.where(keep, cand, -1)
+            north = (sites >= n // 2)[:, None] & sphere
+            members = np.where(north, n - 1 - np.arange(pool), np.arange(pool))
+            keep &= np.where(north, cand < n - pool, cand >= pool)
+            return np.hstack((np.where(members == sites[:, None], -1, members), np.where(keep, cand, -1)))
+
+        count, closed, sound = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+
+        def run(mask, window, open_ok, pieces):
+            for pooled in (False, True):
+                sites = np.flatnonzero(mask & ((depth < _CORE) == pooled))
+                for lo in range(0, len(sites), _BLOCK):
+                    block = sites[lo : lo + _BLOCK]
+                    found, count[block], closed[block], sound[block] = _fans(
+                        coords, frames, block, candidates(block, window, pooled), open_ok or (pooled and not sphere)
+                    )
+                    pieces.append((block, found))
+            return pieces
+
+        rim = np.zeros(n, dtype=bool)
+        if not sphere:
+            rim = site + steps[np.minimum(rank + 1, len(steps) - 1)] >= n
+        pieces = run(~rim, _BULK, False, [])
+        pieces = run(rim, _RIM, True, pieces)
+        neighbors = _gather(count, pieces)
+        simplices, suspects = _certify(sphere, count, neighbors, closed, sound)
+        if simplices is None and len(suspects):
+            offsets = np.concatenate(([0], np.cumsum(count)))
+            redo = np.zeros(n, dtype=bool)
+            redo[suspects] = True
+            redo[neighbors[np.repeat(redo, count)]] = True
+            kept = np.flatnonzero(~redo)
+            pieces = run(redo, _RETRY, not sphere, [(kept, neighbors[np.repeat(~redo, np.diff(offsets))])])
+            simplices, _ = _certify(sphere, count, _gather(count, pieces), closed, sound)
+    return simplices
+
+
+def _gather(count: np.ndarray, pieces) -> np.ndarray:
+    """Flat fans in site order from (sites, their fans flat) pieces."""
+    offsets = np.concatenate(([0], np.cumsum(count)))
+    neighbors = np.empty(offsets[-1], dtype=np.int64)
+    for sites, found in pieces:
+        k = count[sites]
+        neighbors[np.repeat(offsets[sites] - np.cumsum(k) + k, k) + np.arange(len(found))] = found
+    return neighbors
+
+
+def _qhull_simplices(kind: str, points: np.ndarray) -> np.ndarray:
+    """Qhull's Delaunay triangles (hull facets on the sphere), for patterns that do not certify."""
+    from scipy.spatial import ConvexHull, Delaunay, QhullError
+
+    try:
+        if kind == SPHERE:
+            hull = ConvexHull(points)
+            if hull.nsimplex < 4 or len(hull.vertices) != len(points):
+                inside = sorted(set(range(len(points))) - set(map(int, hull.vertices)))
+                raise ValueError(f"sites not in convex position: {inside[:5]}")
+            return hull.simplices
+        tri = Delaunay(points)
+    except QhullError as exc:
+        raise ValueError(
+            f"Qhull cannot tessellate this {kind} pattern of {len(points)} sites: {exc}"
+        ) from exc
     if len(tri.coplanar):
         raise ValueError(f"site {int(tri.coplanar[0, 0])} lies in no Delaunay triangle")
-    simplices = tri.simplices
+    return tri.simplices
+
+
+def _chart_triangles(xy: np.ndarray, simplices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Corner a, b - a, c - a and 2 x chart area of each triangle, none of zero area."""
     a = xy[simplices[:, 0]]
     b = xy[simplices[:, 1]] - a
     c = xy[simplices[:, 2]] - a
@@ -193,15 +515,15 @@ def _delaunay(xy: np.ndarray) -> tuple[np.ndarray, ...]:
     if not d.all():
         corners = sorted(simplices[np.argmin(np.abs(d))].tolist())
         raise ValueError(f"degenerate Delaunay triangle of sites {corners}")
-    return simplices, a, b, c, d
+    return a, b, c, d
 
 
-def _plane_triangles(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Delaunay triangles of plane sites and their circumcenters."""
-    simplices, a, b, c, d = _delaunay(xy)
+def _plane_centers(xy: np.ndarray, simplices: np.ndarray) -> np.ndarray:
+    """Circumcenters of the Delaunay triangles of plane sites."""
+    a, b, c, d = _chart_triangles(xy, simplices)
     b2, c2 = np.sum(b * b, axis=1), np.sum(c * c, axis=1)
     offset = np.column_stack((c[:, 1] * b2 - b[:, 1] * c2, b[:, 0] * c2 - c[:, 0] * b2))
-    return simplices, a + offset / d[:, None]
+    return a + offset / d[:, None]
 
 
 def _to_origin(xy: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -210,54 +532,62 @@ def _to_origin(xy: np.ndarray, p: np.ndarray) -> np.ndarray:
     return ((z - p) / (1.0 - np.conj(p) * z)).view(float)
 
 
-def _disc_triangles(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Delaunay triangles of disc sites and their circumcenters.
+def _disc_centers(xy: np.ndarray, simplices: np.ndarray) -> np.ndarray:
+    """Circumcenters of the Delaunay triangles of disc sites.
 
     With corner a moved to the origin, the lift of a corner w minus that of a
     is 2 (w, |w|^2) / (1 - |w|^2), parallel to (w, |w|^2).  A timelike normal
     is the circumcenter, (x, y)/(1 + z) in the chart; any other (no hyperbolic
     circle) puts its vertex at (x, y)/z, on or outside the unit circle.
     """
-    simplices, minkowski = _delaunay(xy)[0], np.array([1.0, 1.0, -1.0])
-    a = xy[simplices[:, 0]]
+    a, minkowski = _chart_triangles(xy, simplices)[0], np.array([1.0, 1.0, -1.0])
     b, c = (_to_origin(xy[simplices[:, j]], a) for j in (1, 2))
-    normal = np.cross(*(np.column_stack((w, np.sum(w * w, axis=1))) for w in (b, c)))
+    normal = _cross(*(np.column_stack((w, np.sum(w * w, axis=1))) for w in (b, c)))
     normal *= np.where(normal[:, 2] > 0.0, -1.0, 1.0)[:, None] * minkowski  # upper sheet
     norm = np.sqrt(np.maximum(-_row_dot(normal, normal * minkowski), 0.0))
     center = (normal[:, 0] + 1j * normal[:, 1]) / (norm + normal[:, 2])
-    return simplices, _to_origin(center[:, None].view(float), -a)
+    return _to_origin(center[:, None].view(float), -a)
 
 
-def _sphere_triangles(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hull facets of sphere sites and their circumcenters, as unit vectors."""
-    hull = ConvexHull(xyz)
-    if hull.nsimplex < 4 or len(hull.vertices) != len(xyz):
-        inside = sorted(set(range(len(xyz))) - set(map(int, hull.vertices)))
-        raise ValueError(f"sites not in convex position: {inside[:5]}")
-    # facet circumcenters: outward unit normals of the hull facets
-    centers = hull.equations[:, :3].copy()
-    centers /= np.linalg.norm(centers, axis=1)[:, None]
-    return hull.simplices, centers
+def _sphere_centers(xyz: np.ndarray, simplices: np.ndarray) -> np.ndarray:
+    """Circumcenters of the hull facets of sphere sites, as unit vectors."""
+    a = xyz[simplices[:, 0]]
+    # outward unit normals of the facets; the hull holds the center, so a
+    # facet's outward normal has a positive dot product with its corners
+    centers = _cross(xyz[simplices[:, 1]] - a, xyz[simplices[:, 2]] - a)
+    centers /= (np.sign(_row_dot(centers, a)) * np.sqrt(_row_dot(centers, centers)))[:, None]
+    return centers
 
 
 def tessellate(pattern: PhylloPattern) -> Tessellation:
     """Build the Voronoi tessellation of a pattern (deterministic).
 
-    Patterns Qhull cannot triangulate (too few sites, all sites on a line or
-    plane, coordinates below its precision) raise ValueError, as do chart
-    triangulations that leave a site out or hold a zero-area triangle.
+    Patterns with no triangulation (too few sites, all sites on a line or a
+    plane, a scale whose squared lengths underflow) raise ValueError, as do
+    chart triangulations that leave a site out or hold a zero-area triangle.
     """
     n, surface, kind, R = pattern.n, pattern.surface, pattern.surface.kind, pattern.surface.R
+    scale = normalization_scale(surface)
+    if not scale * scale >= np.finfo(float).tiny:
+        raise ValueError(
+            f"scale a={surface.a!r} is too small: squared lengths at this scale underflow"
+        )
     points = pattern.xyz if kind == SPHERE else pattern.chart_xy
     _check_distinct(points)
-    triangles = {SPHERE: _sphere_triangles, HYPERBOLIC: _disc_triangles, PLANE: _plane_triangles}
-    try:
-        simplices, centers = triangles[kind](points)
-    except QhullError as exc:
-        raise ValueError(
-            f"Qhull cannot tessellate this {kind} pattern of {n} sites: {exc}"
-        ) from exc
-    scale = normalization_scale(surface)
+    if kind == SPHERE:
+        unit = points / R
+        # tangent-plane basis of each site: its chart for the fans, and
+        # the directions the circumcenters around it are sorted by
+        frames = _tangent_frames(unit)
+        simplices = _parastichy_simplices(unit, surface.lam, frames)
+    else:
+        simplices = _parastichy_simplices(points, surface.lam)
+    if simplices is None:
+        simplices = _qhull_simplices(kind, points)
+    # corners in ascending order, so both paths round each circumcenter alike
+    simplices = np.sort(simplices, axis=1)
+    circumcenters = {SPHERE: _sphere_centers, HYPERBOLIC: _disc_centers, PLANE: _plane_centers}
+    centers = circumcenters[kind](points, simplices)
 
     # each triangle edge once, as i * n + j with i < j; hull edges are in one triangle
     edges = np.vstack((simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [0, 2]]))
@@ -265,7 +595,6 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
     key, count = np.unique(edges[:, 0].astype(np.int64) * n + edges[:, 1], return_counts=True)
     pairs = np.column_stack((key // n, key % n))
     if kind == SPHERE:
-        unit = points / R
         cosang = np.clip(np.sum(unit[pairs[:, 0]] * unit[pairs[:, 1]], axis=1), -1.0, 1.0)
         dist = R * np.arccos(cosang)
     else:
@@ -288,11 +617,7 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
     fans = np.argsort(corners, kind="stable") // 3
     offsets = np.concatenate(([0], np.cumsum(np.bincount(corners, minlength=n))))
     if kind == SPHERE:
-        # tangent-plane basis to sort the circumcenters around each site
-        helper = np.where((np.abs(unit[:, 2]) < 0.9)[:, None], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-        e1 = np.cross(unit, helper)
-        e1 /= np.sqrt(_row_dot(e1, e1))[:, None]
-        e2 = np.cross(unit, e1)
+        e1, e2 = frames
 
     areas = np.full(n, math.nan)
     vertices = np.empty((len(corners), 2))

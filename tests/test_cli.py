@@ -1,21 +1,27 @@
 """End-to-end checks of the command-line interface.
 
 Everything runs in-process through ``cli.main`` so exit codes and stream
-routing are observable without spawning subprocesses.
+routing are observable without spawning subprocesses; only the check of
+what a fresh interpreter imports spawns one.
 """
 
 import errno
 import io
 import json
 import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phyllo import cli, export
+import phyllo
+from phyllo import cli, export, tessellation
 from phyllo.export import (
     BOUNDARY_COLUMNS,
     PATTERN_SCHEMA,
@@ -157,11 +163,13 @@ def _write_inputs(tmp_path):
         ["analyze", "--in", "x.json", "--geometry", "plane", "--n", "10"],
         ["thresholds", "--u-max", "0"],
         ["render", "--geometry", "plane", "--n", "100", "--projection", "sideways"],
-        # degenerate patterns: no interior links, too few sites for Qhull,
-        # coordinates below Qhull's precision, sites off the convex hull
+        # degenerate patterns: no interior links, too few sites to
+        # triangulate, squared lengths that underflow (a normal and a
+        # subnormal scale), sites off the convex hull
         ["analyze", "--geometry", "plane", "--n", "20"],
         ["analyze", "--geometry", "plane", "--n", "2"],
         ["analyze", "--geometry", "plane", "--n", "300", "--a", "1e-200"],
+        ["analyze", "--geometry", "plane", "--n", "50", "--a", "5e-324"],
         ["analyze", "--geometry", "sphere", "--n", "301", "--lambda", "0.5"],
         ["render", "--geometry", "plane", "--n", "2"],
         # no cell left in the area window
@@ -205,6 +213,20 @@ def test_usage_errors_exit_1(argv, tmp_path, capsys):
     assert "Traceback" not in stderr
     assert "Warning" not in stderr
     assert ": error: " in stderr.splitlines()[-1]
+    # the message is the program's, not advice on a Qhull option
+    assert "option" not in stderr.splitlines()[-1]
+
+
+#: collinear chart sites (lambda = 1/2), which Qhull leaves out of every
+#: triangle
+COLLINEAR_MESSAGES = [
+    (["render", "--geometry", "plane", "--n", "300", "--lambda", "0.5"],
+     "site 91 lies in no Delaunay triangle"),
+    (["render", "--geometry", "hyperbolic", "--n", "300", "--a", "0.1", "--lambda", "0.5"],
+     "site 189 lies in no Delaunay triangle"),
+    (["analyze", "--geometry", "plane", "--n", "50", "--a", "1e-12", "--lambda", "0.5"],
+     "site 14 lies in no Delaunay triangle"),
+]
 
 
 @pytest.mark.parametrize(
@@ -222,15 +244,22 @@ def test_usage_errors_exit_1(argv, tmp_path, capsys):
          "nothing to draw: all 5 cells are boundary cells"),
         (["render", "--geometry", "sphere", "--n", "5", "--indexing", "half-integer"],
          "nothing to draw: all 5 cells are out of view"),
-        (["render", "--geometry", "plane", "--n", "300", "--lambda", "0.5"],
-         "site 91 lies in no Delaunay triangle"),
-        (["render", "--geometry", "hyperbolic", "--n", "300", "--a", "0.1", "--lambda", "0.5"],
-         "site 189 lies in no Delaunay triangle"),
-        (["analyze", "--geometry", "plane", "--n", "50", "--a", "1e-12", "--lambda", "0.5"],
-         "site 14 lies in no Delaunay triangle"),
+        *COLLINEAR_MESSAGES,
+        (["analyze", "--geometry", "plane", "--n", "50", "--a", "5e-324"],
+         "scale a=5e-324 is too small: squared lengths at this scale underflow"),
     ],
 )
 def test_usage_error_messages(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"phyllo: error: {message}"
+
+
+@pytest.mark.parametrize("argv,message", COLLINEAR_MESSAGES)
+def test_forced_fallback_keeps_collinear_messages(argv, message, monkeypatch, capsys):
+    # no certificate passes, so Qhull triangulates and names the lost site
+    monkeypatch.setattr(tessellation, "_certify", lambda *args: (None, np.empty(0, dtype=np.int64)))
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 1
@@ -412,3 +441,30 @@ def test_render_hyperbolic_draws_limit_circle(tmp_path):
     cli.main(["render", "--geometry", "hyperbolic", "--n", "200", "--a", "0.05",
               "--out", str(out)])
     assert out.read_text().count("<circle") == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        None,  # the import alone
+        ["generate", "--geometry", "plane", "--n", "300", "--out", "{tmp}/p.json"],
+        ["analyze", "--geometry", "plane", "--n", "3000", "--out", "{tmp}/report"],
+    ],
+    ids=["import", "generate", "analyze"],
+)
+def test_no_command_imports_scipy(argv, tmp_path):
+    # scipy is only the fallback triangulator's; a golden pattern never
+    # needs it, so no command on one may load it (checked in a fresh
+    # interpreter, with no timing)
+    code = "import sys\nimport phyllo.cli\n"
+    if argv is not None:
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        code += f"assert phyllo.cli.main({argv!r}) == 0\n"
+    code += "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    src = str(Path(phyllo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -12,8 +12,10 @@ patterns, whose ``pattern.json`` no CLI case writes.  The reference cases
 keep the nested-dict document builders that the column writers of
 ``phyllo.export`` replaced, and the one-polygon-at-a-time writer that the
 block writer of ``render_svg`` replaced, and require the same text from
-both.  The digests were recorded with numpy 2.4.6 and scipy 1.17.1; other
-builds of Qhull or libm may move the last printed digit of some floats.
+both.  Every pattern here is triangulated from its parastichies, without
+Qhull, so the digests depend on numpy alone; they were recorded with numpy
+2.4.6, and other builds of numpy, its BLAS or libm may move the last printed
+digit of some floats.
 """
 
 import csv
@@ -45,8 +47,8 @@ CASES = {
         ["analyze", "--geometry", "plane", "--n", "3000", "--out", "{out}"],
         {
             "stdout": "1cd67734f1e0b2121faa59e377f6d53368485bc8940670efd14c922c09d4348b",
-            "summary.json": "3a6e0a3ebfe933dacd5311de696f59f75ec960962a0266000ff5f05ae28a556e",
-            "tessellation.json": "85e1e19e5a9404c366458958960125d203cac04cc69b5d1fd630dd2523d32d3e",
+            "summary.json": "d0fc354143083685a97022bcbd861e3e3228782c136e26ed66a01e6126f488b7",
+            "tessellation.json": "00f77b8edadeb0a5e1f97664a2d0c4f22d5a4b36977a2e1e3a0ceaab34a049e6",
         },
     ),
     "hyperbolic-analyze-json": (
@@ -54,8 +56,8 @@ CASES = {
          "--out", "{out}"],
         {
             "stdout": "77e359a4b93cd27577722d04f0599148f0f981cc6f93aab069d04e40999c50ef",
-            "summary.json": "894ffee67c4be575a56ee7cf67252fe42fb0d6ec5b5fcf4ea359758e37338c78",
-            "tessellation.json": "4f3c50dcc44224724124ec389b2be6dc35915820254dc0103aeebd24f707b384",
+            "summary.json": "9226434fe94988252a67df072ffa3ab0bc33a4265188aff58a7b0dec1e731fb9",
+            "tessellation.json": "95468a1c48f62a7fa3d196e7fd565568e6837f5a1694821c081f571b079a74f3",
         },
     ),
     "sphere-analyze-csv": (
@@ -63,10 +65,10 @@ CASES = {
          "--out", "{out}"],
         {
             "stdout": "3b4c8a9346733dfe06d320c3888231609524876e5997fbe4bb8286f7d4d9286c",
-            "areas.csv": "834a65639c451eaff5e808cca0fea49fcb2c4c334ec9ebc38c8ea9cecbff09a9",
+            "areas.csv": "c2b150cf01d3eb80748a6cb39c591eae7894fdd63452b0067423eb27e552f1de",
             "boundaries.csv": "4c349e0dbfb07bfdde2aa254b2b4eeee5aa98d5bbc0c9db5d0a00e4591df6bf4",
             "distances.csv": "72d5830252dcf9806b0db4d54710f0517c02459f4f3a85f9c574a7e681dcd26b",
-            "summary.json": "40963d63d93648ffcbd626dc0759411d32b4ec57cff2ce63dc2ef429448f8e58",
+            "summary.json": "40f8a01ea15464df68b50e2d51c12d13a0ba96d935b9553427c17d8128655528",
         },
     ),
     # boundary cells write nan areas and False window rows, which no sphere
@@ -76,10 +78,10 @@ CASES = {
          "--out", "{out}"],
         {
             "stdout": "1cd67734f1e0b2121faa59e377f6d53368485bc8940670efd14c922c09d4348b",
-            "areas.csv": "e092fada304fbdb920bfe158aa76eb192fe431def6990bea8b4ec28af16b7924",
+            "areas.csv": "fc6af484416df3721a2abea750d2772857c182361faf03f299d863fa9f577374",
             "boundaries.csv": "9f4d0696aa4c166dc60d271f656ccfaf9b503412a649d6d24b2afebf68bae5b1",
             "distances.csv": "d281ac2903564393daf2f4678d253a18e9241029eee36309ee79cc0ca135f1c4",
-            "summary.json": "3a6e0a3ebfe933dacd5311de696f59f75ec960962a0266000ff5f05ae28a556e",
+            "summary.json": "d0fc354143083685a97022bcbd861e3e3228782c136e26ed66a01e6126f488b7",
         },
     ),
     "hyperbolic-render": (
@@ -161,32 +163,32 @@ LIBRARY_CASES = {
     # (generate arguments, tessellation document sha256, link bytes sha256)
     "hyperbolic-3000-a0.4": (
         ("hyperbolic", 3000, {"a": 0.4}),
-        "4bd73801706754dec42281f242144177ac3ee36d01c8258877902cec4f29ecde",
+        "b6c0be7efe3fd78cd29105e3a272bec118a702ae3fb4e6ae6800047583ef460b",
         "3d37179c03b16f226d5d58a9e763290b5aafea5c2395581ef002bfcbefc25d2c",
     ),
     "plane-3000-half": (
         ("plane", 3000, {"indexing": "half-integer"}),
-        "754f57000f5f5a5c7f0d09c8e5e2f96869c68b44a2efc6adf315df5f9881d02a",
+        "0af937b502e399b9fa46c61c54852ceb8523cee670931c26e5e938aa91e5febe",
         "1104f595d5e70f50acd7049eaff7e18afdb186b5e5d13b08605c4a71ab6a308c",
     ),
     "hyperbolic-3000-half": (
         ("hyperbolic", 3000, {"a": 0.025, "indexing": "half-integer"}),
-        "389be09c2b58b7240dd4695f7256ddf2a4d2a74c6bfdddc4c733c60b5a9131e6",
+        "89b315f39436f0efd56e3a45bc744cf2ae0c2030745f077d78d98ee695411e58",
         "dad14d8e1cd0a40817e83fdf29ae02d3cd2ace8dd20d58d0f62e3ae27b367f5d",
     ),
     "sphere-25": (
         ("sphere", 25, {}),
-        "01911a59b2641ac7a441fb140762deade1a6b2f413b0b8f956c6eb1fa31711b8",
+        "2018aba493f7afcc6299281b7a89812696d843653ca1b059b971b093f16c9cac",
         "a2784521fbee964b278153de5796cdaec67f3229481fefc5274781aaf91b0154",
     ),
     "sphere-377": (
         ("sphere", 377, {}),
-        "251e5fd8a92fc33a17f8299be9b834a767cb86717305fdb78cb4cb1aa59c9e13",
+        "9f1d5cf07d439d869bad689cbb2f5a17daee4ea6528bb3731486461c77e10981",
         "6adc17efaae475f3958dbb4b36f2f0eb28cecc2b7e17e30b41af0d91d57e875a",
     ),
     "sphere-5001": (
         ("sphere", 5001, {}),
-        "65ed5ffb5f06096181e1e03d8f84c0ebd8077af18bd96721bb5439e20eeda227",
+        "70186153812a66de56944cb314f68f30716889759b12ebb32c946130cabed344",
         "6c1f4c768f5ee7b6093321bb7ee26f585927f4feb81f83b06b7c71d687b99a45",
     ),
 }

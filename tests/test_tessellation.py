@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, Delaunay, Voronoi, cKDTree
 
+from phyllo import tessellation
 from phyllo.analysis import area_series
 from phyllo.generator import PhylloPattern, generate, normalization_scale
 from phyllo.geometry import SurfaceSpec, chart_distance_xy
@@ -227,9 +228,15 @@ def _solid_angle(a, b, c):
     return 2.0 * math.atan2(numer, denom)
 
 
+def _facet_normal(a, b, c):
+    """Outward unit normal of the hull facet with corners a < b < c (by site)."""
+    normal = np.cross(b - a, c - a)
+    return normal / (np.sign(float(np.dot(normal, a))) * math.sqrt(float(np.dot(normal, normal))))
+
+
 def _reference_sphere_areas(pattern):
     hull = ConvexHull(pattern.xyz)
-    centers = hull.equations[:, :3] / np.linalg.norm(hull.equations[:, :3], axis=1)[:, None]
+    centers = np.array([_facet_normal(*pattern.xyz[np.sort(f)]) for f in hull.simplices])
     areas = []
     for s in range(pattern.n):
         site = pattern.xyz[s] / pattern.surface.R
@@ -307,7 +314,7 @@ def _reference_chart_areas(pattern):
     areas = []
     for s in range(pattern.n):
         fan = tri.simplices[np.any(tri.simplices == s, axis=1)]
-        verts = np.array([_circumcenter(*xy[corners].tolist()) for corners in fan])
+        verts = np.array([_circumcenter(*xy[np.sort(corners)].tolist()) for corners in fan])
         if disc:
             verts = _disc_centers(verts, np.hypot(*(verts - xy[s]).T))
         # the fan closes around s iff each of its neighbors is in two triangles
@@ -554,7 +561,9 @@ def test_disc_vertices_are_hyperbolic_circumcenters(a, n):
 
 def test_degenerate_chart_triangle_rejected(monkeypatch):
     # Qhull's triangulated output may hold zero-area triangles; the chart
-    # patterns probed so far leave sites out of every triangle instead
+    # patterns probed so far leave sites out of every triangle instead.
+    # Three of these sites are collinear on the hull, which no certificate
+    # passes, so Qhull's fallback, imported when it runs, triangulates them
     xy = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
     rho = np.hypot(xy[:, 0], xy[:, 1])
     pattern = PhylloPattern(
@@ -572,6 +581,51 @@ def test_degenerate_chart_triangle_rejected(monkeypatch):
             self.coplanar = np.empty((0, 3), dtype=np.intc)
             self.simplices = np.array([[0, 1, 3], [1, 2, 3], [0, 1, 2]], dtype=np.intc)
 
-    monkeypatch.setattr("phyllo.tessellation.Delaunay", Triangulation)
+    monkeypatch.setattr("scipy.spatial.Delaunay", Triangulation)
     with pytest.raises(ValueError, match=r"degenerate Delaunay triangle of sites \[0, 1, 2\]"):
         tessellate(pattern)
+
+
+# The parastichy triangulation against Qhull's of the same sites:
+# Qhull is the fallback, reached here by making the certificate fail.
+
+THRESHOLD_SPHERES = (25, 31, 71, 77, 191, 197, 505, 511, 1329, 1333, 3481, 3487)
+
+REFERENCE_PATTERNS = (
+    CHART_PATTERNS
+    + [("sphere", n, {}) for n in (1351, 9301) + THRESHOLD_SPHERES]
+    + [("sphere", n, {"indexing": "half-integer"}) for n in (600, 3000)]
+)
+
+
+def _failed_certificate(*args):
+    return None, np.empty(0, dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "kind,n,kwargs", REFERENCE_PATTERNS, ids=[f"{k}-{n}-{kw}" for k, n, kw in REFERENCE_PATTERNS]
+)
+def test_parastichy_triangulation_matches_qhull(kind, n, kwargs, monkeypatch):
+    pattern = generate(kind, n, **kwargs)
+    fallbacks = []
+    qhull = tessellation._qhull_simplices
+
+    def counted(*args):
+        fallbacks.append(args)
+        return qhull(*args)
+
+    monkeypatch.setattr(tessellation, "_qhull_simplices", counted)
+    tess = tessellate(pattern)
+    if "lam" not in kwargs:
+        assert fallbacks == [], "a golden-ratio pattern fell back to Qhull"
+    monkeypatch.setattr(tessellation, "_certify", _failed_certificate)
+    before = len(fallbacks)
+    reference = tessellate(pattern)
+    assert len(fallbacks) == before + 1
+    for name in ("indptr", "indices", "distance"):
+        assert np.array_equal(getattr(tess.adjacency, name), getattr(reference.adjacency, name)), name
+    for name in ("sides", "is_boundary", "area"):
+        assert np.array_equal(getattr(tess.cells, name), getattr(reference.cells, name), equal_nan=True), name
+    # both paths put each triangle's corners in one order, so they round alike
+    assert np.array_equal(tess.vertex_offsets, reference.vertex_offsets)
+    assert np.array_equal(tess.vertices, reference.vertices, equal_nan=True)
