@@ -13,17 +13,21 @@ for the golden divergence).  Each site's fan is found among a few such
 candidates, and the fans are kept only if a certificate proves them the
 Delaunay triangulation: each triangle is found from all three corners,
 every edge passes the in-circle test with a margin, and the triangles number
-what Euler's formula asks.  Patterns that do not certify (rational or
-unusual divergences, nearly cocircular sites, fewer than three sites) are
-triangulated by Qhull, which scipy provides and which is imported only then.
-Either way each triangle's corners are put in ascending order, so both
-paths round every circumcenter alike.
+what Euler's formula asks.  Qhull, which scipy provides and which is
+imported only then, triangulates the patterns whose parastichy numbers
+are not the Fibonacci numbers (other divergences, decided from lam's
+continued fraction before any fan is built) and those that do not certify
+(nearly cocircular sites, fewer than three sites).  Either way each
+triangle's corners are put in ascending order, so both paths round every
+circumcenter alike.
 
 Plane cells are Euclidean polygons.  On both curved surfaces a vertex is
 the unit normal of the plane through the lifted sites of its triangle (the
 hull facet normal on the sphere, a Minkowski normal on the hyperboloid over
-the disc, lifted as seen from one corner moved to the origin), and an area
-is the fan of geodesic triangles.
+the disc, lifted as seen from one corner moved to the origin; where that
+plane cuts the hyperboloid in no circle, the vertex is the pole of the
+normal's geodesic, outside the disc), and an area is the fan of geodesic
+triangles.
 
 From the triangles on, every surface takes one path: one edge list, one
 stable sort of the triangle corners by site, and one sort of each fan by the
@@ -229,23 +233,31 @@ def _tangent_frames(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Delaunay triangles from the pattern's own parastichies
 # ---------------------------------------------------------------------------
 
-def _parastichy_steps(lam: float, n: int) -> np.ndarray:
-    """Index steps below n of lam's convergents and intermediate convergents, ascending.
+def _parastichy_steps(lam: float, n: int) -> np.ndarray | None:
+    """The Fibonacci numbers below n if they are lam's parastichy numbers there, else None.
 
-    These are the parastichy numbers of the spiral lattice (Coxeter, J.
-    Algebra 20, 167-175, 1972; Rothen and Koch, J. Phys. France 50, 633-657,
-    1989): the Fibonacci numbers for the golden divergence.
+    The parastichy numbers of the spiral lattice are the denominators of
+    lam's convergents and intermediate convergents (Coxeter, J. Algebra 20,
+    167-175, 1972; Rothen and Koch, J. Phys. France 50, 633-657, 1989): the
+    Fibonacci numbers for the golden divergence and its mirror 1 - lam.
+    Elsewhere a partial quotient above one puts a run of steps in
+    arithmetic progression, along which the sites lie on near-rays (on
+    rays, for a rational lam with a denominator below n); the rank of the
+    nearest step then no longer brackets the ranks of the neighbours, and
+    such patterns go to Qhull without being tried.
     """
+    fibs = _FIBS[_FIBS < n].tolist()
     # the continued fraction of the float lam = num/den, exactly
     num, den = float(lam).as_integer_ratio()
     steps, num = [], num % den
     q2, q1 = 0, 1  # the last two convergent denominators
-    while num and q1 < n:
+    while num and q1 < n and steps == fibs[: len(steps)]:
         a, rest = divmod(den, num)
         num, den = rest, num
-        steps += [q2 + j * q1 for j in range(1, min(a, (n - 1 - q2) // q1) + 1)]
+        run = min(a, (n - 1 - q2) // q1, len(fibs) + 1 - len(steps))
+        steps += [q2 + j * q1 for j in range(1, run + 1)]
         q2, q1 = q1, q2 + a * q1
-    return np.array(steps, dtype=np.int64)
+    return np.array(steps, dtype=np.int64) if steps == fibs else None
 
 
 def _local_rank(coords: tuple[np.ndarray, ...], steps: np.ndarray) -> np.ndarray:
@@ -399,7 +411,10 @@ def _certify(sphere: bool, count, neighbors, closed, sound):
 
 
 def _parastichy_simplices(points: np.ndarray, lam: float, frames=None) -> np.ndarray | None:
-    """Delaunay triangles found from index steps, or None when they do not certify.
+    """Delaunay triangles found from Fibonacci index steps, or None.
+
+    None when lam's parastichy numbers below n are not the Fibonacci
+    numbers, or when the triangles do not certify.
 
     Site s sits at azimuth 2 pi lam s, so outside the disordered core its
     Delaunay neighbours are sites s +- q, for parastichy numbers q near the
@@ -416,6 +431,9 @@ def _parastichy_simplices(points: np.ndarray, lam: float, frames=None) -> np.nda
     n = len(points)
     if not 3 <= n < 2**21:  # the certificate packs a triangle into n**3 < 2**63
         return None
+    steps = _parastichy_steps(lam, n)
+    if steps is None:
+        return None
     with np.errstate(all="ignore"):
         sphere = frames is not None
         if sphere:
@@ -425,7 +443,6 @@ def _parastichy_simplices(points: np.ndarray, lam: float, frames=None) -> np.nda
             # squared lengths and their inverses in range
             scale = np.ldexp(1.0, -int(np.frexp(np.max(np.abs(points)))[1]))
             coords = tuple(np.ascontiguousarray(points.T) * scale)
-        steps = _parastichy_steps(lam, n)
         rank = _local_rank(coords, steps)
         site = np.arange(n)
         # index distance to the nearer end: s = 0, or on the sphere either pole
@@ -537,8 +554,11 @@ def _disc_centers(xy: np.ndarray, simplices: np.ndarray) -> np.ndarray:
 
     With corner a moved to the origin, the lift of a corner w minus that of a
     is 2 (w, |w|^2) / (1 - |w|^2), parallel to (w, |w|^2).  A timelike normal
-    is the circumcenter, (x, y)/(1 + z) in the chart; any other (no hyperbolic
-    circle) puts its vertex at (x, y)/z, on or outside the unit circle.
+    is the circumcenter, (x, y)/(1 + z) in the chart, mapped back from a.
+    Any other has no hyperbolic circle: its vertex is the pole (x, y)/z of
+    the normal's geodesic, on or outside the unit circle, taken after the
+    normal is boosted back from a.  A pole, unlike a center, is not carried
+    by the isometry, so taken from a it would depend on which corner is a.
     """
     a, minkowski = _chart_triangles(xy, simplices)[0], np.array([1.0, 1.0, -1.0])
     b, c = (_to_origin(xy[simplices[:, j]], a) for j in (1, 2))
@@ -546,7 +566,15 @@ def _disc_centers(xy: np.ndarray, simplices: np.ndarray) -> np.ndarray:
     normal *= np.where(normal[:, 2] > 0.0, -1.0, 1.0)[:, None] * minkowski  # upper sheet
     norm = np.sqrt(np.maximum(-_row_dot(normal, normal * minkowski), 0.0))
     center = (normal[:, 0] + 1j * normal[:, 1]) / (norm + normal[:, 2])
-    return _to_origin(center[:, None].view(float), -a)
+    center = _to_origin(center[:, None].view(float), -a)
+    # a pole's normal under the boost taking the origin to a, times
+    # 1 - |a|^2, which the ratio (x, y)/z ignores
+    pole = norm == 0.0
+    p, (u, v, z) = a[pole], normal[pole].T
+    along, a2 = p[:, 0] * u + p[:, 1] * v, np.sum(p * p, axis=1)
+    boosted = np.column_stack((u, v)) * (1.0 - a2)[:, None] + p * (2.0 * (along + z))[:, None]
+    center[pole] = boosted / ((1.0 + a2) * z + 2.0 * along)[:, None]
+    return center
 
 
 def _sphere_centers(xyz: np.ndarray, simplices: np.ndarray) -> np.ndarray:

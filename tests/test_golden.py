@@ -57,7 +57,7 @@ CASES = {
         {
             "stdout": "77e359a4b93cd27577722d04f0599148f0f981cc6f93aab069d04e40999c50ef",
             "summary.json": "9226434fe94988252a67df072ffa3ab0bc33a4265188aff58a7b0dec1e731fb9",
-            "tessellation.json": "95468a1c48f62a7fa3d196e7fd565568e6837f5a1694821c081f571b079a74f3",
+            "tessellation.json": "831adb10a581a062ac748996ef9d53b41d98a782b319ec7b79648244f5a13acb",
         },
     ),
     "sphere-analyze-csv": (
@@ -163,7 +163,7 @@ LIBRARY_CASES = {
     # (generate arguments, tessellation document sha256, link bytes sha256)
     "hyperbolic-3000-a0.4": (
         ("hyperbolic", 3000, {"a": 0.4}),
-        "b6c0be7efe3fd78cd29105e3a272bec118a702ae3fb4e6ae6800047583ef460b",
+        "e187a28fee7615d2a7a4beae58b4bf8c3cb3c5042d4e0f11b9a1f7e9116a63e2",
         "3d37179c03b16f226d5d58a9e763290b5aafea5c2395581ef002bfcbefc25d2c",
     ),
     "plane-3000-half": (
@@ -173,7 +173,7 @@ LIBRARY_CASES = {
     ),
     "hyperbolic-3000-half": (
         ("hyperbolic", 3000, {"a": 0.025, "indexing": "half-integer"}),
-        "89b315f39436f0efd56e3a45bc744cf2ae0c2030745f077d78d98ee695411e58",
+        "6f969dda259d2e640b203c12371be10b5bfba6abf48a5dc2bb87eb7564520c53",
         "dad14d8e1cd0a40817e83fdf29ae02d3cd2ace8dd20d58d0f62e3ae27b367f5d",
     ),
     "sphere-25": (

@@ -353,6 +353,15 @@ def test_areas_match_per_cell_reference(kind, n, kwargs):
         assert np.array_equal(areas, reference(pattern), equal_nan=True)
 
 
+@pytest.mark.parametrize("n,kwargs", [(25, {}), (1351, {}), (600, {"indexing": "half-integer"})])
+def test_sphere_vertices_are_hull_facet_normals(n, kwargs):
+    # Qhull's own facet normals check the cross products independently
+    pattern = generate("sphere", n, **kwargs)
+    hull = ConvexHull(pattern.xyz)
+    centers = tessellation._sphere_centers(pattern.xyz, np.sort(hull.simplices, axis=1))
+    np.testing.assert_allclose(centers, hull.equations[:, :3], rtol=0, atol=1e-14)
+
+
 # Links built one Python tuple per link direction from Qhull's unique site
 # pairs: the reference the CSR table of tessellate must match exactly.
 
@@ -559,6 +568,19 @@ def test_disc_vertices_are_hyperbolic_circumcenters(a, n):
         np.testing.assert_allclose(to_others[:, :2], np.column_stack((to_site, to_site)), rtol=1e-9)
 
 
+@pytest.mark.parametrize("a", [0.025, 0.4, 1.0])
+def test_disc_vertices_do_not_depend_on_corner_order(a):
+    # triangles whose lifted plane holds no circle have a pole for vertex,
+    # which the isometry moving a corner to the origin does not carry
+    xy = generate("hyperbolic", 3000, a=a).chart_xy
+    simplices = np.sort(Delaunay(xy).simplices, axis=1)
+    centers = tessellation._disc_centers(xy, simplices)
+    assert np.any(np.sum(centers * centers, axis=1) > 1.0)
+    for order in itertools.permutations(range(3)):
+        moved = tessellation._disc_centers(xy, simplices[:, order])
+        np.testing.assert_allclose(moved, centers, rtol=0, atol=1e-12)
+
+
 def test_degenerate_chart_triangle_rejected(monkeypatch):
     # Qhull's triangulated output may hold zero-area triangles; the chart
     # patterns probed so far leave sites out of every triangle instead.
@@ -618,6 +640,8 @@ def test_parastichy_triangulation_matches_qhull(kind, n, kwargs, monkeypatch):
     tess = tessellate(pattern)
     if "lam" not in kwargs:
         assert fallbacks == [], "a golden-ratio pattern fell back to Qhull"
+    else:
+        assert len(fallbacks) == 1, "another divergence did not go straight to Qhull"
     monkeypatch.setattr(tessellation, "_certify", _failed_certificate)
     before = len(fallbacks)
     reference = tessellate(pattern)
@@ -629,3 +653,35 @@ def test_parastichy_triangulation_matches_qhull(kind, n, kwargs, monkeypatch):
     # both paths put each triangle's corners in one order, so they round alike
     assert np.array_equal(tess.vertex_offsets, reference.vertex_offsets)
     assert np.array_equal(tess.vertices, reference.vertices, equal_nan=True)
+
+
+def test_parastichy_steps_are_the_fibonacci_numbers_or_none():
+    golden = generate("plane", 3).surface.lam
+    for lam in (golden, 1 - golden, golden + 1, -golden):
+        for n in (3, 4, 100, 2**21 - 1):
+            fibs = [fibonacci(u) for u in range(2, 40) if fibonacci(u) < n]
+            assert tessellation._parastichy_steps(lam, n).tolist() == fibs
+    for lam in (0.0, 0.5, 0.4, 1 / 3, 0.3819, 0.55, 1e-4, 0.5000001):
+        assert tessellation._parastichy_steps(lam, 10**6) is None
+
+
+class _Qhull(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "kind,n,lam", [("plane", 100_000, lam) for lam in (0.4, 0.5000001, 1e-4)] + [("sphere", 100_001, 0.4)]
+)
+def test_other_divergences_go_straight_to_qhull(kind, n, lam, monkeypatch):
+    # their parastichy numbers below n run to about n/q steps; ranking the
+    # sites against each would cost one pass over the pattern per step
+    def unranked(*args):
+        raise AssertionError("the steps of a divergence that is not Fibonacci were ranked")
+
+    def qhull(*args):
+        raise _Qhull
+
+    monkeypatch.setattr(tessellation, "_local_rank", unranked)
+    monkeypatch.setattr(tessellation, "_qhull_simplices", qhull)
+    with pytest.raises(_Qhull):
+        tessellate(generate(kind, n, lam=lam))
