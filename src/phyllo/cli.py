@@ -271,18 +271,17 @@ def _cmd_thresholds(parser: _Parser, args) -> int:
             curves = []
             for u in range(1, args.u_max + 1):
                 birth = thresholds[u - 1]
-                ns = np.unique(
-                    np.round(np.geomspace(birth, 100.0 * birth, 25)).astype(int)
-                )
+                # (np.unique would import numpy.ma, about 35 ms, the first time it runs)
+                ns = sorted(set(np.round(np.geomspace(birth, 100.0 * birth, 25)).astype(int).tolist()))
                 pts = []
                 for n in ns:
                     # even n rounds nu down, so the ring may not fit exactly
                     # at the birth threshold; start the curve where it does
                     try:
-                        angle = boundary_polar_angle(u, (int(n) - 1) // 2)
+                        angle = boundary_polar_angle(u, (n - 1) // 2)
                     except ValueError:
                         continue
-                    pts.append([int(n), angle])
+                    pts.append([n, angle])
                 curves.append({"u": u, "points": pts})
             _write_text(
                 parser,

@@ -29,9 +29,13 @@ plane cuts the hyperboloid in no circle, the vertex is the pole of the
 normal's geodesic, outside the disc), and an area is the fan of geodesic
 triangles.
 
-From the triangles on, every surface takes one path: one edge list, one
-stable sort of the triangle corners by site, and one sort of each fan by the
-direction of the geodesic to each vertex.  Sites with the same number of
+From the triangles on, every surface takes one path.  tessellate builds
+what ring detection reads: one edge list, the CSR links with their lengths,
+the side counts and the boundary flags (which on a chart read the
+circumcenters, so those are computed there too).  The chart polygons and
+the cell areas are computed together, once, when one of them is first read:
+one stable sort of the triangle corners by site, and one sort of each fan by
+the direction of the geodesic to each vertex.  Sites with the same number of
 triangles are processed together, at most _BLOCK at a time, which bounds the
 temporary memory.  Each value is reduced in the order, and through the same
 numpy and BLAS kernels, that a cell-by-cell computation would use (row dot
@@ -125,16 +129,57 @@ class Adjacency:
 Cell = NamedTuple("Cell", [("sides", int), ("area", float), ("is_boundary", bool)])
 
 
+class _CellGeometry:
+    """The cell geometry of one tessellation, computed once, on first read.
+
+    It holds the inputs of _cell_geometry until the first call runs it, and
+    from then on only the result.
+    """
+
+    def __init__(self, *inputs):
+        self._inputs, self._result = inputs, None
+
+    def __call__(self) -> dict[str, np.ndarray]:
+        if self._result is None:
+            self._result, self._inputs = _cell_geometry(*self._inputs), None
+        return self._result
+
+
+class _OnFirstRead:
+    """A dataclass field set to its array, or to the _CellGeometry that computes it.
+
+    In the second case the first read runs the geometry (once for all its
+    fields) and keeps the field's array in place of it.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # read on the class: the field has no default
+        value = obj.__dict__[self.name]
+        if isinstance(value, _CellGeometry):
+            value = obj.__dict__[self.name] = value()[self.name]
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True, eq=False)
 class Cells:
     """The fixed-width values of every cell, one column each, indexed by site.
 
     ``sides`` is the number of Delaunay neighbors and ``area`` the metric
-    area (nan for boundary cells).  Iteration yields one Cell per site.
+    area (nan for boundary cells).  ``sides`` and ``is_boundary`` come with
+    the triangulation; ``area`` is computed on first read, together with
+    the chart polygons of the Tessellation.  Iteration yields one Cell per
+    site, and so reads ``area``.
     """
 
     sides: np.ndarray  # (n,) int64
-    area: np.ndarray  # (n,) float64
+    area: np.ndarray = _OnFirstRead()  # (n,) float64
     is_boundary: np.ndarray  # (n,) bool
 
     def __iter__(self):
@@ -147,14 +192,18 @@ class Tessellation:
 
     The chart polygon of site s is
     ``vertices[vertex_offsets[s]:vertex_offsets[s + 1]]``, in order around
-    the cell.
+    the cell.  The adjacency, the side counts and the boundary flags are
+    computed by tessellate; the polygons and the cell areas are computed
+    together, once, the first time ``vertices``, ``vertex_offsets`` or
+    ``cells.area`` is read.  So code that only reads links and side counts
+    (ring detection) never pays for them.
     """
 
     pattern: PhylloPattern
     cells: Cells
     adjacency: Adjacency
-    vertex_offsets: np.ndarray  # (n + 1,) int64
-    vertices: np.ndarray  # (V, 2) float64
+    vertex_offsets: np.ndarray = _OnFirstRead()  # (n + 1,) int64
+    vertices: np.ndarray = _OnFirstRead()  # (V, 2) float64
 
     @property
     def n(self) -> int:
@@ -593,6 +642,8 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
     Patterns with no triangulation (too few sites, all sites on a line or a
     plane, a scale whose squared lengths underflow) raise ValueError, as do
     chart triangulations that leave a site out or hold a zero-area triangle.
+    The cell polygons and areas are left to the first read (see
+    Tessellation); every error is raised here.
     """
     n, surface, kind, R = pattern.n, pattern.surface, pattern.surface.kind, pattern.surface.R
     scale = normalization_scale(surface)
@@ -602,6 +653,7 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
         )
     points = pattern.xyz if kind == SPHERE else pattern.chart_xy
     _check_distinct(points)
+    frames = centers = None
     if kind == SPHERE:
         unit = points / R
         # tangent-plane basis of each site: its chart for the fans, and
@@ -614,8 +666,10 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
         simplices = _qhull_simplices(kind, points)
     # corners in ascending order, so both paths round each circumcenter alike
     simplices = np.sort(simplices, axis=1)
-    circumcenters = {SPHERE: _sphere_centers, HYPERBOLIC: _disc_centers, PLANE: _plane_centers}
-    centers = circumcenters[kind](points, simplices)
+    if kind != SPHERE:
+        # the boundary flags read the chart circumcenters (and the check for
+        # zero-area triangles runs here); the sphere's wait for the geometry
+        centers = (_disc_centers if kind == HYPERBOLIC else _plane_centers)(points, simplices)
 
     # each triangle edge once, as i * n + j with i < j; hull edges are in one triangle
     edges = np.vstack((simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [0, 2]]))
@@ -640,12 +694,26 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
     if kind != SPHERE:
         boundary[simplices[np.sum(centers * centers, axis=1) > pattern.r.max() ** 2]] = True
 
+    geometry = _CellGeometry(kind, points, simplices, centers, frames, boundary, R, scale)
+    cells = Cells(np.diff(adjacency.indptr), geometry, boundary)
+    return Tessellation(pattern, cells, adjacency, geometry, geometry)
+
+
+def _cell_geometry(kind, points, simplices, centers, frames, boundary, R, scale) -> dict[str, np.ndarray]:
+    """The chart polygon and the area of every cell, as the Tessellation fields they fill.
+
+    centers are the chart circumcenters of the triangles, or None on the
+    sphere, whose are computed here.
+    """
+    n = len(points)
+    if kind == SPHERE:
+        centers = _sphere_centers(points, simplices)
+        e1, e2 = frames
+
     # incident triangles of each site in ascending triangle order
     corners = simplices.ravel()
     fans = np.argsort(corners, kind="stable") // 3
     offsets = np.concatenate(([0], np.cumsum(np.bincount(corners, minlength=n))))
-    if kind == SPHERE:
-        e1, e2 = frames
 
     areas = np.full(n, math.nan)
     vertices = np.empty((len(corners), 2))
@@ -679,8 +747,7 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
             ring = np.where(polar[..., None] > 1e-12, ring[..., :2] / polar[..., None], np.inf)
         vertices[slots] = ring
 
-    cells = Cells(np.diff(adjacency.indptr), areas, boundary)
-    return Tessellation(pattern, cells, adjacency, offsets, vertices)
+    return {"vertex_offsets": offsets, "vertices": vertices, "area": areas}
 
 
 def classify(tess: Tessellation) -> list[str]:

@@ -449,18 +449,20 @@ def test_render_hyperbolic_draws_limit_circle(tmp_path):
         None,  # the import alone
         ["generate", "--geometry", "plane", "--n", "300", "--out", "{tmp}/p.json"],
         ["analyze", "--geometry", "plane", "--n", "3000", "--out", "{tmp}/report"],
+        ["thresholds", "--u-max", "4", "--out", "{tmp}/t.json"],
     ],
-    ids=["import", "generate", "analyze"],
+    ids=["import", "generate", "analyze", "thresholds"],
 )
 def test_no_command_imports_scipy(argv, tmp_path):
     # scipy is only the fallback triangulator's; a golden pattern never
     # needs it, so no command on one may load it (checked in a fresh
-    # interpreter, with no timing)
+    # interpreter, with no timing).  Nor numpy.ma, which np.unique imports
+    # (about 35 ms) and no command needs
     code = "import sys\nimport phyllo.cli\n"
     if argv is not None:
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         code += f"assert phyllo.cli.main({argv!r}) == 0\n"
-    code += "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    code += "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))\n"
     src = str(Path(phyllo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(

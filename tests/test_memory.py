@@ -47,6 +47,7 @@ def _traced_peak(fn):
 
 def test_tessellation_json_is_streamed():
     tess = tessellate(generate("plane", 30000))
+    tess.vertices  # the cell geometry is computed on first read; bound the writer alone
     sink = _CountingSink()
     _, peak = _traced_peak(lambda: write_json(tessellation_document(tess), sink))
     # about 12 MB written from 15 blocks of rows; keeping every block's text

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, Delaunay, Voronoi, cKDTree
 
-from phyllo import tessellation
-from phyllo.analysis import area_series
+from phyllo import cli, tessellation
+from phyllo.analysis import area_series, detect_grain_boundaries
 from phyllo.generator import PhylloPattern, generate, normalization_scale
 from phyllo.geometry import SurfaceSpec, chart_distance_xy
 from phyllo.numerics import fibonacci
@@ -217,6 +217,57 @@ def test_tessellation_is_deterministic():
         assert np.array_equal(getattr(a.adjacency, name), getattr(b.adjacency, name))
     assert np.array_equal(a.vertex_offsets, b.vertex_offsets)
     assert np.array_equal(a.vertices, b.vertices)
+
+
+# The cell geometry (polygons and areas) is computed on first read, once.
+
+@pytest.fixture
+def geometry_runs(monkeypatch):
+    """The list of calls to the deferred cell geometry, one entry per run."""
+    runs = []
+    run = tessellation._cell_geometry
+
+    def counted(*args):
+        runs.append(args[0])
+        return run(*args)
+
+    monkeypatch.setattr(tessellation, "_cell_geometry", counted)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "kind,n,kwargs", [("plane", 3000, {}), ("sphere", 1333, {}), ("hyperbolic", 3000, {"a": 0.1})]
+)
+def test_ring_detection_computes_no_cell_geometry(kind, n, kwargs, geometry_runs):
+    boundaries = detect_grain_boundaries(tessellate(generate(kind, n, **kwargs)))
+    assert any(b.complete for b in boundaries)
+    assert geometry_runs == []
+
+
+def test_empirical_thresholds_compute_no_cell_geometry(geometry_runs):
+    assert cli.main(["thresholds", "--u-max", "6", "--empirical"]) == 0
+    assert geometry_runs == []
+
+
+@pytest.mark.parametrize(
+    "kind,n,kwargs",
+    [("sphere", 600, {"indexing": "half-integer"}), ("hyperbolic", 3000, {"a": 0.4}), ("plane", 600, {})],
+)
+def test_cell_geometry_runs_once_whatever_is_read_first(kind, n, kwargs, geometry_runs):
+    pattern = generate(kind, n, **kwargs)
+    area_first = tessellate(pattern)
+    areas = area_first.cells.area
+    assert geometry_runs == [kind]
+    vertices_first = tessellate(pattern)
+    vertices, offsets = vertices_first.vertices, vertices_first.vertex_offsets
+    assert geometry_runs == [kind, kind]
+    assert np.array_equal(vertices_first.cells.area, areas, equal_nan=True)
+    assert np.array_equal(area_first.vertices, vertices, equal_nan=True)
+    assert np.array_equal(area_first.vertex_offsets, offsets)
+    for tess in (area_first, vertices_first):
+        assert tess.cells.area is tess.cells.area and tess.vertices is tess.vertices
+        list(tess.cells)
+    assert geometry_runs == [kind, kind]
 
 
 # Cell areas computed one cell at a time, as plain formulas: the reference
