@@ -9,17 +9,18 @@ The documents are dicts written by one generic writer, dumps_json, except
 for their large lists: the sites of a pattern and the cells of a
 tessellation.  Those are written column by column, at most
 tessellation._BLOCK rows at a time.  Each block formats its numeric columns
-from ``.tolist()`` with ``format(x, ".17g")`` (NaN as null), each distinct
-value once (_distinct_text, which render_svg uses as well): the chart
-vertices that neighboring cells share, and on the plane the equal radii
-rho and r.  The columns fill one row template per document.  A document
-holds its list as a _JsonRows, which renders the blocks only while it is
-written: write_json writes each block's text to its stream as soon as it
-is made and keeps nothing, so the whole text of a tessellation is never in
-memory.  The text is the same as the generic writer gives for a list of
-per-row dicts.  The three CSV files fill a row template from slices of
-their columns in the same way, _BLOCK rows at a time, and return their
-text.
+from ``.tolist()`` with ``format(x, ".17g")`` (NaN as null), and makes the
+text of each distinct row of values once (_distinct_rows, which render_svg
+uses as well): each chart vertex that neighboring cells share is formatted
+and filled into ``[x, y]`` once, each link step once, and on the plane the
+equal radii rho and r are formatted once.  The texts fill one row template
+per document.  A document holds its list as a _JsonRows, which renders the
+blocks only while it is written: write_json writes each block's text to its
+stream as soon as it is made and keeps nothing, so the whole text of a
+tessellation is never in memory.  The text is the same as the generic
+writer gives for a list of per-row dicts.  The three CSV files fill a row
+template from slices of their columns in the same way, _BLOCK rows at a
+time, and return their text.
 """
 
 from __future__ import annotations
@@ -72,13 +73,25 @@ def _json_floats(values: np.ndarray) -> list[str]:
     return text
 
 
-def _distinct_text(values: np.ndarray, fmt):
-    """Iterator over the strings fmt(values.ravel()) gives, each distinct value formatted once.
+def _distinct_rows(rows: np.ndarray, fmt, template: str):
+    """Iterator over template % tuple(fmt(row)) for each row of an (m, k) array.
 
-    Values compare bit for bit, which keeps -0.0 apart from 0.0.
+    Each distinct row is formatted and filled once: fmt maps a 1-D array to
+    a list and is called once, on the distinct rows flattened.  The array
+    holds 8-byte numbers, and rows compare bit for bit, which keeps -0.0
+    apart from 0.0.
     """
-    bits, inverse = np.unique(values.ravel().view(np.int64), return_inverse=True)
-    return map(fmt(bits.view(np.float64)).__getitem__, inverse.tolist())
+    m, k = rows.shape
+    bits = rows.view(np.int64)
+    order = np.lexsort(bits.T)
+    ordered = bits[order]
+    first = np.ones(m, dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    inverse = np.empty(m, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    text = iter(fmt(rows[order[first]].ravel()))
+    filled = list(map(template.__mod__, zip(*[text] * k)))
+    return map(filled.__getitem__, inverse.tolist())
 
 
 class _JsonRows:
@@ -171,7 +184,8 @@ def pattern_document(pattern: PhylloPattern) -> dict:
 
     def rows(lo: int, hi: int):
         # row by row, so that one iterator fills every float of a row
-        text = _distinct_text(np.column_stack([column[lo:hi] for column in columns]), _json_floats)
+        values = np.column_stack([column[lo:hi] for column in columns]).reshape(-1, 1)
+        text = _distinct_rows(values, _json_floats, "%s")
         return map(template.__mod__, zip(pattern.s[lo:hi].tolist(), *[text] * len(columns)))
 
     return {
@@ -275,11 +289,10 @@ def tessellation_document(tess: Tessellation) -> dict:
     delta, indptr = adjacency.delta, adjacency.indptr
 
     def rows(lo: int, hi: int):
-        xy = _distinct_text(tess.vertices[offsets[lo] : offsets[hi]], _json_floats)
-        points = map("[%s, %s]".__mod__, zip(xy, xy))
+        points = _distinct_rows(tess.vertices[offsets[lo] : offsets[hi]], _json_floats, "[%s, %s]")
         polygons = [", ".join(islice(points, k)) for k in np.diff(offsets[lo : hi + 1]).tolist()]
         sides = cells.sides[lo:hi].tolist()
-        steps = iter(map(str, delta[indptr[lo] : indptr[hi]].tolist()))
+        steps = _distinct_rows(delta[indptr[lo] : indptr[hi], None], np.ndarray.tolist, "%d")
         deltas = [", ".join(islice(steps, k)) for k in sides]
         boundary = cells.is_boundary[lo:hi]
         areas = _json_floats(np.where(boundary, math.nan, cells.area[lo:hi]))  # boundary: null

@@ -7,9 +7,10 @@ the pattern origin.  Output contains no timestamps or other run metadata,
 so identical input gives byte-identical SVG.
 
 Polygons are written from the columns, tessellation._BLOCK drawn cells at a
-time: each distinct x and -y value of a block's vertices is formatted once
-(``.6g``, export._distinct_text), the points joined per cell fill one
-``<polygon>`` template, and only the block's joined text is kept.
+time: each distinct (x, -y) point of a block's vertices is formatted
+(``.6g``) and filled into ``x,y`` once (export._distinct_rows), the points
+joined per cell fill one ``<polygon>`` template, and only the block's
+joined text is kept.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import compress, islice, repeat
 
 import numpy as np
 
-from .export import _distinct_text
+from .export import _distinct_rows
 from .geometry import HYPERBOLIC, SPHERE, chart_to_unit_surface
 from .tessellation import _BLOCK, Tessellation, classify
 
@@ -87,8 +88,7 @@ def render_svg(tess: Tessellation, projection: str | None = None, size: int = 90
     ends = np.cumsum([0] + corners)
     for lo in range(0, len(corners), _BLOCK):
         hi = min(lo + _BLOCK, len(corners))
-        text = _distinct_text(xy[ends[lo] : ends[hi]], _g6)
-        points = map("%s,%s".__mod__, zip(text, text))
+        points = _distinct_rows(xy[ends[lo] : ends[hi]], _g6, "%s,%s")
         coords = [" ".join(islice(points, k)) for k in corners[lo:hi]]
         lines.append("\n".join(map(template.__mod__, zip(coords, fills[lo:hi]))))
     # white dot on the pattern origin (chart center / near pole); joining a

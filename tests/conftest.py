@@ -1,14 +1,20 @@
-"""Shared tessellation fixtures.
+"""Shared tessellation fixtures and the Hypothesis settings of the suite.
 
 Tessellating the reference patterns dominates suite runtime, so each one is
 built once per session and shared; every fixture is lazy, so small test
-subsets stay fast.
+subsets stay fast.  Hypothesis draws the same examples on every run, times
+no example and keeps no example database, so a property test passes or
+fails the same way on any host and at any load.
 """
 
 import pytest
+from hypothesis import settings
 
 from phyllo.generator import generate
 from phyllo.tessellation import tessellate
+
+settings.register_profile("phyllo", derandomize=True, deadline=None, database=None)
+settings.load_profile("phyllo")
 
 
 @pytest.fixture(scope="session")

@@ -12,10 +12,11 @@ patterns, whose ``pattern.json`` no CLI case writes.  The reference cases
 keep the nested-dict document builders that the column writers of
 ``phyllo.export`` replaced, and the one-polygon-at-a-time writer that the
 block writer of ``render_svg`` replaced, and require the same text from
-both.  Every pattern here is triangulated from its parastichies, without
-Qhull, so the digests depend on numpy alone; they were recorded with numpy
-2.4.6, and other builds of numpy, its BLAS or libm may move the last printed
-digit of some floats.
+both; they also take patterns that Qhull triangulates, whose link steps
+are not Fibonacci numbers.  Every pattern with a digest is triangulated
+from its parastichies, without Qhull, so the digests depend on numpy alone;
+they were recorded with numpy 2.4.6, and other builds of numpy, its BLAS or
+libm may move the last printed digit of some floats.
 """
 
 import csv
@@ -31,6 +32,8 @@ from phyllo import cli
 from phyllo.analysis import detect_grain_boundaries
 from phyllo.export import (
     BOUNDARY_COLUMNS,
+    _distinct_rows,
+    _json_floats,
     boundaries_csv,
     boundary_rows,
     dumps_json,
@@ -288,6 +291,8 @@ def _reference_tessellation_document(tess):
         ("plane", 600, {"indexing": "half-integer"}),
         ("sphere", 600, {"indexing": "half-integer"}),
         ("sphere", 2 * _BLOCK + 1, {}),  # a block seam and a one-row last block
+        ("plane", 3000, {"lam": 0.4}),  # Qhull's triangles
+        ("hyperbolic", 3000, {"a": 0.1, "lam": 1.0 / 3.0}),  # Qhull's triangles
     ],
 )
 def test_documents_match_generic_writer(kind, n, kwargs):
@@ -406,6 +411,7 @@ def _reference_render_svg(tess, projection: str, size: int = 900) -> str:
         ("plane", 600, {}, "chart"),  # extent from the drawn vertices
         ("hyperbolic", 3000, {"a": 0.4}, "chart"),  # yellow and lightgray fills
         ("sphere", 2 * _BLOCK + 1, {}, "chart"),  # two block seams, a one-cell last block
+        ("plane", 3000, {"lam": 0.4}, "chart"),  # Qhull's polygons
     ],
 )
 def test_render_matches_polygon_writer(kind, n, kwargs, projection):
@@ -414,6 +420,31 @@ def test_render_matches_polygon_writer(kind, n, kwargs, projection):
     _assert_same_text(text, _reference_render_svg(tess, projection))
     if n > 2 * _BLOCK:
         assert text.count("<polygon") == n  # the chart draws every sphere cell
+
+
+@pytest.mark.parametrize("m", [0, 1, 2 * _BLOCK])
+def test_distinct_rows_fill_each_distinct_row_once(m):
+    # rows of a block whose bits differ although their values compare equal
+    # (zeros of both signs) or print alike (two NaN payloads), infinities,
+    # one-ulp neighbours, and (x, y) beside (y, x)
+    nan_payload = np.array([0x7FF8000000000001]).view(np.float64)[0]
+    close = [np.nextafter(0.25, 0.0), 0.25, np.nextafter(0.25, 1.0)]
+    pool = np.array([0.0, -0.0, np.nan, nan_payload, np.inf, -np.inf, *close, 1.0 / 3.0, -7.5])
+    rows = pool[np.random.default_rng(m).integers(len(pool), size=(m, 2))]
+    keys = {tuple(row) for row in rows.view(np.int64).tolist()}
+    if m > 1:
+        assert any(y != x and (y, x) in keys for x, y in keys)  # swapped pairs
+    seen = []
+
+    def fmt(values):
+        seen.append(values.copy())
+        return _json_floats(values)
+
+    text = list(_distinct_rows(rows, fmt, "[%s, %s]"))
+    assert text == ["[%s, %s]" % tuple(_json_floats(row)) for row in rows]
+    (distinct,) = seen
+    distinct = [tuple(row) for row in distinct.view(np.int64).reshape(-1, 2).tolist()]
+    assert sorted(distinct) == sorted(keys)
 
 
 def test_render_keeps_signed_zeros_and_last_bits():

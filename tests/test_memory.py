@@ -22,6 +22,7 @@ from phyllo.export import (
     write_json,
 )
 from phyllo.generator import generate
+from phyllo.render import render_svg
 from phyllo.tessellation import _BLOCK, tessellate
 
 
@@ -63,6 +64,16 @@ def test_distance_csv_formats_block_by_block():
     # formatting whole columns as Python strings took 7 times the text
     assert len(text) > 3_000_000
     assert peak < 3.0 * len(text)
+
+
+def test_render_svg_keeps_point_tables_per_block():
+    tess = tessellate(generate("hyperbolic", 20000, a=0.025))
+    tess.vertices  # bound the writer alone, as above
+    text, peak = _traced_peak(lambda: render_svg(tess))
+    # the text, the block texts it is joined from, the drawn vertices, and
+    # one block's table of distinct points
+    assert len(text) > 3_000_000
+    assert peak < 3.5 * len(text)
 
 
 @pytest.mark.parametrize("kind", ["plane", "sphere"])
