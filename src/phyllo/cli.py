@@ -158,7 +158,7 @@ def _write_text(parser: _Parser, path: Path, content: str | dict) -> None:
 
 def _cmd_generate(parser: _Parser, args) -> int:
     pattern = _pattern_from_args(parser, args)
-    text = dumps_json(pattern_document(pattern))
+    doc = pattern_document(pattern)
     scale = normalization_scale(pattern.surface)
     summary = (
         f"{pattern.surface.kind} pattern: n={pattern.n}"
@@ -166,10 +166,10 @@ def _cmd_generate(parser: _Parser, args) -> int:
         f" mean cell width={math.sqrt(math.pi) * scale:.6g}"
     )
     if args.out:
-        _write_text(parser, Path(args.out), text)
+        _write_text(parser, Path(args.out), doc)
         print(summary)
     else:
-        sys.stdout.write(text)
+        write_json(doc, sys.stdout)
         print(summary, file=sys.stderr)
     return EXIT_OK
 

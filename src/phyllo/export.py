@@ -7,20 +7,19 @@ records a timestamp.
 
 The documents are dicts written by one generic writer, dumps_json, except
 for their large lists: the sites of a pattern and the cells of a
-tessellation.  Those are written column by column, at most
-tessellation._BLOCK rows at a time.  Each block formats its numeric columns
-from ``.tolist()`` with ``format(x, ".17g")`` (NaN as null), and makes the
-text of each distinct row of values once (_distinct_rows, which render_svg
-uses as well): each chart vertex that neighboring cells share is formatted
-and filled into ``[x, y]`` once, each link step once, and on the plane the
-equal radii rho and r are formatted once.  The texts fill one row template
-per document.  A document holds its list as a _JsonRows, which renders the
-blocks only while it is written: write_json writes each block's text to its
-stream as soon as it is made and keeps nothing, so the whole text of a
-tessellation is never in memory.  The text is the same as the generic
-writer gives for a list of per-row dicts.  The three CSV files fill a row
-template from slices of their columns in the same way, _BLOCK rows at a
-time, and return their text.
+tessellation.  A document holds each as a function that yields the texts of
+at most tessellation._BLOCK rows at a time, made column by column while it
+is written; write_json calls it anew on each writing and writes each block
+as soon as it is made, so the whole text of a tessellation is never in
+memory.  Floats are formatted from ``.tolist()`` with ``format(x, ".17g")``
+(NaN as null).  Each row of the tessellation's vertex table is formatted
+into ``[x, y]`` once per writing, by the first block that lists it, and
+kept until the last (_shared_rows, which render_svg uses as well); within a
+block, each distinct row of values is made into text once (_distinct_rows):
+each cell's list of link steps, and on the plane the equal radii rho and r.
+The text is the same as the generic writer gives for a list of per-row
+dicts.  The three CSV files fill a row template from slices of their
+columns in the same way, _BLOCK rows at a time, and return their text.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 
 from .generator import PhylloPattern, generate
 from .geometry import SPHERE, SurfaceSpec
-from .tessellation import _BLOCK, Tessellation
+from .tessellation import _BLOCK, Tessellation, _blocks
 
 __all__ = [
     "dumps_json",
@@ -94,23 +93,26 @@ def _distinct_rows(rows: np.ndarray, fmt, template: str):
     return map(filled.__getitem__, inverse.tolist())
 
 
-class _JsonRows:
-    """JSON list of n rows, rendered _BLOCK rows at a time whenever it is iterated.
+def _shared_rows(table: np.ndarray, index: np.ndarray, cuts: np.ndarray, fmt, template: str):
+    """Per span index[cuts[j]:cuts[j + 1]], the texts template % tuple(fmt(row)) of its table rows.
 
-    rows(lo, hi) yields the text of rows lo..hi-1.  Iteration yields the
-    text of one block at a time, which _write_json writes verbatim and
-    separates with ", " like any list items; nothing is kept between
-    blocks, so a document can be written any number of times.
+    Each row of the (m, k) table is formatted and filled once, by the first
+    span that reads it (fmt is called once per span, on those rows
+    flattened), and its text is dropped after the last span that reads it.
     """
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, n: int, rows):
-        self.n, self.rows = n, rows
-
-    def __iter__(self):
-        for lo in range(0, self.n, _BLOCK):
-            yield ", ".join(self.rows(lo, min(lo + _BLOCK, self.n)))
+    last = np.full(len(table), -1)
+    np.maximum.at(last, index, np.arange(len(index)))
+    text, done = np.empty(len(table), dtype=object), np.zeros(len(table), dtype=bool)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        read = index[lo:hi]
+        new = np.sort(read[~done[read]])
+        new = new[np.diff(new, prepend=-1) != 0]
+        done[new] = True
+        values = iter(fmt(table[new].ravel()))
+        text[new] = list(map(template.__mod__, zip(*[values] * table.shape[1])))
+        texts = text[read].tolist()
+        text[read[last[read] < hi]] = None
+        yield texts
 
 
 def dumps_json(doc) -> str:
@@ -148,11 +150,13 @@ def _write_json(node, out) -> None:
             out.write(": ")
             _write_json(node[key], out)
         out.write("}")
-    elif isinstance(node, (list, tuple, np.ndarray, _JsonRows)):
-        # the items of a _JsonRows are blocks of JSON text already
-        write = out.write if isinstance(node, _JsonRows) else lambda item: _write_json(item, out)
+    elif isinstance(node, (list, tuple, np.ndarray)) or callable(node):
+        # a function is a list made while it is written: it yields the JSON
+        # texts of one block of items at a time
+        items = map(", ".join, node()) if callable(node) else node
+        write = out.write if callable(node) else lambda item: _write_json(item, out)
         out.write("[")
-        for k, item in enumerate(node):
+        for k, item in enumerate(items):
             if k:
                 out.write(", ")
             write(item)
@@ -173,7 +177,7 @@ def _surface_document(surface: SurfaceSpec) -> dict:
 def pattern_document(pattern: PhylloPattern) -> dict:
     """Pattern as a JSON-ready document; angles reduced to [0, 2pi) here only."""
     template = '{"s": %d, "rho": %s, "theta": %s, "r": %s'
-    columns = [pattern.rho, np.mod(pattern.theta, TWO_PI), pattern.r]
+    columns = [pattern.rho, pattern.theta, pattern.r]
     if pattern.phi is not None:
         template += ', "phi": %s'
         columns.append(pattern.phi)
@@ -182,18 +186,21 @@ def pattern_document(pattern: PhylloPattern) -> dict:
         columns.extend(pattern.xyz.T)
     template += "}"
 
-    def rows(lo: int, hi: int):
-        # row by row, so that one iterator fills every float of a row
-        values = np.column_stack([column[lo:hi] for column in columns]).reshape(-1, 1)
-        text = _distinct_rows(values, _json_floats, "%s")
-        return map(template.__mod__, zip(pattern.s[lo:hi].tolist(), *[text] * len(columns)))
+    def blocks():
+        cuts = [*range(0, pattern.n, _BLOCK), pattern.n]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            # row by row, so that one iterator fills every float of a row
+            values = np.column_stack([column[lo:hi] for column in columns])
+            values[:, 1] = np.mod(values[:, 1], TWO_PI)
+            text = _distinct_rows(values.reshape(-1, 1), _json_floats, "%s")
+            yield map(template.__mod__, zip(pattern.s[lo:hi].tolist(), *[text] * len(columns)))
 
     return {
         "schema": PATTERN_SCHEMA,
         "surface": _surface_document(pattern.surface),
         "n": pattern.n,
         "indexing": pattern.indexing,
-        "sites": _JsonRows(pattern.n, rows),
+        "sites": blocks,
     }
 
 
@@ -288,22 +295,27 @@ def tessellation_document(tess: Tessellation) -> dict:
     )
     delta, indptr = adjacency.delta, adjacency.indptr
 
-    def rows(lo: int, hi: int):
-        points = _distinct_rows(tess.vertices[offsets[lo] : offsets[hi]], _json_floats, "[%s, %s]")
-        polygons = [", ".join(islice(points, k)) for k in np.diff(offsets[lo : hi + 1]).tolist()]
-        sides = cells.sides[lo:hi].tolist()
-        steps = _distinct_rows(delta[indptr[lo] : indptr[hi], None], np.ndarray.tolist, "%d")
-        deltas = [", ".join(islice(steps, k)) for k in sides]
-        boundary = cells.is_boundary[lo:hi]
-        areas = _json_floats(np.where(boundary, math.nan, cells.area[lo:hi]))  # boundary: null
-        flags = map(("false", "true").__getitem__, boundary.tolist())
-        return map(template.__mod__, zip(range(lo, hi), polygons, sides, areas, flags, deltas))
+    def blocks():
+        cuts = [*range(0, pattern.n, _BLOCK), pattern.n]
+        points = _shared_rows(tess.vertices, tess.vertex_index, offsets[cuts], _json_floats, "[%s, %s]")
+        for lo, hi, texts in zip(cuts[:-1], cuts[1:], points):
+            corners = iter(texts)
+            polygons = [", ".join(islice(corners, k)) for k in np.diff(offsets[lo : hi + 1]).tolist()]
+            sides = cells.sides[lo:hi]
+            deltas = np.empty(hi - lo, dtype=object)
+            for k, rows in _blocks(sides):  # the steps of k-sided cells as (m, k) rows
+                steps = delta[indptr[lo + rows, None] + np.arange(k)]
+                deltas[rows] = list(_distinct_rows(steps, np.ndarray.tolist, ", ".join(["%d"] * k)))
+            boundary = cells.is_boundary[lo:hi]
+            areas = _json_floats(np.where(boundary, math.nan, cells.area[lo:hi]))  # boundary: null
+            flags = map(("false", "true").__getitem__, boundary.tolist())
+            yield map(template.__mod__, zip(range(lo, hi), polygons, sides.tolist(), areas, flags, deltas))
 
     return {
         "schema": TESSELLATION_SCHEMA,
         "surface": _surface_document(pattern.surface),
         "n": pattern.n,
-        "cells": _JsonRows(pattern.n, rows),
+        "cells": blocks,
     }
 
 

@@ -7,10 +7,11 @@ the pattern origin.  Output contains no timestamps or other run metadata,
 so identical input gives byte-identical SVG.
 
 Polygons are written from the columns, tessellation._BLOCK drawn cells at a
-time: each distinct (x, -y) point of a block's vertices is formatted
-(``.6g``) and filled into ``x,y`` once (export._distinct_rows), the points
-joined per cell fill one ``<polygon>`` template, and only the block's
-joined text is kept.
+time: each (x, -y) point of the tessellation's vertex table is formatted
+(``.6g``) and filled into ``x,y`` once per figure, by the first block that
+draws it, and kept until the last cell that draws it is written
+(export._shared_rows); the points joined per cell fill one ``<polygon>``
+template, and only the block's joined text is kept.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import compress, islice, repeat
 
 import numpy as np
 
-from .export import _distinct_rows
+from .export import _shared_rows
 from .geometry import HYPERBOLIC, SPHERE, chart_to_unit_surface
 from .tessellation import _BLOCK, Tessellation, classify
 
@@ -50,28 +51,29 @@ def render_svg(tess: Tessellation, projection: str | None = None, size: int = 90
     if projection != "chart" and kind != SPHERE:
         raise ValueError(f"projection {projection!r} needs a sphere pattern")
 
-    offsets, verts = tess.vertex_offsets, tess.vertices
+    offsets, verts, index = tess.vertex_offsets, tess.vertices, tess.vertex_index
     owner = np.repeat(np.arange(tess.n), np.diff(offsets))
     keep = ~tess.cells.is_boundary
     extent = 1.0  # the orthographic disc and the Poincare disc's limit circle
     if projection == "orthographic":
         # drop the back hemisphere (the origin pole sits at z = -1)
         xyz = chart_to_unit_surface(SPHERE, verts)
-        keep &= np.bincount(owner, xyz[:, 2] > 0.0, minlength=tess.n) == 0
+        keep &= np.bincount(owner, (xyz[:, 2] > 0.0)[index], minlength=tess.n) == 0
         verts = xyz[:, :2]
     elif projection == "stereographic":
         # the equator maps to r = 1; r = 4 reaches 150 degrees colatitude,
         # beyond which cells blow up toward the projection pole
         extent = 4.0
         far = ~(np.sum(verts * verts, axis=1) <= extent * extent)
-        keep &= np.bincount(owner, far, minlength=tess.n) == 0
+        keep &= np.bincount(owner, far[index], minlength=tess.n) == 0
     if not keep.any():
         where = "out of view" if kind == SPHERE else "boundary cells"
         raise ValueError(f"nothing to draw: all {tess.n} cells are {where}")
     corners = np.diff(offsets)[keep].tolist()
-    xy = np.column_stack((verts[:, 0], -verts[:, 1]))[keep[owner]]  # SVG's y points down
+    drawn = index[keep[owner]]
+    xy = np.column_stack((verts[:, 0], -verts[:, 1]))  # SVG's y points down
     if projection == "chart" and kind != HYPERBOLIC:
-        extent = 1.02 * float(np.max(np.abs(xy)))
+        extent = 1.02 * float(np.max(np.abs(xy[drawn])))
 
     stroke = extent / 600.0
     corner, box, width, dot = _g6(np.array([-extent, 2.0 * extent, stroke, 6.0 * stroke]))
@@ -85,11 +87,11 @@ def render_svg(tess: Tessellation, projection: str | None = None, size: int = 90
         lines.append(f'<circle cx="0" cy="0" r="1" fill="none" {pen}/>')
     template = f'<polygon points="%s" fill="%s" {pen}/>'
     fills = [CELL_COLORS.get(label, FALLBACK_COLOR) for label in compress(classify(tess), keep)]
-    ends = np.cumsum([0] + corners)
-    for lo in range(0, len(corners), _BLOCK):
-        hi = min(lo + _BLOCK, len(corners))
-        points = _distinct_rows(xy[ends[lo] : ends[hi]], _g6, "%s,%s")
-        coords = [" ".join(islice(points, k)) for k in corners[lo:hi]]
+    cuts = [*range(0, len(corners), _BLOCK), len(corners)]
+    points = _shared_rows(xy, drawn, np.cumsum([0] + corners)[cuts], _g6, "%s,%s")
+    for lo, hi, texts in zip(cuts[:-1], cuts[1:], points):
+        texts = iter(texts)
+        coords = [" ".join(islice(texts, k)) for k in corners[lo:hi]]
         lines.append("\n".join(map(template.__mod__, zip(coords, fills[lo:hi]))))
     # white dot on the pattern origin (chart center / near pole); joining a
     # last "" ends the text with a newline without copying it

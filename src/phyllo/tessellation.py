@@ -43,9 +43,9 @@ products go through a stacked matmul, fan terms are summed with math.atan2),
 so the results are bit-identical to the per-cell formulas.
 
 A Tessellation holds columns only: the Delaunay links as one CSR table, the
-fixed-width cell values as one array each, and every chart polygon as a
-slice of one vertex array.  Lengths and areas are normalized so the mean
-cell area is pi.
+fixed-width cell values as one array each, one chart vertex per triangle,
+and every chart polygon as a slice of one array of indices into those.
+Lengths and areas are normalized so the mean cell area is pi.
 """
 
 from __future__ import annotations
@@ -191,19 +191,21 @@ class Tessellation:
     """The Voronoi cells and Delaunay links of a pattern, as columns.
 
     The chart polygon of site s is
-    ``vertices[vertex_offsets[s]:vertex_offsets[s + 1]]``, in order around
-    the cell.  The adjacency, the side counts and the boundary flags are
-    computed by tessellate; the polygons and the cell areas are computed
-    together, once, the first time ``vertices``, ``vertex_offsets`` or
-    ``cells.area`` is read.  So code that only reads links and side counts
-    (ring detection) never pays for them.
+    ``vertices[vertex_index[vertex_offsets[s]:vertex_offsets[s + 1]]]``, in
+    order around the cell: ``vertices`` holds each Delaunay triangle's
+    circumcenter once, for the cells of its three corners.  The adjacency,
+    the side counts and the boundary flags are computed by tessellate; the
+    polygons and the cell areas together, once, the first time one of the
+    vertex fields or ``cells.area`` is read.  So code that only reads links
+    and side counts (ring detection) never pays for them.
     """
 
     pattern: PhylloPattern
     cells: Cells
     adjacency: Adjacency
     vertex_offsets: np.ndarray = _OnFirstRead()  # (n + 1,) int64
-    vertices: np.ndarray = _OnFirstRead()  # (V, 2) float64
+    vertices: np.ndarray = _OnFirstRead()  # (triangles, 2) float64
+    vertex_index: np.ndarray = _OnFirstRead()  # (V,) int64: a row of vertices per polygon corner
 
     @property
     def n(self) -> int:
@@ -696,7 +698,7 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
 
     geometry = _CellGeometry(kind, points, simplices, centers, frames, boundary, R, scale)
     cells = Cells(np.diff(adjacency.indptr), geometry, boundary)
-    return Tessellation(pattern, cells, adjacency, geometry, geometry)
+    return Tessellation(pattern, cells, adjacency, geometry, geometry, geometry)
 
 
 def _cell_geometry(kind, points, simplices, centers, frames, boundary, R, scale) -> dict[str, np.ndarray]:
@@ -709,6 +711,11 @@ def _cell_geometry(kind, points, simplices, centers, frames, boundary, R, scale)
     if kind == SPHERE:
         centers = _sphere_centers(points, simplices)
         e1, e2 = frames
+        # stereographic chart vertices, for rendering
+        polar = 1.0 - centers[:, 2]
+        vertices = np.where(polar[:, None] > 1e-12, centers[:, :2] / polar[:, None], np.inf)
+    else:
+        vertices = centers
 
     # incident triangles of each site in ascending triangle order
     corners = simplices.ravel()
@@ -716,7 +723,7 @@ def _cell_geometry(kind, points, simplices, centers, frames, boundary, R, scale)
     offsets = np.concatenate(([0], np.cumsum(np.bincount(corners, minlength=n))))
 
     areas = np.full(n, math.nan)
-    vertices = np.empty((len(corners), 2))
+    index = np.empty(len(corners), dtype=np.int64)
     for k, rows in _blocks(np.diff(offsets)):
         slots = offsets[rows][:, None] + np.arange(k)
         ring = centers[fans[slots]]  # (m, k, 3) on the sphere, (m, k, 2) on a chart
@@ -729,8 +736,9 @@ def _cell_geometry(kind, points, simplices, centers, frames, boundary, R, scale)
             x, y = moved[..., 0], moved[..., 1]
         else:
             x, y = np.moveaxis(ring - points[rows][:, None, :], -1, 0)
-        turn = np.argsort(np.arctan2(y, x), axis=1)[..., None]
-        ring = np.take_along_axis(ring, turn, axis=1)
+        turn = np.argsort(np.arctan2(y, x), axis=1)
+        index[slots] = np.take_along_axis(fans[slots], turn, axis=1)
+        ring = centers[index[slots]]
         inner = ~boundary[rows]
         # a cell is convex around its site, so its sorted fan turns counterclockwise
         if kind == PLANE:
@@ -738,16 +746,11 @@ def _cell_geometry(kind, points, simplices, centers, frames, boundary, R, scale)
         elif kind == SPHERE:
             area = _fan_areas(ring[inner], 1.0) * R * R
         else:
-            moved = chart_to_unit_surface(kind, np.take_along_axis(moved, turn, axis=1)[inner])
+            moved = chart_to_unit_surface(kind, np.take_along_axis(moved, turn[..., None], axis=1)[inner])
             area = _fan_areas(moved, -1.0) * R * R
         areas[rows[inner]] = area / (scale * scale)
-        if kind == SPHERE:
-            # stereographic chart polygon of the ordered vertices, for rendering
-            polar = 1.0 - ring[..., 2]
-            ring = np.where(polar[..., None] > 1e-12, ring[..., :2] / polar[..., None], np.inf)
-        vertices[slots] = ring
 
-    return {"vertex_offsets": offsets, "vertices": vertices, "area": areas}
+    return {"vertex_offsets": offsets, "vertices": vertices, "vertex_index": index, "area": areas}
 
 
 def classify(tess: Tessellation) -> list[str]:

@@ -33,6 +33,7 @@ from phyllo.analysis import detect_grain_boundaries
 from phyllo.export import (
     BOUNDARY_COLUMNS,
     _distinct_rows,
+    _shared_rows,
     _json_floats,
     boundaries_csv,
     boundary_rows,
@@ -263,12 +264,12 @@ def _reference_pattern_document(pattern):
 
 def _reference_tessellation_document(tess):
     """One dict per cell and one list per vertex, fed to the generic writer."""
-    offsets = tess.vertex_offsets
+    offsets, index = tess.vertex_offsets, tess.vertex_index
     cells = [
         {
             "s": s,
             "vertices": [
-                [float(x), float(y)] for x, y in tess.vertices[offsets[s] : offsets[s + 1]]
+                [float(x), float(y)] for x, y in tess.vertices[index[offsets[s] : offsets[s + 1]]]
             ],
             "sides": int(cell.sides),
             "area": None if cell.is_boundary else float(cell.area),
@@ -312,14 +313,15 @@ def test_tessellation_document_keeps_signed_zeros_and_nans():
     tess = tessellate(generate("plane", 600))
     # vertex values the generated patterns do not produce: zeros of both
     # signs in one block, and a NaN
-    offsets = tess.vertex_offsets
-    polygons = [tess.vertices[offsets[s] : offsets[s + 1]] for s in range(tess.n)]
+    offsets, index = tess.vertex_offsets, tess.vertex_index
+    polygons = [tess.vertices[index[offsets[s] : offsets[s + 1]]] for s in range(tess.n)]
     polygons[1] = np.array([[0.0, -0.0], [np.nan, 1.0], [-0.0, 0.0]])
     polygons[2] = np.array([[-0.0, 0.0]])
     tess = dataclasses.replace(
         tess,
         vertex_offsets=np.concatenate(([0], np.cumsum([len(p) for p in polygons]))),
         vertices=np.concatenate(polygons),
+        vertex_index=np.arange(sum(map(len, polygons))),  # one table row per corner
     )
     text = dumps_json(tessellation_document(tess))
     _assert_same_text(text, dumps_json(_reference_tessellation_document(tess)))
@@ -363,8 +365,8 @@ def _polygon(points, color: str, stroke_width: float) -> str:
 def _reference_render_svg(tess, projection: str, size: int = 900) -> str:
     """One formatted polygon per drawn cell, as render_svg wrote before the block writer."""
     kind = tess.pattern.surface.kind
-    offsets, verts = tess.vertex_offsets, tess.vertices
-    polygons = [verts[offsets[s] : offsets[s + 1]] for s in range(tess.n)]
+    offsets, verts, index = tess.vertex_offsets, tess.vertices, tess.vertex_index
+    polygons = [verts[index[offsets[s] : offsets[s + 1]]] for s in range(tess.n)]
     drawn = [not c.is_boundary for c in tess.cells]
     extent = 1.0
     if projection == "orthographic":
@@ -447,12 +449,38 @@ def test_distinct_rows_fill_each_distinct_row_once(m):
     assert sorted(distinct) == sorted(keys)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shared_rows_format_each_row_once_in_the_first_span_that_reads_it(seed):
+    # a table of values that print alike or compare equal, read one to three
+    # times each in a shuffled order and cut into spans of random length
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.25, np.nextafter(0.25, 1.0), -7.5])
+    table = pool[rng.integers(len(pool), size=(500, 2))]
+    index = rng.permutation(np.repeat(np.arange(len(table)), rng.integers(1, 4, size=len(table))))
+    cuts = np.unique(np.r_[0, rng.integers(0, len(index), size=12), len(index)])
+    seen = []
+
+    def fmt(values):
+        seen.append(values.copy())
+        return _json_floats(values)
+
+    spans = list(_shared_rows(table, index, cuts, fmt, "[%s, %s]"))
+    assert len(spans) == len(seen) == len(cuts) - 1
+    assert sum(spans, []) == ["[%s, %s]" % tuple(_json_floats(table[i])) for i in index]
+    read_before = set()
+    for lo, hi, values in zip(cuts[:-1], cuts[1:], seen):
+        # the values of the rows this span reads first, bit for bit
+        first = sorted(set(index[lo:hi].tolist()) - read_before)
+        assert np.array_equal(values.view(np.int64), table[first].ravel().view(np.int64))
+        read_before.update(first)
+
+
 def test_render_keeps_signed_zeros_and_last_bits():
     tess = tessellate(generate("plane", 600))
     # zeros of both signs and two values one bit apart, in drawn cells of
     # one block
-    offsets = tess.vertex_offsets
-    polygons = [tess.vertices[offsets[s] : offsets[s + 1]] for s in range(tess.n)]
+    offsets, index = tess.vertex_offsets, tess.vertex_index
+    polygons = [tess.vertices[index[offsets[s] : offsets[s + 1]]] for s in range(tess.n)]
     close = np.nextafter(0.25, 1.0)
     polygons[1] = np.array([[0.0, -0.0], [0.25, close], [-0.0, 0.0], [close, 0.25]])
     polygons[2] = np.array([[-0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -460,6 +488,7 @@ def test_render_keeps_signed_zeros_and_last_bits():
         tess,
         vertex_offsets=np.concatenate(([0], np.cumsum([len(p) for p in polygons]))),
         vertices=np.concatenate(polygons),
+        vertex_index=np.arange(sum(map(len, polygons))),  # one table row per corner
     )
     assert not tess.cells.is_boundary[1:3].any()
     text = render_svg(tess)

@@ -87,6 +87,25 @@ def test_a_document_writes_the_same_text_twice(kind):
         assert dumps_json(doc) == first
 
 
+@pytest.mark.parametrize("kind, kwargs", [("sphere", {}), ("hyperbolic", {"a": 0.4})])
+def test_a_tessellation_renders_the_same_text_twice(kind, kwargs):
+    # each render carries the point texts shared across blocks afresh
+    tess = tessellate(generate(kind, 2 * _BLOCK + 1, **kwargs))
+    first = render_svg(tess, "chart")
+    assert first.count("<polygon") == (~tess.cells.is_boundary).sum()
+    assert render_svg(tess, "chart") == first
+
+
+def test_generate_streams_its_document(tmp_path):
+    path = tmp_path / "pattern.json"
+    argv = ["generate", "--geometry", "plane", "--n", "30000", "--out", str(path)]
+    code, peak = _traced_peak(lambda: cli.main(argv))
+    # about 3 MB written block by block; making the whole text first took
+    # 2.5 times the file
+    assert code == 0
+    assert peak < 1.0 * path.stat().st_size
+
+
 def test_report_text_is_written_a_slice_at_a_time(tmp_path):
     text = "0123456789abcdef\n" * 500_000  # 8.5 MB
     path = tmp_path / "report.csv"

@@ -217,6 +217,37 @@ def test_tessellation_is_deterministic():
         assert np.array_equal(getattr(a.adjacency, name), getattr(b.adjacency, name))
     assert np.array_equal(a.vertex_offsets, b.vertex_offsets)
     assert np.array_equal(a.vertices, b.vertices)
+    assert np.array_equal(a.vertex_index, b.vertex_index)
+
+
+@pytest.mark.parametrize(
+    "kind,n,kwargs",
+    [
+        ("plane", 600, {}),
+        ("sphere", 401, {}),
+        ("sphere", 600, {"indexing": "half-integer"}),
+        ("hyperbolic", 3000, {"a": 0.4}),
+        ("plane", 3000, {"lam": 0.4}),  # Qhull's triangles
+    ],
+)
+def test_vertex_table_holds_one_vertex_per_triangle(kind, n, kwargs):
+    pattern = generate(kind, n, **kwargs)
+    tess = tessellate(pattern)
+    corners = np.diff(tess.vertex_offsets)
+    if kind == "sphere":
+        assert len(tess.vertices) == 2 * n - 4
+    else:
+        # a hull site's fan is open: one triangle fewer than its links
+        hull = np.flatnonzero(corners < tess.cells.sides)
+        assert np.array_equal(hull, np.sort(ConvexHull(pattern.chart_xy).vertices))
+        assert np.all(corners[hull] == tess.cells.sides[hull] - 1)
+        assert len(tess.vertices) == 2 * n - 2 - len(hull)
+    # each triangle is listed by its three corners' cells, once by each
+    index = tess.vertex_index
+    assert np.array_equal(np.bincount(index, minlength=len(tess.vertices)), np.full(len(tess.vertices), 3))
+    owner = np.repeat(np.arange(n), corners)
+    key = np.sort(owner * len(tess.vertices) + index)
+    assert np.all(np.diff(key) > 0)
 
 
 # The cell geometry (polygons and areas) is computed on first read, once.
@@ -543,20 +574,21 @@ def test_chart_cells_match_voronoi(kind, n, kwargs):
 
     # every vertex sits on a reference vertex, to rounding; the thin triangles
     # along the hull have ill-conditioned circumcenters in both builds
+    corners = tess.vertices[tess.vertex_index]  # each cell's polygon in turn
     known = ~np.isnan(vertices[:, 0])
     size = np.max(np.abs(vertices[known]))
-    gap, _ = cKDTree(vertices[known]).query(tess.vertices)
+    gap, _ = cKDTree(vertices[known]).query(corners)
     gap /= size
     cut = np.repeat(boundary, np.diff(tess.vertex_offsets))
     assert np.all(gap[~cut] <= 1e-12)
     if disc:
         # a circumcircle that is no hyperbolic circle puts its vertex on or
         # outside the unit circle
-        outside = np.sum(tess.vertices * tess.vertices, axis=1) >= 1.0
+        outside = np.sum(corners * corners, axis=1) >= 1.0
         assert np.sum(outside) == sum(np.count_nonzero(~known[f]) for f in finite)
         cut &= ~outside
     assert np.all(gap[cut] <= 1e-10)
-    back, _ = cKDTree(tess.vertices).query(vertices[known])
+    back, _ = cKDTree(corners).query(vertices[known])
     assert np.all(back <= 1e-10 * size)
 
     interior = np.flatnonzero(~boundary)
@@ -579,7 +611,7 @@ def test_disc_areas_match_grid_oracle(a):
     interior = np.flatnonzero(~tess.cells.is_boundary)
     rng = np.random.default_rng(5)
     for s in interior[np.linspace(0, len(interior) - 1, 12).astype(int)]:
-        poly = tess.vertices[tess.vertex_offsets[s] : tess.vertex_offsets[s + 1]]
+        poly = tess.vertices[tess.vertex_index[tess.vertex_offsets[s] : tess.vertex_offsets[s + 1]]]
         lo, hi = poly.min(axis=0), poly.max(axis=0)
         lo, hi = lo - 0.25 * (hi - lo), hi + 0.25 * (hi - lo)
         step = (hi - lo) / 400
@@ -613,7 +645,7 @@ def test_disc_vertices_are_hyperbolic_circumcenters(a, n):
     for s in interior:
         # each vertex is as far from s as from the two neighbors that share
         # its triangle, and every other neighbor is farther
-        verts = tess.vertices[tess.vertex_offsets[s] : tess.vertex_offsets[s + 1]]
+        verts = tess.vertices[tess.vertex_index[tess.vertex_offsets[s] : tess.vertex_offsets[s + 1]]]
         to_site = chart_distance_xy(surface, verts, xy[s])
         to_others = np.sort(chart_distance_xy(surface, verts[:, None], xy[tess.adjacency[s]]), axis=1)
         np.testing.assert_allclose(to_others[:, :2], np.column_stack((to_site, to_site)), rtol=1e-9)
@@ -702,8 +734,10 @@ def test_parastichy_triangulation_matches_qhull(kind, n, kwargs, monkeypatch):
     for name in ("sides", "is_boundary", "area"):
         assert np.array_equal(getattr(tess.cells, name), getattr(reference.cells, name), equal_nan=True), name
     # both paths put each triangle's corners in one order, so they round alike
+    # (the paths list the triangles in different orders: compare the polygons)
     assert np.array_equal(tess.vertex_offsets, reference.vertex_offsets)
-    assert np.array_equal(tess.vertices, reference.vertices, equal_nan=True)
+    polygons = [t.vertices[t.vertex_index] for t in (tess, reference)]
+    assert np.array_equal(*polygons, equal_nan=True)
 
 
 def test_parastichy_steps_are_the_fibonacci_numbers_or_none():
