@@ -17,7 +17,8 @@ what Euler's formula asks.  Qhull, which scipy provides and which is
 imported only then, triangulates the patterns whose parastichy numbers
 are not the Fibonacci numbers (other divergences, decided from lam's
 continued fraction before any fan is built) and those that do not certify
-(nearly cocircular sites, fewer than three sites).  Either way each
+(nearly cocircular sites).  Patterns of fewer than three sites (four on the
+sphere) have no triangulation and raise before either.  Either way each
 triangle's corners are put in ascending order, so both paths round every
 circumcenter alike.
 
@@ -30,17 +31,24 @@ normal's geodesic, outside the disc), and an area is the fan of geodesic
 triangles.
 
 From the triangles on, every surface takes one path.  tessellate builds
-what ring detection reads: one edge list, the CSR links with their lengths,
-the side counts and the boundary flags (which on a chart read the
-circumcenters, so those are computed there too).  The chart polygons and
-the cell areas are computed together, once, when one of them is first read:
-one stable sort of the triangle corners by site, and one sort of each fan by
-the direction of the geodesic to each vertex.  Sites with the same number of
-triangles are processed together, at most _BLOCK at a time, which bounds the
-temporary memory.  Each value is reduced in the order, and through the same
-numpy and BLAS kernels, that a cell-by-cell computation would use (row dot
-products go through a stacked matmul, fan terms are summed with math.atan2),
-so the results are bit-identical to the per-cell formulas.
+what ring detection reads: one edge list, the CSR links, the side counts and
+the boundary flags (which on a chart read the circumcenters, so those are
+computed there too).  The rest is left to three passes, each run at most
+once, on the first read of one of its fields:
+- the length pass measures each edge once, on its forward CSR link, and
+  copies the value to the backward one;
+- the polygon pass sorts the triangle corners by site (one stable sort)
+  and each fan by the direction of the geodesic to each vertex;
+- the area pass sums each sorted fan; it reads the polygon pass's result,
+  running it first if no polygon has been read.
+Sites with the same number of triangles are processed together, at most
+_BLOCK at a time, which bounds the temporary memory.  Each value is reduced
+in the order, and through the same numpy and BLAS kernels, that a
+cell-by-cell computation would use (row dot products go through a stacked
+matmul, fan terms are summed with math.atan2), so the results are
+bit-identical to the per-cell formulas.  Plane circumcenters, lengths and
+areas are computed on the chart scaled by a power of two near 1/a, which
+moves no rounding and keeps their squares and cubes in range at every a.
 
 A Tessellation holds columns only: the Delaunay links as one CSR table, the
 fixed-width cell values as one array each, one chart vertex per triangle,
@@ -85,18 +93,64 @@ _CORE, _CORE_POOL = 12, 32
 _MIN_SINE = 1e-9
 
 
+class _Pass:
+    """Fields computed together, once, the first time one of them is read.
+
+    It holds the inputs of its function until the first call runs it, and
+    from then on only the result, a dict from field name to array.  An
+    input may be another _Pass, which the function calls for the fields it
+    reads: so a pass runs the one it reads from first, and that one's result
+    is shared, not computed again.
+    """
+
+    def __init__(self, run, *inputs):
+        self._run, self._inputs, self._result = run, inputs, None
+
+    def __call__(self) -> dict[str, np.ndarray]:
+        if self._result is None:
+            self._result, self._inputs = self._run(*self._inputs), None
+        return self._result
+
+
+class _OnFirstRead:
+    """A dataclass field set to its array, or to the _Pass that computes it.
+
+    In the second case the first read runs the pass (once for all its
+    fields) and keeps the field's array in place of it.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # read on the class: the field has no default
+        value = obj.__dict__[self.name]
+        if isinstance(value, _Pass):
+            value = obj.__dict__[self.name] = value()[self.name]
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True, eq=False)
 class Adjacency:
     """Delaunay links in CSR form, both directions of every edge.
 
     Site s links to ``indices[indptr[s]:indptr[s + 1]]``, in ascending
-    order, and ``distance`` holds the metric length of each link; the two
-    directions of an edge carry the same value.
+    order; ``source`` holds the near site s of each link, and ``distance``
+    the metric length of each link, the same for both directions of an
+    edge.  tessellate computes ``indptr`` and ``indices``.  ``source`` is
+    expanded from ``indptr`` on first read, once; ``distance`` is computed
+    from the CSR columns on first read (the length pass), each edge's value
+    once from its forward link and copied to its backward one.
     """
 
     indptr: np.ndarray  # (n + 1,) int64
     indices: np.ndarray  # (links,) int64: the far site t of each link
-    distance: np.ndarray  # (links,) float64
+    source: np.ndarray = _OnFirstRead()  # (links,) int64
+    distance: np.ndarray = _OnFirstRead()  # (links,) float64
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -105,11 +159,6 @@ class Adjacency:
         """The neighbor sites of site s, ascending."""
         s = range(len(self))[s]  # IndexError past either end, as for a list
         return self.indices[self.indptr[s] : self.indptr[s + 1]]
-
-    @property
-    def source(self) -> np.ndarray:
-        """The near site s of each link."""
-        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
     @property
     def delta(self) -> np.ndarray:
@@ -129,53 +178,16 @@ class Adjacency:
 Cell = NamedTuple("Cell", [("sides", int), ("area", float), ("is_boundary", bool)])
 
 
-class _CellGeometry:
-    """The cell geometry of one tessellation, computed once, on first read.
-
-    It holds the inputs of _cell_geometry until the first call runs it, and
-    from then on only the result.
-    """
-
-    def __init__(self, *inputs):
-        self._inputs, self._result = inputs, None
-
-    def __call__(self) -> dict[str, np.ndarray]:
-        if self._result is None:
-            self._result, self._inputs = _cell_geometry(*self._inputs), None
-        return self._result
-
-
-class _OnFirstRead:
-    """A dataclass field set to its array, or to the _CellGeometry that computes it.
-
-    In the second case the first read runs the geometry (once for all its
-    fields) and keeps the field's array in place of it.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.name)  # read on the class: the field has no default
-        value = obj.__dict__[self.name]
-        if isinstance(value, _CellGeometry):
-            value = obj.__dict__[self.name] = value()[self.name]
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
-
-
 @dataclass(frozen=True, eq=False)
 class Cells:
     """The fixed-width values of every cell, one column each, indexed by site.
 
     ``sides`` is the number of Delaunay neighbors and ``area`` the metric
     area (nan for boundary cells).  ``sides`` and ``is_boundary`` come with
-    the triangulation; ``area`` is computed on first read, together with
-    the chart polygons of the Tessellation.  Iteration yields one Cell per
-    site, and so reads ``area``.
+    the triangulation.  ``area`` is computed on first read (the area pass),
+    from the sorted fans of the polygon pass, which it runs first if no
+    chart polygon has been read yet.  Iteration yields one Cell per site,
+    and so reads ``area``.
     """
 
     sides: np.ndarray  # (n,) int64
@@ -193,11 +205,12 @@ class Tessellation:
     The chart polygon of site s is
     ``vertices[vertex_index[vertex_offsets[s]:vertex_offsets[s + 1]]]``, in
     order around the cell: ``vertices`` holds each Delaunay triangle's
-    circumcenter once, for the cells of its three corners.  The adjacency,
-    the side counts and the boundary flags are computed by tessellate; the
-    polygons and the cell areas together, once, the first time one of the
-    vertex fields or ``cells.area`` is read.  So code that only reads links
-    and side counts (ring detection) never pays for them.
+    circumcenter once, for the cells of its three corners.  The adjacency's
+    CSR columns, the side counts and the boundary flags are computed by
+    tessellate.  Three passes run on first read, each at most once: the
+    link lengths (``adjacency.distance``), the polygons (the three vertex
+    fields) and the cell areas (``cells.area``, which reads the polygons).
+    So ring detection reads none of them, and rendering only the polygons.
     """
 
     pattern: PhylloPattern
@@ -631,21 +644,27 @@ def _disc_centers(xy: np.ndarray, simplices: np.ndarray) -> np.ndarray:
 def _sphere_centers(xyz: np.ndarray, simplices: np.ndarray) -> np.ndarray:
     """Circumcenters of the hull facets of sphere sites, as unit vectors."""
     a = xyz[simplices[:, 0]]
-    # outward unit normals of the facets; the hull holds the center, so a
-    # facet's outward normal has a positive dot product with its corners
+    # outward unit normals of the facets.  A facet's outward normal has a
+    # positive dot product with its corners when the hull holds the center;
+    # when the sites lie in a closed hemisphere and the facet's plane passes
+    # through the center, it has a negative one with the sites' centroid
     centers = _cross(xyz[simplices[:, 1]] - a, xyz[simplices[:, 2]] - a)
-    centers /= (np.sign(_row_dot(centers, a)) * np.sqrt(_row_dot(centers, centers)))[:, None]
+    side = np.sign(_row_dot(centers, a))
+    through = np.flatnonzero(side == 0.0)
+    side[through] = -np.sign(_row_dot(centers[through], np.mean(xyz, axis=0) - a[through]))
+    centers /= (side * np.sqrt(_row_dot(centers, centers)))[:, None]
     return centers
 
 
 def tessellate(pattern: PhylloPattern) -> Tessellation:
     """Build the Voronoi tessellation of a pattern (deterministic).
 
-    Patterns with no triangulation (too few sites, all sites on a line or a
-    plane, a scale whose squared lengths underflow) raise ValueError, as do
-    chart triangulations that leave a site out or hold a zero-area triangle.
-    The cell polygons and areas are left to the first read (see
-    Tessellation); every error is raised here.
+    Patterns with no triangulation (fewer than three sites, four on the
+    sphere, all sites on a line or a plane, a scale whose squared lengths
+    underflow) raise ValueError, as do chart triangulations that leave a
+    site out or hold a zero-area triangle.  The link lengths, the cell
+    polygons and the areas are left to the first read (see Tessellation);
+    every error is raised here.
     """
     n, surface, kind, R = pattern.n, pattern.surface, pattern.surface.kind, pattern.surface.R
     scale = normalization_scale(surface)
@@ -653,13 +672,20 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
         raise ValueError(
             f"scale a={surface.a!r} is too small: squared lengths at this scale underflow"
         )
+    least = 4 if kind == SPHERE else 3
+    if n < least:
+        raise ValueError(f"a {kind} pattern needs at least {least} sites to tessellate, got {n}")
     points = pattern.xyz if kind == SPHERE else pattern.chart_xy
     _check_distinct(points)
-    frames = centers = None
+    # plane circumcenters, lengths and areas are computed on the chart scaled
+    # by a power of two near 1/a, which moves no rounding and keeps the cubes
+    # of lengths in range at every a
+    pow2 = math.ldexp(1.0, -math.frexp(scale)[1]) if kind == PLANE else 1.0
+    frames = None
     if kind == SPHERE:
-        unit = points / R
         # tangent-plane basis of each site: its chart for the fans, and
         # the directions the circumcenters around it are sorted by
+        unit = points / R
         frames = _tangent_frames(unit)
         simplices = _parastichy_simplices(unit, surface.lam, frames)
     else:
@@ -668,61 +694,93 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
         simplices = _qhull_simplices(kind, points)
     # corners in ascending order, so both paths round each circumcenter alike
     simplices = np.sort(simplices, axis=1)
-    if kind != SPHERE:
-        # the boundary flags read the chart circumcenters (and the check for
-        # zero-area triangles runs here); the sphere's wait for the geometry
-        centers = (_disc_centers if kind == HYPERBOLIC else _plane_centers)(points, simplices)
 
     # each triangle edge once, as i * n + j with i < j; hull edges are in one triangle
     edges = np.vstack((simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [0, 2]]))
     edges.sort(axis=1)
     key, count = np.unique(edges[:, 0].astype(np.int64) * n + edges[:, 1], return_counts=True)
     pairs = np.column_stack((key // n, key % n))
-    if kind == SPHERE:
-        cosang = np.clip(np.sum(unit[pairs[:, 0]] * unit[pairs[:, 1]], axis=1), -1.0, 1.0)
-        dist = R * np.arccos(cosang)
-    else:
-        dist = chart_distance_xy(surface, points[pairs[:, 0]], points[pairs[:, 1]])
-    # CSR links, each site's sorted by t: link 2e runs pairs[e, 0] -> pairs[e, 1], 2e + 1 back
+    # CSR links, each site's sorted by t
     s, t = pairs.ravel(), pairs[:, ::-1].ravel().astype(np.int64)
-    order = np.lexsort((t, s))
     indptr = np.concatenate(([0], np.cumsum(np.bincount(s, minlength=n))))
-    adjacency = Adjacency(indptr, t[order], np.repeat(dist / scale, 2)[order])
+    indices = t[np.lexsort((t, s))]
+    source = _Pass(_link_source, indptr)
+    adjacency = Adjacency(indptr, indices, source, _Pass(_link_lengths, source, indices, pattern, pow2))
 
     # hull sites have unbounded cells, and the window cuts every cell with a
-    # vertex beyond the outermost site
+    # vertex beyond the outermost site; the chart circumcenters are computed
+    # here for that test (and the check for zero-area triangles), the
+    # sphere's wait for the polygon pass
     boundary = np.zeros(n, dtype=bool)
     boundary[pairs[count == 1]] = True
+    vertices = None
     if kind != SPHERE:
-        boundary[simplices[np.sum(centers * centers, axis=1) > pattern.r.max() ** 2]] = True
+        if kind == HYPERBOLIC:
+            centers = vertices = _disc_centers(points, simplices)
+        else:
+            centers = _plane_centers(points * pow2, simplices)
+            with np.errstate(over="ignore"):
+                vertices = centers / pow2
+            if not np.isfinite(vertices).all():
+                raise ValueError(f"scale a={surface.a!r} is too large: Voronoi vertices overflow")
+        boundary[simplices[np.sum(centers * centers, axis=1) > (pattern.r.max() * pow2) ** 2]] = True
 
-    geometry = _CellGeometry(kind, points, simplices, centers, frames, boundary, R, scale)
-    cells = Cells(np.diff(adjacency.indptr), geometry, boundary)
-    return Tessellation(pattern, cells, adjacency, geometry, geometry, geometry)
+    polygons = _Pass(_cell_polygons, kind, points, simplices, vertices, frames)
+    cells = Cells(np.diff(indptr), _Pass(_cell_areas, polygons, pattern, boundary, pow2), boundary)
+    return Tessellation(pattern, cells, adjacency, polygons, polygons, polygons)
 
 
-def _cell_geometry(kind, points, simplices, centers, frames, boundary, R, scale) -> dict[str, np.ndarray]:
-    """The chart polygon and the area of every cell, as the Tessellation fields they fill.
+def _link_source(indptr: np.ndarray) -> dict:
+    """The near site of every CSR link."""
+    return {"source": np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))}
 
-    centers are the chart circumcenters of the triangles, or None on the
-    sphere, whose are computed here.
+
+def _link_lengths(source: _Pass, indices: np.ndarray, pattern: PhylloPattern, pow2: float) -> dict:
+    """The length pass: the metric length of every link, normalized.
+
+    Each edge is measured once, on its forward link (s < t).  The backward
+    links, ordered by (t, s) in the CSR, are the forward ones stably sorted
+    by t; every length formula is symmetric in its ends, bit for bit.
     """
-    n = len(points)
+    surface = pattern.surface
+    s = source()["source"]
+    forward = indices > s
+    s, t = s[forward], indices[forward]
+    if surface.kind == SPHERE:
+        unit = pattern.xyz / surface.R
+        cosang = np.clip(np.sum(unit[s] * unit[t], axis=1), -1.0, 1.0)
+        dist = surface.R * np.arccos(cosang)
+    else:
+        xy = pattern.chart_xy * pow2
+        dist = chart_distance_xy(surface, xy[s], xy[t])
+    dist /= normalization_scale(surface) * pow2
+    distance = np.empty(len(indices))
+    distance[forward] = dist
+    distance[~forward] = dist[np.argsort(t, kind="stable")]
+    return {"distance": distance}
+
+
+def _cell_polygons(kind, points, simplices, vertices, frames) -> dict:
+    """The polygon pass: the chart polygon of every cell, as the Tessellation fields.
+
+    vertices are the chart circumcenters of the triangles, or None on the
+    sphere, whose are computed here from the facet normals; those are
+    returned too, as "normals", for the area pass.
+    """
+    n, polygons = len(points), {}
+    centers = vertices
     if kind == SPHERE:
-        centers = _sphere_centers(points, simplices)
+        centers = polygons["normals"] = _sphere_centers(points, simplices)
         e1, e2 = frames
         # stereographic chart vertices, for rendering
         polar = 1.0 - centers[:, 2]
         vertices = np.where(polar[:, None] > 1e-12, centers[:, :2] / polar[:, None], np.inf)
-    else:
-        vertices = centers
 
-    # incident triangles of each site in ascending triangle order
+    # incident triangles of each site in ascending triangle order, each fan
+    # then sorted by the direction of the geodesic to each vertex
     corners = simplices.ravel()
     fans = np.argsort(corners, kind="stable") // 3
     offsets = np.concatenate(([0], np.cumsum(np.bincount(corners, minlength=n))))
-
-    areas = np.full(n, math.nan)
     index = np.empty(len(corners), dtype=np.int64)
     for k, rows in _blocks(np.diff(offsets)):
         slots = offsets[rows][:, None] + np.arange(k)
@@ -736,21 +794,34 @@ def _cell_geometry(kind, points, simplices, centers, frames, boundary, R, scale)
             x, y = moved[..., 0], moved[..., 1]
         else:
             x, y = np.moveaxis(ring - points[rows][:, None, :], -1, 0)
-        turn = np.argsort(np.arctan2(y, x), axis=1)
-        index[slots] = np.take_along_axis(fans[slots], turn, axis=1)
-        ring = centers[index[slots]]
-        inner = ~boundary[rows]
-        # a cell is convex around its site, so its sorted fan turns counterclockwise
-        if kind == PLANE:
-            area = _polygon_areas(ring[inner])
-        elif kind == SPHERE:
-            area = _fan_areas(ring[inner], 1.0) * R * R
-        else:
-            moved = chart_to_unit_surface(kind, np.take_along_axis(moved, turn[..., None], axis=1)[inner])
-            area = _fan_areas(moved, -1.0) * R * R
-        areas[rows[inner]] = area / (scale * scale)
+        index[slots] = np.take_along_axis(fans[slots], np.argsort(np.arctan2(y, x), axis=1), axis=1)
+    polygons.update(vertex_offsets=offsets, vertices=vertices, vertex_index=index)
+    return polygons
 
-    return {"vertex_offsets": offsets, "vertices": vertices, "vertex_index": index, "area": areas}
+
+def _cell_areas(polygons: _Pass, pattern: PhylloPattern, boundary: np.ndarray, pow2: float) -> dict:
+    """The area pass: the metric area of every cell but the boundary ones, normalized.
+
+    It reads the fans the polygon pass sorted; a cell is convex around its
+    site, so its sorted fan turns counterclockwise.
+    """
+    surface, polygons = pattern.surface, polygons()
+    kind, R, offsets, index = surface.kind, surface.R, polygons["vertex_offsets"], polygons["vertex_index"]
+    centers = polygons["normals"] if kind == SPHERE else polygons["vertices"]
+    scale = normalization_scale(surface) * pow2
+    areas = np.full(len(boundary), math.nan)
+    for k, rows in _blocks(np.diff(offsets)):
+        rows = rows[~boundary[rows]]
+        ring = centers[index[offsets[rows][:, None] + np.arange(k)]]
+        if kind == PLANE:
+            area = _polygon_areas(ring * pow2)
+        elif kind == SPHERE:
+            area = _fan_areas(ring, 1.0) * R * R
+        else:
+            moved = _to_origin(ring, pattern.chart_xy[rows][:, None, :])
+            area = _fan_areas(chart_to_unit_surface(kind, moved), -1.0) * R * R
+        areas[rows] = area / (scale * scale)
+    return {"area": areas}
 
 
 def classify(tess: Tessellation) -> list[str]:

@@ -247,6 +247,10 @@ COLLINEAR_MESSAGES = [
         *COLLINEAR_MESSAGES,
         (["analyze", "--geometry", "plane", "--n", "50", "--a", "5e-324"],
          "scale a=5e-324 is too small: squared lengths at this scale underflow"),
+        (["analyze", "--geometry", "plane", "--n", "2"],
+         "a plane pattern needs at least 3 sites to tessellate, got 2"),
+        (["render", "--geometry", "sphere", "--n", "3"],
+         "a sphere pattern needs at least 4 sites to tessellate, got 3"),
     ],
 )
 def test_usage_error_messages(argv, message, capsys):
@@ -376,6 +380,14 @@ def test_every_input_ends_in_report_or_one_line_error(command, geometry, n, a, l
             "--indexing", indexing]
     if geometry != "sphere":
         argv += ["--a", repr(a)]
+    code, _, err, caught = _run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert caught == []
+
+
+def _run(argv):
+    """(exit status, stdout, stderr, RuntimeWarning messages) of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
         warnings.simplefilter("always")
@@ -383,9 +395,20 @@ def test_every_input_ends_in_report_or_one_line_error(command, geometry, n, a, l
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code, out.getvalue(), err.getvalue(), runtime
+
+
+@pytest.mark.parametrize("k", [-150, -120, 120, 150, 300])
+def test_plane_report_does_not_depend_on_the_scale(k):
+    # plane circumcenters, lengths and areas are computed on the chart scaled
+    # by a power of two, so their squares and cubes stay in range at every a
+    argv = ["analyze", "--geometry", "plane", "--n", "300"]
+    code, out, err, caught = _run([*argv, "--a", f"1e{k}"])
+    assert caught == []
+    assert "Warning" not in err and "Traceback" not in err
+    assert (code, out) == _run(argv)[:2]
+    assert "PASS mean_area_pi" in out and "PASS distance_confinement" in out
 
 
 def test_threshold_table_and_reports(tmp_path, capsys):
@@ -444,16 +467,20 @@ def test_render_hyperbolic_draws_limit_circle(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,status",
     [
-        None,  # the import alone
-        ["generate", "--geometry", "plane", "--n", "300", "--out", "{tmp}/p.json"],
-        ["analyze", "--geometry", "plane", "--n", "3000", "--out", "{tmp}/report"],
-        ["thresholds", "--u-max", "4", "--out", "{tmp}/t.json"],
+        (None, 0),  # the import alone
+        (["generate", "--geometry", "plane", "--n", "300", "--out", "{tmp}/p.json"], 0),
+        (["analyze", "--geometry", "plane", "--n", "3000", "--out", "{tmp}/report"], 0),
+        (["thresholds", "--u-max", "4", "--out", "{tmp}/t.json"], 0),
+        (["render", "--geometry", "hyperbolic", "--n", "3000", "--a", "0.025", "--out", "{tmp}/f.svg"], 0),
+        # too few sites to triangulate: a one-line error, not Qhull's
+        (["analyze", "--geometry", "plane", "--n", "2"], 1),
+        (["render", "--geometry", "sphere", "--n", "3"], 1),
     ],
-    ids=["import", "generate", "analyze", "thresholds"],
+    ids=["import", "generate", "analyze", "thresholds", "render", "tiny-plane", "tiny-sphere"],
 )
-def test_no_command_imports_scipy(argv, tmp_path):
+def test_no_command_imports_scipy(argv, status, tmp_path):
     # scipy is only the fallback triangulator's; a golden pattern never
     # needs it, so no command on one may load it (checked in a fresh
     # interpreter, with no timing).  Nor numpy.ma, which np.unique imports
@@ -461,7 +488,11 @@ def test_no_command_imports_scipy(argv, tmp_path):
     code = "import sys\nimport phyllo.cli\n"
     if argv is not None:
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-        code += f"assert phyllo.cli.main({argv!r}) == 0\n"
+        code += (
+            f"try:\n    status = phyllo.cli.main({argv!r})\n"
+            f"except SystemExit as exc:\n    status = exc.code\n"
+            f"assert status == {status}, status\n"
+        )
     code += "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))\n"
     src = str(Path(phyllo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))

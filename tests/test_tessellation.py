@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import itertools
 import math
 
@@ -12,8 +14,11 @@ from phyllo.analysis import area_series, detect_grain_boundaries
 from phyllo.generator import PhylloPattern, generate, normalization_scale
 from phyllo.geometry import SurfaceSpec, chart_distance_xy
 from phyllo.numerics import fibonacci
+from phyllo.render import render_svg
 from phyllo.tessellation import (
     _BLOCK,
+    Adjacency,
+    Cells,
     Tessellation,
     cell_contains,
     classify,
@@ -101,6 +106,18 @@ def test_sphere_area_partition(tess_sphere_1351, tess_sphere_9301):
     for tess in (tess_sphere_1351, tess_sphere_9301):
         total = float(np.sum(tess.cells.area))
         assert total == pytest.approx(tess.pattern.n * math.pi, rel=1e-9)
+
+
+def test_sphere_facets_through_the_center_face_away_from_the_sites():
+    # lam = 1/4 puts the five sites in the hemisphere x <= 0, four of them on
+    # the great circle x = 0; the two facets on it pass through the center,
+    # and their vertex is the circle's pole on the empty side, +x
+    with np.errstate(all="raise"):
+        tess = tessellate(generate("sphere", 5, lam=0.25))
+        total = float(np.sum(tess.cells.area))
+    assert total == pytest.approx(5 * math.pi, rel=1e-12)
+    assert np.allclose(tess.vertices[np.abs(tess.vertices[:, 0] - 1.0) < 1e-9], [1.0, 0.0])
+    assert np.sum(np.abs(tess.vertices[:, 0] - 1.0) < 1e-9) == 2
 
 
 def test_plane_interior_areas(tess_plane_3000):
@@ -250,19 +267,25 @@ def test_vertex_table_holds_one_vertex_per_triangle(kind, n, kwargs):
     assert np.all(np.diff(key) > 0)
 
 
-# The cell geometry (polygons and areas) is computed on first read, once.
+# Three passes run on first read, each at most once: the link lengths, the
+# chart polygons and the cell areas (which read the polygons' sorted fans).
+
+#: the deferred passes, by the name of the function that runs each
+PASSES = {"lengths": "_link_lengths", "polygons": "_cell_polygons", "areas": "_cell_areas"}
+
 
 @pytest.fixture
 def geometry_runs(monkeypatch):
-    """The list of calls to the deferred cell geometry, one entry per run."""
+    """The list of runs of the deferred passes, one name of PASSES per run, as each ends."""
     runs = []
-    run = tessellation._cell_geometry
+    for name, attr in PASSES.items():
 
-    def counted(*args):
-        runs.append(args[0])
-        return run(*args)
+        def counted(*args, name=name, run=getattr(tessellation, attr)):
+            result = run(*args)
+            runs.append(name)
+            return result
 
-    monkeypatch.setattr(tessellation, "_cell_geometry", counted)
+        monkeypatch.setattr(tessellation, attr, counted)
     return runs
 
 
@@ -281,6 +304,26 @@ def test_empirical_thresholds_compute_no_cell_geometry(geometry_runs):
 
 
 @pytest.mark.parametrize(
+    "kind,n,kwargs,projection",
+    [
+        ("plane", 600, {}, "chart"),
+        ("hyperbolic", 3000, {"a": 0.4}, "chart"),
+        ("sphere", 601, {}, "orthographic"),
+        ("sphere", 601, {}, "stereographic"),
+    ],
+)
+def test_rendering_computes_only_the_polygons(kind, n, kwargs, projection, geometry_runs):
+    assert render_svg(tessellate(generate(kind, n, **kwargs)), projection).count("<polygon")
+    assert geometry_runs == ["polygons"]
+
+
+def test_render_command_computes_only_the_polygons(tmp_path, geometry_runs):
+    argv = ["render", "--geometry", "hyperbolic", "--n", "3000", "--a", "0.025"]
+    assert cli.main([*argv, "--out", str(tmp_path / "disc.svg")]) == 0
+    assert geometry_runs == ["polygons"]
+
+
+@pytest.mark.parametrize(
     "kind,n,kwargs",
     [("sphere", 600, {"indexing": "half-integer"}), ("hyperbolic", 3000, {"a": 0.4}), ("plane", 600, {})],
 )
@@ -288,17 +331,87 @@ def test_cell_geometry_runs_once_whatever_is_read_first(kind, n, kwargs, geometr
     pattern = generate(kind, n, **kwargs)
     area_first = tessellate(pattern)
     areas = area_first.cells.area
-    assert geometry_runs == [kind]
+    assert geometry_runs == ["polygons", "areas"]
     vertices_first = tessellate(pattern)
     vertices, offsets = vertices_first.vertices, vertices_first.vertex_offsets
-    assert geometry_runs == [kind, kind]
+    assert geometry_runs == ["polygons", "areas", "polygons"]
     assert np.array_equal(vertices_first.cells.area, areas, equal_nan=True)
+    assert geometry_runs == ["polygons", "areas", "polygons", "areas"]
     assert np.array_equal(area_first.vertices, vertices, equal_nan=True)
     assert np.array_equal(area_first.vertex_offsets, offsets)
+    assert np.array_equal(area_first.vertex_index, vertices_first.vertex_index)
+    assert np.array_equal(area_first.adjacency.distance, vertices_first.adjacency.distance)
+    assert geometry_runs == ["polygons", "areas", "polygons", "areas", "lengths", "lengths"]
     for tess in (area_first, vertices_first):
         assert tess.cells.area is tess.cells.area and tess.vertices is tess.vertices
+        assert tess.adjacency.distance is tess.adjacency.distance
         list(tess.cells)
-    assert geometry_runs == [kind, kind]
+    assert geometry_runs == ["polygons", "areas", "polygons", "areas", "lengths", "lengths"]
+
+
+#: the containers a tessellation holds its arrays in
+_HOLDERS = (dict, tuple, list, Tessellation, Cells, Adjacency, PhylloPattern, tessellation._Pass)
+
+
+def _arrays_held(tess) -> list[np.ndarray]:
+    """The numpy arrays a tessellation holds, through its fields and pending passes."""
+    seen, arrays, todo = set(), [], [tess]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, _HOLDERS):
+            todo.extend(gc.get_referents(obj))
+    return arrays
+
+
+@pytest.mark.parametrize(
+    "kind,n,kwargs", [("plane", 600, {}), ("sphere", 601, {}), ("hyperbolic", 3000, {"a": 0.4})]
+)
+def test_polygon_pass_keeps_only_what_the_area_pass_reads(kind, n, kwargs):
+    tess = tessellate(generate(kind, n, **kwargs))
+    pattern, cells, adjacency = tess.pattern, tess.cells, tess.adjacency
+    tess.vertices
+    pattern.chart_xy  # cached on the pattern at its first read
+    # the pattern, the triangulation's columns and the polygons; on the
+    # sphere also the facet normals, one unit vector per vertex
+    fields = [getattr(pattern, f.name) for f in dataclasses.fields(pattern)]
+    fields += [cells.sides, cells.is_boundary, adjacency.indptr, adjacency.indices]
+    fields += [tess.vertex_offsets, tess.vertices, tess.vertex_index]
+    known = {id(a) for a in fields if a is not None}
+    extra = [a for a in _arrays_held(tess) if id(a) not in known]
+    if kind == "sphere":
+        assert [a.shape for a in extra] == [(len(tess.vertices), 3)]
+        assert np.allclose(np.linalg.norm(extra[0], axis=1), 1.0)
+    else:
+        assert extra == []
+    # every pass run, only the fields are left
+    fields += [cells.area, adjacency.source, adjacency.distance]
+    known = {id(a) for a in fields if a is not None}
+    assert [a.shape for a in _arrays_held(tess) if id(a) not in known] == []
+
+
+def test_link_sources_are_expanded_once_per_tessellation(monkeypatch, tmp_path):
+    runs = []
+    run = tessellation._link_source
+
+    def counted(indptr):
+        runs.append(len(indptr) - 1)
+        return run(indptr)
+
+    monkeypatch.setattr(tessellation, "_link_source", counted)
+    tess = tessellate(generate("plane", 600))
+    tess.adjacency.distance  # the length pass reads the sources
+    assert runs == [600]
+    assert np.array_equal(tess.adjacency.delta, tess.adjacency.indices - tess.adjacency.source)
+    assert tess.adjacency.source is tess.adjacency.source
+    assert runs == [600]
+    # analyze reads them for ring detection, the distances and the document
+    assert cli.main(["analyze", "--geometry", "plane", "--n", "3000", "--out", str(tmp_path / "report")]) == 0
+    assert runs == [600, 3000]
 
 
 # Cell areas computed one cell at a time, as plain formulas: the reference
