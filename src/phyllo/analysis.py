@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import PhylloPattern, _effective_index, _radial_law, normalization_scale
+from .generator import PhylloPattern, _effective_index, _radial_law, chart_pow2, normalization_scale
 from .geometry import HYPERBOLIC, PLANE, SPHERE, SurfaceSpec, circle_circumference, conformal_factor
-from .numerics import LSWord, fibonacci
+from .numerics import fibonacci, fibonacci_rank, inflate, words_equal
 from .tessellation import Tessellation
 
 __all__ = [
@@ -89,7 +89,7 @@ class GrainBoundary:
     members: list[int]  # all member sites, ordered by azimuth
     counts: tuple[int, int, int]  # (heptagons, hexagons, pentagons)
     dipoles: list[tuple[int, int]]  # (heptagon site, pentagon site)
-    word: LSWord | None  # singleton/pair pattern of the dipoles
+    word: str | None  # singleton/pair pattern of the dipoles, over {L, S}
     s_range: tuple[int, int]
     mean_radius: float  # mean geodesic distance from the ring's own pole
     perimeter: float  # circumference of the circle at mean_radius
@@ -99,22 +99,18 @@ class GrainBoundary:
 
 
 def _rank_from_pentagon_count(count: int) -> int | None:
-    """Rank u with f_{u-1} = count, allowing one unit of slack."""
+    """Rank u with f_{u-1} = count, allowing one unit of slack.
+
+    An exact match wins; otherwise count - 1 before count + 1, so a count
+    between two Fibonacci numbers (4) takes the lower rank.
+    """
     if count < 1:
         return None
-    best = None
-    u = 2
-    while u <= 89 and fibonacci(u) <= count + 1:
-        d = abs(fibonacci(u) - count)
-        if best is None or d < best[0]:
-            best = (d, u)
-        u += 1
-    if best is not None and best[0] <= 1:
-        return best[1] + 1
-    return None
+    ranks = fibonacci_rank([count, count - 1, count + 1]).tolist()
+    return next((u + 1 for u in ranks if u >= 2), None)
 
 
-def _ring_word(order: list[int], heptagons: set[int]) -> LSWord | None:
+def _ring_word(order: list[int], heptagons: set[int]) -> str | None:
     """Singleton/pair word from the azimuthal member order.
 
     Consecutive heptagons two member-steps apart share no hexagon: their
@@ -130,22 +126,12 @@ def _ring_word(order: list[int], heptagons: set[int]) -> LSWord | None:
     if any(g not in (2, 3) for g in gaps):
         return None
     # start at a heptagon preceded by a hexagon so groups do not wrap
-    try:
-        start = next(k for k in range(len(pos)) if gaps[k - 1] == 3)
-    except StopIteration:
+    start = next((k for k in range(len(pos)) if gaps[k - 1] == 3), None)
+    if start is None:
         return None
-    symbols = []
-    size = 1
-    for k in range(len(pos)):
-        g = gaps[(start + k) % len(pos)]
-        if g == 2:
-            size += 1
-        else:
-            if size > 2:
-                return None
-            symbols.append("L" if size == 2 else "S")
-            size = 1
-    return LSWord(tuple(symbols), cyclic=True)
+    # a pair is a gap of 2 closed by a gap of 3, a singleton a lone gap of 3
+    word = "".join(map(str, gaps[start:] + gaps[:start])).replace("23", "L").replace("3", "S")
+    return None if "2" in word else word
 
 
 def _extract_dipoles(
@@ -154,7 +140,7 @@ def _extract_dipoles(
     pent_set = set(pentagons)
     pairs: list[tuple[int, int]] = []
     unpaired: list[int] = []
-    step = fibonacci(rank) if rank is not None and rank <= 90 else None
+    step = fibonacci(rank) if rank is not None else None
     for h in heptagons:
         if step is not None and h + step in pent_set:
             pairs.append((h, h + step))
@@ -206,6 +192,7 @@ def detect_grain_boundaries(tess: Tessellation) -> list[GrainBoundary]:
     groups = np.split(sites, starts) if len(sites) else []
 
     scale = normalization_scale(pattern.surface)
+    chart_scale = scale * chart_pow2(pattern.surface)  # keeps 2 pi rho in range
     nu = (n - 1) // 2
     out: list[GrainBoundary] = []
     for group in groups:
@@ -229,7 +216,7 @@ def detect_grain_boundaries(tess: Tessellation) -> list[GrainBoundary]:
             rho = math.pi * pattern.surface.R / scale - rho  # from the far pole
         mean_radius = float(rho.mean())
         perimeter = float(
-            circle_circumference(pattern.surface, mean_radius * scale) / scale
+            circle_circumference(pattern.surface, mean_radius * chart_scale) / chart_scale
         )
         out.append(
             GrainBoundary(
@@ -262,8 +249,6 @@ def verify_inflation(boundaries: list[GrainBoundary]) -> list[tuple[int, int, bo
     Rings are chained inside outward around each pole separately.  Returns
     one (rank, next rank, matches) triple per consecutive pair.
     """
-    from .numerics import inflate, words_equal
-
     report: list[tuple[int, int, bool]] = []
     for side in (0, 1):
         chain = [
@@ -415,6 +400,7 @@ def analytic_distance(surface: SurfaceSpec, s, u: int):
     if sphere and np.any(s + f >= 2 * nu):
         raise ValueError("s + f_u at or beyond the far pole")
     gamma = _reduced_turn(surface.lam, f)
+    pow2 = chart_pow2(surface)  # keeps the plane's chart lengths and their sums in range
 
     def one_sided(ss):
         if sphere:
@@ -422,10 +408,9 @@ def analytic_distance(surface: SurfaceSpec, s, u: int):
             dr /= nu
         else:
             _, r, dr = _radial_law(surface, ss)
-        return f * conformal_factor(surface, r) * np.hypot(dr, (gamma / f) * r)
+        return f * conformal_factor(surface, r) * np.hypot(dr * pow2, (gamma / f) * (r * pow2))
 
-    scale = normalization_scale(surface)
-    return (one_sided(s) + one_sided(s + f)) / 2.0 / scale
+    return (one_sided(s) + one_sided(s + f)) / 2.0 / (normalization_scale(surface) * pow2)
 
 
 # ---------------------------------------------------------------------------

@@ -204,11 +204,10 @@ def _cmd_analyze(parser: _Parser, args) -> int:
         parser.error(f"not enough memory for {pattern.n} sites")
 
     for b in boundaries:
-        word = str(b.word) if b.word is not None else "-"
         print(
             f"ring rank={b.rank} side={b.pole_side} census={b.counts}"
             f" s=[{b.s_range[0]},{b.s_range[1]}]"
-            f" complete={b.complete} word={word}"
+            f" complete={b.complete} word={b.word or '-'}"
         )
     for name, ok in checks.items():
         print(f"{'PASS' if ok else 'FAIL'} {name}")

@@ -353,7 +353,7 @@ def boundary_rows(boundaries) -> list[dict]:
                 "dipoles": len(b.dipoles),
                 "mean_radius": b.mean_radius,
                 "perimeter": b.perimeter,
-                "word": str(b.word) if b.word is not None else "",
+                "word": b.word or "",
             }
         )
     return rows

@@ -146,3 +146,15 @@ def normalization_scale(surface: SurfaceSpec) -> float:
     if surface.kind == PLANE:
         return surface.a
     return surface.a * surface.R
+
+
+def chart_pow2(surface: SurfaceSpec) -> float:
+    """A power of two near 1/a on the plane, 1 on the curved surfaces.
+
+    Plane lengths and areas are computed on the chart scaled by it and then
+    divided by normalization_scale times it: the scaling moves no rounding
+    and keeps products of lengths in range at every a.
+    """
+    if surface.kind == PLANE:
+        return math.ldexp(1.0, -math.frexp(surface.a)[1])
+    return 1.0

@@ -1,15 +1,15 @@
 """Integer and symbolic helpers shared by the generators and the analysis.
 
-Everything in here is exact: Fibonacci numbers as Python ints, substitution
-words as tuples of 'L'/'S' symbols, and the square lattice strip model of a
-defect ring as int64 arrays.  Floating point enters only through the
-golden-ratio constants, which are derived once from a 50-digit Decimal value.
+Everything in here is exact: Fibonacci numbers from one int64 table,
+substitution words as strings over {L, S}, read cyclically, and the square
+lattice strip model of a defect ring as int64 arrays.  Floating point enters
+only through the golden-ratio constants, which are derived once from a
+50-digit Decimal value.
 """
 
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,21 +25,30 @@ GOLDEN_RATIO: float = float(_GOLDEN_DECIMAL)
 #: Default divergence: fraction of a turn between consecutive sites.
 DIVERGENCE: float = float(1 / _GOLDEN_DECIMAL)
 
-#: Largest rank that stays well inside signed 64-bit range.
-MAX_FIB_RANK = 90
 
-_FIB: list[int] = [0, 1]
-while len(_FIB) <= MAX_FIB_RANK:
-    _FIB.append(_FIB[-1] + _FIB[-2])
+def _fibonacci_below(limit: int):
+    a, b = 0, 1
+    while a < limit:
+        yield a
+        a, b = b, a + b
+
+
+#: f_u for u = 0, 1, ..., MAX_FIB_RANK: every f_u below 2**62, so the sum of
+#: two stays inside signed 64-bit range; read-only
+FIBONACCI = np.fromiter(_fibonacci_below(2**62), dtype=np.int64)
+FIBONACCI.flags.writeable = False
+
+#: Largest rank in the table.
+MAX_FIB_RANK = len(FIBONACCI) - 1
 
 
 def fibonacci(u: int) -> int:
     """Exact Fibonacci number f_u with f_0 = 0, f_1 = 1.
 
-    Raises OverflowError above rank 90 (the last rank representable in a
-    signed 64-bit integer is 92; we stop earlier so squares of ratios and
-    the f_{2u+1} identities used elsewhere never overflow downstream
-    consumers that store into int64 arrays).
+    Raises OverflowError above MAX_FIB_RANK (the last rank representable in
+    a signed 64-bit integer is 92; the table stops earlier so squares of
+    ratios and the f_{2u+1} identities used elsewhere never overflow
+    downstream consumers that store into int64 arrays).
     """
     if not isinstance(u, int):
         raise TypeError(f"rank must be an int, got {type(u).__name__}")
@@ -47,74 +56,41 @@ def fibonacci(u: int) -> int:
         raise ValueError(f"rank must be >= 0, got {u}")
     if u > MAX_FIB_RANK:
         raise OverflowError(f"rank {u} exceeds supported maximum {MAX_FIB_RANK}")
-    return _FIB[u]
+    return int(FIBONACCI[u])
+
+
+def fibonacci_rank(value) -> np.ndarray:
+    """The largest u with f_u = value, elementwise (so 2 for 1); -1 where there is none."""
+    value = np.asarray(value)
+    u = np.searchsorted(FIBONACCI, value, side="right") - 1
+    return np.where(FIBONACCI[u] == value, u, -1)
 
 
 # ---------------------------------------------------------------------------
 # substitution words
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LSWord:
-    """A word over the alphabet {L, S}, optionally read on a ring.
-
-    Cyclic words compare equal modulo rotation and reversal: the rings the
-    words are read from have no distinguished starting cell and no
-    distinguished orientation.
-    """
-
-    symbols: tuple[str, ...]
-    cyclic: bool = False
-
-    def __post_init__(self) -> None:
-        bad = set(self.symbols) - {"L", "S"}
-        if bad:
-            raise ValueError(f"word symbols must be 'L' or 'S', got {sorted(bad)}")
-
-    @staticmethod
-    def from_string(text: str, cyclic: bool = False) -> "LSWord":
-        return LSWord(tuple(text), cyclic)
-
-    def __str__(self) -> str:
-        return "".join(self.symbols)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def counts(self) -> tuple[int, int]:
-        """(#L, #S)."""
-        n_l = sum(1 for c in self.symbols if c == "L")
-        return n_l, len(self.symbols) - n_l
+_INFLATE = str.maketrans({"L": "LS", "S": "L"})
 
 
-def inflate(word: LSWord, times: int = 1) -> LSWord:
+def inflate(word: str, times: int = 1) -> str:
     """Apply the substitution L -> LS, S -> L `times` times."""
     if times < 0:
         raise ValueError("inflation count must be >= 0")
-    symbols = word.symbols
     for _ in range(times):
-        out: list[str] = []
-        for c in symbols:
-            if c == "L":
-                out.append("L")
-                out.append("S")
-            else:
-                out.append("L")
-        symbols = tuple(out)
-    return LSWord(symbols, word.cyclic)
+        word = word.translate(_INFLATE)
+    return word
 
 
-def words_equal(a: LSWord, b: LSWord) -> bool:
-    """Equality; cyclic words match modulo rotation and reversal."""
-    if len(a) != len(b):
-        return False
-    if a.cyclic != b.cyclic:
-        return False
-    if not a.cyclic:
-        return a.symbols == b.symbols
+def words_equal(a: str, b: str) -> bool:
+    """Equality of ring words: modulo rotation and reversal.
+
+    The rings the words are read from have no distinguished starting cell
+    and no distinguished orientation.
+    """
     # b is a rotation of a, or of a reversed, iff b or b reversed occurs in a+a
-    ring, other = str(a) * 2, str(b)
-    return other in ring or other[::-1] in ring
+    ring = a + a
+    return len(a) == len(b) and (b in ring or b[::-1] in ring)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +143,8 @@ def strip_sequence(u: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, sides
 
 
-def strip_dipole_word(u: int) -> LSWord:
-    """Singleton/pair pattern of the strip's dipoles, as a cyclic word.
+def strip_dipole_word(u: int) -> str:
+    """Singleton/pair pattern of the strip's dipoles, as a ring word.
 
     The hexagon of row j sits between dipole j and dipole j+1 along the ring,
     so consecutive dipoles not separated by a hexagon form a pair.  Pairs map
@@ -180,4 +156,4 @@ def strip_dipole_word(u: int) -> LSWord:
     # at each later hexagon row, closed by the run that wraps back to row 0
     ends = np.flatnonzero(hexagon)
     sizes = np.diff(ends, append=len(hexagon))
-    return LSWord(tuple(np.where(sizes == 2, "L", "S").tolist()), cyclic=True)
+    return "".join(np.where(sizes == 2, "L", "S").tolist())

@@ -64,18 +64,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .generator import PhylloPattern, normalization_scale
+from .generator import PhylloPattern, chart_pow2, normalization_scale
 from .geometry import HYPERBOLIC, PLANE, SPHERE, chart_distance_xy, chart_to_unit_surface
-from .numerics import MAX_FIB_RANK, fibonacci
+from .numerics import FIBONACCI, fibonacci_rank
 
 __all__ = ["Tessellation", "tessellate"]
 
 #: side count -> cell label; anything else is "other"
 CELL_TYPE_BY_SIDES = {4: "square", 5: "pentagon", 6: "hexagon", 7: "heptagon"}
-
-#: f_u for u = 2, 3, ..., MAX_FIB_RANK: strictly increasing, so a step's rank
-#: is its position here plus 2
-_FIBS = np.array([fibonacci(u) for u in range(2, MAX_FIB_RANK + 1)], dtype=np.int64)
 
 #: sites per array block; bounds the temporary arrays of the cell geometry
 _BLOCK = 2048
@@ -168,9 +164,7 @@ class Adjacency:
     @property
     def rank(self) -> np.ndarray:
         """Parastichy rank u of each link, where |t - s| = f_u (u >= 2); else -1."""
-        step = np.abs(self.delta)
-        u = np.minimum(np.searchsorted(_FIBS, step), len(_FIBS) - 1)
-        return np.where(_FIBS[u] == step, u + 2, -1)
+        return fibonacci_rank(np.abs(self.delta))
 
 
 #: the fixed-width values of one cell, as Python scalars (a numpy record
@@ -310,7 +304,7 @@ def _parastichy_steps(lam: float, n: int) -> np.ndarray | None:
     nearest step then no longer brackets the ranks of the neighbours, and
     such patterns go to Qhull without being tried.
     """
-    fibs = _FIBS[_FIBS < n].tolist()
+    fibs = [f for f in FIBONACCI[2:].tolist() if f < n]
     # the continued fraction of the float lam = num/den, exactly
     num, den = float(lam).as_integer_ratio()
     steps, num = [], num % den
@@ -677,10 +671,9 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
         raise ValueError(f"a {kind} pattern needs at least {least} sites to tessellate, got {n}")
     points = pattern.xyz if kind == SPHERE else pattern.chart_xy
     _check_distinct(points)
-    # plane circumcenters, lengths and areas are computed on the chart scaled
-    # by a power of two near 1/a, which moves no rounding and keeps the cubes
-    # of lengths in range at every a
-    pow2 = math.ldexp(1.0, -math.frexp(scale)[1]) if kind == PLANE else 1.0
+    # plane circumcenters, lengths and areas are computed on the scaled chart,
+    # which keeps the cubes of lengths in range at every a
+    pow2 = chart_pow2(surface)
     frames = None
     if kind == SPHERE:
         # tangent-plane basis of each site: its chart for the fans, and

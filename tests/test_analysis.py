@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from phyllo.analysis import (
     DISTANCE_MAX,
@@ -11,6 +13,8 @@ from phyllo.analysis import (
     boundary_perimeter_prediction,
     boundary_polar_angle,
     boundary_radius,
+    _rank_from_pentagon_count,
+    _ring_word,
     detect_grain_boundaries,
     dipole_angles,
     distance_series,
@@ -126,8 +130,84 @@ def test_dipole_steps(tess_plane_3000, tess_sphere_9301):
 def test_ring_words_match_strip_words(tess_plane_3000):
     for b in detect_grain_boundaries(tess_plane_3000):
         if b.complete:
-            assert b.word.counts() == (fibonacci(b.rank - 3), fibonacci(b.rank - 4))
+            assert b.word.count("L") == fibonacci(b.rank - 3)
+            assert b.word.count("S") == fibonacci(b.rank - 4)
             assert words_equal(b.word, strip_dipole_word(b.rank - 1))
+
+
+def _reference_rank(count):
+    """The pentagon-count rank as a plain loop over the Fibonacci numbers."""
+    if count < 1:
+        return None
+    best = None
+    u = 2
+    while u <= 89 and fibonacci(u) <= count + 1:
+        d = abs(fibonacci(u) - count)
+        if best is None or d < best[0]:
+            best = (d, u)
+        u += 1
+    if best is not None and best[0] <= 1:
+        return best[1] + 1
+    return None
+
+
+@pytest.mark.parametrize(
+    "count, rank",
+    [(0, None), (1, 3), (2, 4), (3, 5), (4, 5), (9, 7), (10, None), (11, None), (12, 8)],
+)
+def test_rank_from_pentagon_count_values(count, rank):
+    # one unit of slack, the lower rank on a tie (4 lies between 3 and 5)
+    assert _rank_from_pentagon_count(count) == rank
+
+
+def test_rank_from_pentagon_count_matches_the_loop():
+    counts = list(range(-1, 100_001))
+    counts += [fibonacci(u) + d for u in range(2, 90) for d in (-2, -1, 0, 1, 2)]
+    assert [c for c in counts if _rank_from_pentagon_count(c) != _reference_rank(c)] == []
+
+
+def _reference_word(order, heptagons):
+    """The ring word read run by run from the azimuthal member order."""
+    pos = [k for k, s in enumerate(order) if s in heptagons]
+    if len(pos) < 2:
+        return None
+    m = len(order)
+    gaps = [(pos[(k + 1) % len(pos)] - pos[k]) % m for k in range(len(pos))]
+    if any(g not in (2, 3) for g in gaps):
+        return None
+    try:
+        start = next(k for k in range(len(pos)) if gaps[k - 1] == 3)
+    except StopIteration:
+        return None
+    symbols = []
+    size = 1
+    for k in range(len(pos)):
+        g = gaps[(start + k) % len(pos)]
+        if g == 2:
+            size += 1
+        else:
+            if size > 2:
+                return None
+            symbols.append("L" if size == 2 else "S")
+            size = 1
+    return "".join(symbols)
+
+
+@given(
+    st.lists(st.sampled_from(["23", "3"]), max_size=40),
+    st.sampled_from(["", "2", "22", "1", "4"]),
+    st.integers(0, 40),
+    st.integers(0, 200),
+)
+def test_ring_word_matches_the_run_loop(tokens, defect, at, shift):
+    # member gaps between heptagons: 2 then 3 for a pair, 3 for a singleton,
+    # with one defect spliced in (a longer run, or a gap other than 2 and 3);
+    # the heptagons sit at the running sums, on a ring of sum(gaps) members
+    gaps = [int(c) for c in "".join(tokens[:at]) + defect + "".join(tokens[at:])]
+    m = sum(gaps)
+    order = list(range(m))
+    heptagons = {(int(c) + shift) % m for c in np.cumsum(gaps)}
+    assert _ring_word(order, heptagons) == _reference_word(order, heptagons)
 
 
 def test_inflation_chains(tess_plane_3000, tess_sphere_9301):

@@ -411,6 +411,23 @@ def test_plane_report_does_not_depend_on_the_scale(k):
     assert "PASS mean_area_pi" in out and "PASS distance_confinement" in out
 
 
+@pytest.mark.parametrize("n, a", [(3000, "1e306"), (300, "5e306"), (4, "3e307")])
+def test_plane_report_near_the_float_maximum(n, a, tmp_path):
+    # ring perimeters and analytic distances are computed on the scaled
+    # chart too, so 2 pi rho and the sums of chart lengths stay finite
+    def run(scale):
+        out_dir = tmp_path / scale
+        argv = ["analyze", "--geometry", "plane", "--n", str(n), "--a", scale, "--out", str(out_dir)]
+        code, out, err, caught = _run(argv)
+        assert caught == []
+        summary = out_dir / "summary.json"
+        if summary.exists():
+            json.loads(summary.read_text(), parse_constant=pytest.fail)  # no inf or nan
+        return code, out, err.replace(str(out_dir), "<out>"), summary.exists()
+
+    assert run(a) == run("1")
+
+
 def test_threshold_table_and_reports(tmp_path, capsys):
     csv_path = tmp_path / "thresholds.csv"
     assert cli.main(["thresholds", "--u-max", "10", "--out", str(csv_path), "--format", "csv"]) == 0

@@ -48,7 +48,9 @@ def _traced_peak(fn):
 
 def test_tessellation_json_is_streamed():
     tess = tessellate(generate("plane", 30000))
-    tess.vertices  # the cell geometry is computed on first read; bound the writer alone
+    # reading the vertices runs the polygon pass here, so the bound covers the
+    # area pass (the document's cell areas) and the writer
+    tess.vertices
     sink = _CountingSink()
     _, peak = _traced_peak(lambda: write_json(tessellation_document(tess), sink))
     # about 12 MB written from 15 blocks of rows; keeping every block's text
@@ -68,7 +70,7 @@ def test_distance_csv_formats_block_by_block():
 
 def test_render_svg_keeps_point_tables_per_block():
     tess = tessellate(generate("hyperbolic", 20000, a=0.025))
-    tess.vertices  # bound the writer alone, as above
+    tess.vertices  # runs the polygon pass, the only one rendering reads: bound the writer alone
     text, peak = _traced_peak(lambda: render_svg(tess))
     # the text, the block texts it is joined from, the drawn vertices, and
     # one block's table of distinct points

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from phyllo.numerics import (
     DIVERGENCE,
+    FIBONACCI,
     GOLDEN_RATIO,
-    LSWord,
     fibonacci,
+    fibonacci_rank,
     inflate,
     strip_dipole_word,
     strip_sequence,
@@ -31,6 +32,16 @@ def test_fibonacci_bounds():
         fibonacci(91)
     with pytest.raises(ValueError):
         fibonacci(-1)
+
+
+def test_fibonacci_table():
+    assert FIBONACCI.tolist() == [fibonacci(u) for u in range(len(FIBONACCI))]
+    assert type(fibonacci(90)) is int
+    with pytest.raises(ValueError):
+        FIBONACCI[0] = 1  # read-only
+    assert fibonacci_rank([0, 1, 2, 3, 4, 89, fibonacci(90), fibonacci(90) + 1, -1]).tolist() == [
+        0, 2, 3, 4, -1, 11, 90, -1, -1
+    ]
 
 
 def test_golden_constants():
@@ -65,38 +76,27 @@ def test_approximant_error_decays_alternating(u):
 # words
 # ---------------------------------------------------------------------------
 
-def test_word_validation():
-    with pytest.raises(ValueError):
-        LSWord(("L", "X"))
-
-
 def test_inflate_linear():
-    w = LSWord.from_string("LS")
-    assert str(inflate(w)) == "LSL"
-    assert str(inflate(w, 2)) == "LSLLS"
-    assert str(inflate(LSWord.from_string("L"), 5)) == "LSLLSLSLLSLLS"
+    assert inflate("LS") == "LSL"
+    assert inflate("LS", 2) == "LSLLS"
+    assert inflate("L", 5) == "LSLLSLSLLSLLS"
 
 
 @given(st.integers(min_value=0, max_value=15))
 def test_inflate_counts_are_fibonacci(k):
-    w = inflate(LSWord.from_string("L"), k)
-    n_l, n_s = w.counts()
-    assert n_l == fibonacci(k + 1)
-    assert n_s == fibonacci(k)
+    w = inflate("L", k)
+    assert w.count("L") == fibonacci(k + 1)
+    assert w.count("S") == fibonacci(k)
     assert len(w) == fibonacci(k + 2)
 
 
 def test_cyclic_equality_modulo_rotation_and_reversal():
-    a = LSWord.from_string("LSLLS", cyclic=True)
-    assert words_equal(a, LSWord.from_string("SLSLL", cyclic=True))  # rotation
-    assert words_equal(a, LSWord.from_string("SLLSL", cyclic=True))  # reversal
+    a = "LSLLS"
+    assert words_equal(a, "SLSLL")  # rotation
+    assert words_equal(a, "SLLSL")  # reversal
     # a chiral ring: its reversal is no rotation of it
-    chiral = LSWord.from_string("LLSLSS", cyclic=True)
-    assert words_equal(chiral, LSWord.from_string("SSLSLL", cyclic=True))
-    assert not words_equal(a, LSWord.from_string("LLLSS", cyclic=True))
-    assert not words_equal(a, LSWord.from_string("LSLLS", cyclic=False))
-    # linear words compare literally
-    assert not words_equal(LSWord.from_string("LS"), LSWord.from_string("SL"))
+    assert words_equal("LLSLSS", "SSLSLL")
+    assert not words_equal(a, "LLLSS")
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +182,17 @@ def test_strip_row_structure(u):
 def test_strip_hexagons_split_rows_without_gaps(u):
     # never two consecutive hexagon-free rows: dipole groups have size 1 or 2
     word = strip_dipole_word(u)
-    assert set(word.symbols) <= {"L", "S"}
-    n_l, n_s = word.counts()
+    assert set(word) <= {"L", "S"}
+    n_l, n_s = word.count("L"), word.count("S")
     assert n_l == fibonacci(u - 2)
     assert n_s == fibonacci(u - 3)
     assert 2 * n_l + n_s == fibonacci(u)
 
 
 def test_strip_words_small():
-    assert str(strip_dipole_word(3)) == "L"
-    assert words_equal(strip_dipole_word(4), LSWord.from_string("LS", cyclic=True))
-    assert words_equal(strip_dipole_word(5), LSWord.from_string("LSL", cyclic=True))
+    assert strip_dipole_word(3) == "L"
+    assert words_equal(strip_dipole_word(4), "LS")
+    assert words_equal(strip_dipole_word(5), "LSL")
 
 
 @example(u=24)

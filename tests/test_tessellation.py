@@ -72,6 +72,16 @@ def test_link_metadata(tess_plane_3000):
         assert rank[links].tolist() == expected_rank
 
 
+def test_link_rank_reads_fibonacci_steps():
+    steps = [1, 2, 3, fibonacci(90), 4, 6, 7, fibonacci(90) + 1]
+    for sign in (1, -1):
+        indices = np.array(steps, dtype=np.int64) * sign
+        adjacency = Adjacency(
+            np.array([0, len(steps)]), indices, np.zeros(len(steps), dtype=np.int64), np.zeros(len(steps))
+        )
+        assert adjacency.rank.tolist() == [2, 3, 4, 90, -1, -1, -1, -1]
+
+
 def test_adjacency_is_symmetric(tess_plane_3000):
     adjacency = tess_plane_3000.adjacency
     links = {
