@@ -306,9 +306,8 @@ def tessellation_document(tess: Tessellation) -> dict:
             for k, rows in _blocks(sides):  # the steps of k-sided cells as (m, k) rows
                 steps = delta[indptr[lo + rows, None] + np.arange(k)]
                 deltas[rows] = list(_distinct_rows(steps, np.ndarray.tolist, ", ".join(["%d"] * k)))
-            boundary = cells.is_boundary[lo:hi]
-            areas = _json_floats(np.where(boundary, math.nan, cells.area[lo:hi]))  # boundary: null
-            flags = map(("false", "true").__getitem__, boundary.tolist())
+            areas = _json_floats(cells.area[lo:hi])  # a boundary cell's nan: null
+            flags = map(("false", "true").__getitem__, cells.is_boundary[lo:hi].tolist())
             yield map(template.__mod__, zip(range(lo, hi), polygons, sides.tolist(), areas, flags, deltas))
 
     return {

@@ -31,12 +31,14 @@ normal's geodesic, outside the disc), and an area is the fan of geodesic
 triangles.
 
 From the triangles on, every surface takes one path.  tessellate builds
-what ring detection reads: one edge list, the CSR links, the side counts and
-the boundary flags (which on a chart read the circumcenters, so those are
-computed there too).  The rest is left to three passes, each run at most
-once, on the first read of one of its fields:
-- the length pass measures each edge once, on its forward CSR link, and
-  copies the value to the backward one;
+what ring detection reads: the CSR links with their sources (one sorted
+table of both directions of every triangle edge, whose edges met once mark
+the hull sites), the side counts and the boundary flags (which on a chart
+read the circumcenters, so those are computed there too).  The rest is left
+to three passes, each run at most once, on the first read of one of its
+fields:
+- the length pass measures every link; each formula is symmetric in its
+  ends, so both directions of an edge get the same bits;
 - the polygon pass sorts the triangle corners by site (one stable sort)
   and each fan by the direction of the geodesic to each vertex;
 - the area pass sums each sorted fan; it reads the polygon pass's result,
@@ -137,15 +139,14 @@ class Adjacency:
     Site s links to ``indices[indptr[s]:indptr[s + 1]]``, in ascending
     order; ``source`` holds the near site s of each link, and ``distance``
     the metric length of each link, the same for both directions of an
-    edge.  tessellate computes ``indptr`` and ``indices``.  ``source`` is
-    expanded from ``indptr`` on first read, once; ``distance`` is computed
-    from the CSR columns on first read (the length pass), each edge's value
-    once from its forward link and copied to its backward one.
+    edge.  tessellate computes ``indptr``, ``indices`` and ``source``;
+    ``distance`` is computed from ``source`` and ``indices`` on first read
+    (the length pass).
     """
 
     indptr: np.ndarray  # (n + 1,) int64
     indices: np.ndarray  # (links,) int64: the far site t of each link
-    source: np.ndarray = _OnFirstRead()  # (links,) int64
+    source: np.ndarray  # (links,) int64
     distance: np.ndarray = _OnFirstRead()  # (links,) float64
 
     def __len__(self) -> int:
@@ -200,11 +201,12 @@ class Tessellation:
     ``vertices[vertex_index[vertex_offsets[s]:vertex_offsets[s + 1]]]``, in
     order around the cell: ``vertices`` holds each Delaunay triangle's
     circumcenter once, for the cells of its three corners.  The adjacency's
-    CSR columns, the side counts and the boundary flags are computed by
-    tessellate.  Three passes run on first read, each at most once: the
-    link lengths (``adjacency.distance``), the polygons (the three vertex
-    fields) and the cell areas (``cells.area``, which reads the polygons).
-    So ring detection reads none of them, and rendering only the polygons.
+    CSR columns and link sources, the side counts and the boundary flags are
+    computed by tessellate.  Three passes run on first read, each at most
+    once: the link lengths (``adjacency.distance``), the polygons (the three
+    vertex fields) and the cell areas (``cells.area``, which reads the
+    polygons).  So ring detection reads none of them, and rendering only
+    the polygons.
     """
 
     pattern: PhylloPattern
@@ -685,19 +687,17 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
         simplices = _parastichy_simplices(points, surface.lam)
     if simplices is None:
         simplices = _qhull_simplices(kind, points)
-    # corners in ascending order, so both paths round each circumcenter alike
-    simplices = np.sort(simplices, axis=1)
+    # corners in ascending order, so both paths round each circumcenter alike;
+    # int64, as Qhull's int32 corners would wrap in the keys below past n = 46340
+    simplices = np.sort(simplices, axis=1).astype(np.int64, copy=False)
 
-    # each triangle edge once, as i * n + j with i < j; hull edges are in one triangle
-    edges = np.vstack((simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [0, 2]]))
-    edges.sort(axis=1)
-    key, count = np.unique(edges[:, 0].astype(np.int64) * n + edges[:, 1], return_counts=True)
-    pairs = np.column_stack((key // n, key % n))
-    # CSR links, each site's sorted by t
-    s, t = pairs.ravel(), pairs[:, ::-1].ravel().astype(np.int64)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(s, minlength=n))))
-    indices = t[np.lexsort((t, s))]
-    source = _Pass(_link_source, indptr)
+    # both directions of every triangle edge as s * n + t: sorted, they are
+    # the CSR links; a hull edge lies in one triangle, so its links occur once
+    key, count = np.unique(
+        simplices[:, [0, 1, 1, 2, 0, 2]] * n + simplices[:, [1, 0, 2, 1, 2, 0]], return_counts=True
+    )
+    source, indices = np.divmod(key, n)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(source, minlength=n))))
     adjacency = Adjacency(indptr, indices, source, _Pass(_link_lengths, source, indices, pattern, pow2))
 
     # hull sites have unbounded cells, and the window cuts every cell with a
@@ -705,7 +705,7 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
     # here for that test (and the check for zero-area triangles), the
     # sphere's wait for the polygon pass
     boundary = np.zeros(n, dtype=bool)
-    boundary[pairs[count == 1]] = True
+    boundary[source[count == 1]] = True
     vertices = None
     if kind != SPHERE:
         if kind == HYPERBOLIC:
@@ -723,33 +723,21 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
     return Tessellation(pattern, cells, adjacency, polygons, polygons, polygons)
 
 
-def _link_source(indptr: np.ndarray) -> dict:
-    """The near site of every CSR link."""
-    return {"source": np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))}
-
-
-def _link_lengths(source: _Pass, indices: np.ndarray, pattern: PhylloPattern, pow2: float) -> dict:
+def _link_lengths(s: np.ndarray, t: np.ndarray, pattern: PhylloPattern, pow2: float) -> dict:
     """The length pass: the metric length of every link, normalized.
 
-    Each edge is measured once, on its forward link (s < t).  The backward
-    links, ordered by (t, s) in the CSR, are the forward ones stably sorted
-    by t; every length formula is symmetric in its ends, bit for bit.
+    Every length formula is symmetric in its ends, bit for bit, so both
+    links of an edge get the same value.
     """
     surface = pattern.surface
-    s = source()["source"]
-    forward = indices > s
-    s, t = s[forward], indices[forward]
     if surface.kind == SPHERE:
         unit = pattern.xyz / surface.R
         cosang = np.clip(np.sum(unit[s] * unit[t], axis=1), -1.0, 1.0)
-        dist = surface.R * np.arccos(cosang)
+        distance = surface.R * np.arccos(cosang)
     else:
         xy = pattern.chart_xy * pow2
-        dist = chart_distance_xy(surface, xy[s], xy[t])
-    dist /= normalization_scale(surface) * pow2
-    distance = np.empty(len(indices))
-    distance[forward] = dist
-    distance[~forward] = dist[np.argsort(t, kind="stable")]
+        distance = chart_distance_xy(surface, xy[s], xy[t])
+    distance /= normalization_scale(surface) * pow2
     return {"distance": distance}
 
 

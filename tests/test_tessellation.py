@@ -82,8 +82,14 @@ def test_link_rank_reads_fibonacci_steps():
         assert adjacency.rank.tolist() == [2, 3, 4, 90, -1, -1, -1, -1]
 
 
-def test_adjacency_is_symmetric(tess_plane_3000):
-    adjacency = tess_plane_3000.adjacency
+@pytest.mark.parametrize(
+    "kind,n,kwargs",
+    [("plane", 3000, {}), ("sphere", 1351, {}), ("hyperbolic", 3000, {"a": 0.4}), ("plane", 3000, {"lam": 0.4})],
+)
+def test_adjacency_is_symmetric(kind, n, kwargs):
+    # the length pass measures both links of an edge apart: its formulas
+    # must be symmetric in their ends, bit for bit
+    adjacency = tessellate(generate(kind, n, **kwargs)).adjacency
     links = {
         (s, t): (delta, distance)
         for s, t, delta, distance in zip(
@@ -96,7 +102,7 @@ def test_adjacency_is_symmetric(tess_plane_3000):
     for (s, t), (delta, distance) in links.items():
         back_delta, back_distance = links[(t, s)]
         assert back_delta == -delta
-        assert back_distance == pytest.approx(distance, rel=1e-12)
+        assert back_distance == distance
 
 
 def test_interior_degree_equals_sides(tess_plane_3000):
@@ -389,7 +395,7 @@ def test_polygon_pass_keeps_only_what_the_area_pass_reads(kind, n, kwargs):
     # the pattern, the triangulation's columns and the polygons; on the
     # sphere also the facet normals, one unit vector per vertex
     fields = [getattr(pattern, f.name) for f in dataclasses.fields(pattern)]
-    fields += [cells.sides, cells.is_boundary, adjacency.indptr, adjacency.indices]
+    fields += [cells.sides, cells.is_boundary, adjacency.indptr, adjacency.indices, adjacency.source]
     fields += [tess.vertex_offsets, tess.vertices, tess.vertex_index]
     known = {id(a) for a in fields if a is not None}
     extra = [a for a in _arrays_held(tess) if id(a) not in known]
@@ -399,29 +405,20 @@ def test_polygon_pass_keeps_only_what_the_area_pass_reads(kind, n, kwargs):
     else:
         assert extra == []
     # every pass run, only the fields are left
-    fields += [cells.area, adjacency.source, adjacency.distance]
+    fields += [cells.area, adjacency.distance]
     known = {id(a) for a in fields if a is not None}
     assert [a.shape for a in _arrays_held(tess) if id(a) not in known] == []
 
 
-def test_link_sources_are_expanded_once_per_tessellation(monkeypatch, tmp_path):
-    runs = []
-    run = tessellation._link_source
-
-    def counted(indptr):
-        runs.append(len(indptr) - 1)
-        return run(indptr)
-
-    monkeypatch.setattr(tessellation, "_link_source", counted)
-    tess = tessellate(generate("plane", 600))
-    tess.adjacency.distance  # the length pass reads the sources
-    assert runs == [600]
-    assert np.array_equal(tess.adjacency.delta, tess.adjacency.indices - tess.adjacency.source)
-    assert tess.adjacency.source is tess.adjacency.source
-    assert runs == [600]
-    # analyze reads them for ring detection, the distances and the document
-    assert cli.main(["analyze", "--geometry", "plane", "--n", "3000", "--out", str(tmp_path / "report")]) == 0
-    assert runs == [600, 3000]
+@pytest.mark.parametrize(
+    "kind,n,kwargs",
+    [("plane", 600, {}), ("sphere", 601, {}), ("hyperbolic", 3000, {"a": 0.4}), ("plane", 3000, {"lam": 0.4})],
+)
+def test_link_sources_are_the_csr_rows(kind, n, kwargs):
+    adjacency = tessellate(generate(kind, n, **kwargs)).adjacency
+    assert adjacency.source.dtype == np.int64
+    assert np.array_equal(adjacency.source, np.repeat(np.arange(n), np.diff(adjacency.indptr)))
+    assert np.array_equal(adjacency.delta, adjacency.indices - adjacency.source)
 
 
 # Cell areas computed one cell at a time, as plain formulas: the reference
@@ -720,6 +717,19 @@ def test_chart_cells_match_voronoi(kind, n, kwargs):
         offsets = np.r_[0, np.cumsum([len(finite[s]) for s in interior])]
         want = _voronoi_polygon_areas(vertices, flat, offsets, pattern.surface) / scale**2
         np.testing.assert_allclose(tess.cells.area[interior], want, rtol=1e-9, atol=0)
+
+
+def test_qhull_links_past_the_int32_key_range():
+    # Qhull's corners are int32, in which the link keys s * n + t wrap past
+    # n = 46340; lam = 0.4 always goes to Qhull, the golden divergence never
+    n = 50000
+    pattern = generate("plane", n, lam=0.4)
+    adjacency = tessellate(pattern).adjacency
+    pairs = np.sort(Voronoi(pattern.chart_xy).ridge_points, axis=1)
+    links = np.concatenate((pairs, pairs[:, ::-1]))
+    order = np.lexsort((links[:, 1], links[:, 0]))
+    assert np.array_equal(adjacency.indptr, np.r_[0, np.cumsum(np.bincount(links[:, 0], minlength=n))])
+    assert np.array_equal(adjacency.indices, links[order, 1])
 
 
 @pytest.mark.parametrize("a", [0.1, 0.4, 1.0])
