@@ -356,11 +356,11 @@ def sphere_thresholds(u_max: int) -> list[int]:
         ]
 
 
-def boundary_polar_angle(u: int, nu: int) -> float:
-    """Colatitude of the rank-u dipole ring on the sphere with n = 2*nu + 1."""
-    sin2 = fibonacci(2 * u + 1) / ((2 * nu + 1) * math.pi)
+def boundary_polar_angle(u: int, n: int) -> float:
+    """Colatitude of the rank-u dipole ring on the sphere of n sites."""
+    sin2 = fibonacci(2 * u + 1) / (n * math.pi)
     if sin2 > 1.0:
-        raise ValueError(f"ring of rank {u} does not fit on a sphere of {2 * nu + 1} sites")
+        raise ValueError(f"ring of rank {u} does not fit on a sphere of {n} sites")
     return math.asin(math.sqrt(sin2))
 
 
@@ -438,11 +438,12 @@ class DistanceSeries:
         return float(d.min()), float(d.max())
 
     def summary(self) -> dict:
+        lo, hi = self.confinement()
         return {
             "links": int(len(self.measured)),
             "interior_links": int(np.sum(self.interior)),
-            "min_interior": self.confinement()[0],
-            "max_interior": self.confinement()[1],
+            "min_interior": lo,
+            "max_interior": hi,
             "ranks": np.flatnonzero(np.bincount(self.rank[self.rank > 0])).tolist(),
         }
 

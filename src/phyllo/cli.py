@@ -270,14 +270,14 @@ def _cmd_thresholds(parser: _Parser, args) -> int:
             curves = []
             for u in range(1, args.u_max + 1):
                 birth = thresholds[u - 1]
-                # (np.unique would import numpy.ma, about 35 ms, the first time it runs)
+                # (np.unique(a), with no return_* argument, imports numpy.ma: about 35 ms)
                 ns = sorted(set(np.round(np.geomspace(birth, 100.0 * birth, 25)).astype(int).tolist()))
                 pts = []
                 for n in ns:
-                    # even n rounds nu down, so the ring may not fit exactly
-                    # at the birth threshold; start the curve where it does
+                    # the threshold rounds f_{2u+1}/pi to the nearest integer, so
+                    # the ring may not fit at it; start the curve where it does
                     try:
-                        angle = boundary_polar_angle(u, (n - 1) // 2)
+                        angle = boundary_polar_angle(u, n)
                     except ValueError:
                         continue
                     pts.append([n, angle])

@@ -18,8 +18,9 @@ kept until the last (_shared_rows, which render_svg uses as well); within a
 block, each distinct row of values is made into text once (_distinct_rows):
 each cell's list of link steps, and on the plane the equal radii rho and r.
 The text is the same as the generic writer gives for a list of per-row
-dicts.  The three CSV files fill a row template from slices of their
-columns in the same way, _BLOCK rows at a time, and return their text.
+dicts.  Each CSV file is written from named columns: the ring columns are
+declared once, in BOUNDARY_COLUMNS, and the distance and area tables are
+written _BLOCK rows at a time, each field's text set by its column's dtype.
 """
 
 from __future__ import annotations
@@ -318,61 +319,26 @@ def tessellation_document(tess: Tessellation) -> dict:
     }
 
 
-BOUNDARY_COLUMNS = [
-    "rank",
-    "pole_side",
-    "s_lo",
-    "s_hi",
-    "heptagons",
-    "hexagons",
-    "pentagons",
-    "complete",
-    "anomalous",
-    "dipoles",
-    "mean_radius",
-    "perimeter",
-    "word",
-]
+#: The ring columns of summary.json and boundaries.csv, with each one's value.
+BOUNDARY_COLUMNS = {
+    "rank": lambda b: b.rank,
+    "pole_side": lambda b: b.pole_side,
+    "s_lo": lambda b: b.s_range[0],
+    "s_hi": lambda b: b.s_range[1],
+    "heptagons": lambda b: b.counts[0],
+    "hexagons": lambda b: b.counts[1],
+    "pentagons": lambda b: b.counts[2],
+    "complete": lambda b: b.complete,
+    "anomalous": lambda b: b.anomalous,
+    "dipoles": lambda b: len(b.dipoles),
+    "mean_radius": lambda b: b.mean_radius,
+    "perimeter": lambda b: b.perimeter,
+    "word": lambda b: b.word or "",
+}
 
 
 def boundary_rows(boundaries) -> list[dict]:
-    rows = []
-    for b in boundaries:
-        rows.append(
-            {
-                "rank": b.rank,
-                "pole_side": b.pole_side,
-                "s_lo": b.s_range[0],
-                "s_hi": b.s_range[1],
-                "heptagons": b.counts[0],
-                "hexagons": b.counts[1],
-                "pentagons": b.counts[2],
-                "complete": b.complete,
-                "anomalous": b.anomalous,
-                "dipoles": len(b.dipoles),
-                "mean_radius": b.mean_radius,
-                "perimeter": b.perimeter,
-                "word": b.word or "",
-            }
-        )
-    return rows
-
-
-def _csv_text(columns, template: str, *values) -> str:
-    """CSV text of a header row and one template row per entry of the value arrays.
-
-    Rows are filled _BLOCK at a time from slices of the arrays: float
-    columns as 17-digit text (_g17), the others as their Python values.
-    """
-    n = len(values[0])
-    blocks = [",".join(columns) + "\n"]
-    for lo in range(0, n, _BLOCK):
-        fields = [
-            _g17(v[lo : lo + _BLOCK]) if v.dtype.kind == "f" else v[lo : lo + _BLOCK].tolist()
-            for v in values
-        ]
-        blocks.append("".join(map(template.__mod__, zip(*fields))))
-    return "".join(blocks)
+    return [{name: value(b) for name, value in BOUNDARY_COLUMNS.items()} for b in boundaries]
 
 
 def _csv_cell(v) -> str:
@@ -381,29 +347,34 @@ def _csv_cell(v) -> str:
 
 
 def boundaries_csv(boundaries) -> str:
-    rows = boundary_rows(boundaries)
-    cells = [np.array([_csv_cell(row[c]) for row in rows], dtype=object) for c in BOUNDARY_COLUMNS]
-    return _csv_text(BOUNDARY_COLUMNS, ",".join(["%s"] * len(BOUNDARY_COLUMNS)) + "\n", *cells)
+    lines = [",".join(BOUNDARY_COLUMNS)]
+    lines += [",".join(map(_csv_cell, row.values())) for row in boundary_rows(boundaries)]
+    return "\n".join(lines) + "\n"
 
 
-DISTANCE_COLUMNS = ["s_from", "s_to", "rank", "measured", "analytic", "interior"]
+def _csv_text(columns: dict) -> str:
+    """CSV text of a {name: array} table: a header of the names, then one row per entry.
+
+    Rows are made _BLOCK at a time from slices of the arrays, and each
+    field's text follows from its column's dtype: floats as 17-digit text
+    (_g17), integers and bools as their Python values.
+    """
+    values = list(columns.values())
+    template = ",".join(["%s"] * len(values)) + "\n"
+    blocks = [",".join(columns) + "\n"]
+    for lo in range(0, len(values[0]), _BLOCK):
+        fields = [
+            _g17(v[lo : lo + _BLOCK]) if v.dtype.kind == "f" else v[lo : lo + _BLOCK].tolist()
+            for v in values
+        ]
+        blocks.append("".join(map(template.__mod__, zip(*fields))))
+    return "".join(blocks)
 
 
 def distance_csv(series) -> str:
-    return _csv_text(
-        DISTANCE_COLUMNS,
-        "%d,%d,%d,%s,%s,%s\n",
-        series.s_from,
-        series.s_to,
-        series.rank,
-        series.measured,
-        series.analytic,
-        series.interior,
-    )
-
-
-AREA_COLUMNS = ["s", "area", "in_window"]
+    names = ("s_from", "s_to", "rank", "measured", "analytic", "interior")
+    return _csv_text({name: getattr(series, name) for name in names})
 
 
 def area_csv(series) -> str:
-    return _csv_text(AREA_COLUMNS, "%d,%s,%s\n", series.s, series.area, series.window)
+    return _csv_text({"s": series.s, "area": series.area, "in_window": series.window})

@@ -252,7 +252,7 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _blocks(sizes: np.ndarray):
     """(k, indices of sizes equal to k) in ascending order, _BLOCK at a time."""
-    # (np.unique would import numpy.ma, about 35 ms, the first time it runs)
+    # (np.unique(a), with no return_* argument, imports numpy.ma: about 35 ms)
     for k in np.flatnonzero(np.bincount(sizes)).tolist():
         sites = np.flatnonzero(sizes == k)
         for lo in range(0, len(sites), _BLOCK):

@@ -286,12 +286,12 @@ def test_hyperbolic_ring_spacing(tess_hyperbolic_3000):
 
 
 def test_sphere_polar_angles(tess_sphere_1351):
-    nu = (tess_sphere_1351.pattern.n - 1) // 2
+    n = tess_sphere_1351.pattern.n
     R = tess_sphere_1351.pattern.surface.R
     for b in detect_grain_boundaries(tess_sphere_1351):
         if b.complete and b.pole_side == 0:
             colat = b.mean_radius / R
-            assert colat == pytest.approx(boundary_polar_angle(b.rank - 1, nu), rel=0.02)
+            assert colat == pytest.approx(boundary_polar_angle(b.rank - 1, n), rel=0.02)
 
 
 def test_threshold_list():

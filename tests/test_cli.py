@@ -8,6 +8,7 @@ what a fresh interpreter imports spawns one.
 import errno
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from phyllo.export import (
 )
 from phyllo.analysis import sphere_thresholds
 from phyllo.generator import generate
+from phyllo.numerics import fibonacci
 
 
 def test_generate_writes_loadable_pattern(tmp_path, capsys):
@@ -451,6 +453,18 @@ def test_threshold_table_and_reports(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_threshold_curves_use_each_points_own_site_count(tmp_path, capsys):
+    # sin^2 of the ring's colatitude is f_{2u+1}/(n pi) at every n, even or odd
+    path = tmp_path / "thresholds.json"
+    assert cli.main(["thresholds", "--u-max", "12", "--out", str(path)]) == 0
+    curves = json.loads(path.read_text())["polar_angle_curves"]
+    points = [(c["u"], n, angle) for c in curves for n, angle in c["points"]]
+    assert any(n % 2 == 0 for _, n, _ in points)
+    for u, n, angle in points:
+        assert angle == math.asin(math.sqrt(fibonacci(2 * u + 1) / (n * math.pi))), (u, n)
+    capsys.readouterr()
+
+
 def test_threshold_empirical_bracketing(capsys):
     assert cli.main(["thresholds", "--u-max", "5", "--empirical"]) == 0
     out = capsys.readouterr().out
@@ -500,8 +514,8 @@ def test_render_hyperbolic_draws_limit_circle(tmp_path):
 def test_no_command_imports_scipy(argv, status, tmp_path):
     # scipy is only the fallback triangulator's; a golden pattern never
     # needs it, so no command on one may load it (checked in a fresh
-    # interpreter, with no timing).  Nor numpy.ma, which np.unique imports
-    # (about 35 ms) and no command needs
+    # interpreter, with no timing).  Nor numpy.ma, which np.unique(a) with
+    # no return_* argument imports (about 35 ms) and no command needs
     code = "import sys\nimport phyllo.cli\n"
     if argv is not None:
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]

@@ -88,6 +88,18 @@ CASES = {
             "summary.json": "d0fc354143083685a97022bcbd861e3e3228782c136e26ed66a01e6126f488b7",
         },
     ),
+    # the disc's CSV report: five links whose analytic distance is nan
+    "hyperbolic-analyze-csv": (
+        ["analyze", "--geometry", "hyperbolic", "--n", "3000", "--a", "0.025",
+         "--format", "csv", "--out", "{out}"],
+        {
+            "stdout": "77e359a4b93cd27577722d04f0599148f0f981cc6f93aab069d04e40999c50ef",
+            "areas.csv": "5c13ebb2498f5f9158157f04efc8789facecd027289007a509551757346c664b",
+            "boundaries.csv": "7663e5160cf0caef0f308d257623c208fdced595ee37319fb0379f4ed17b8d93",
+            "distances.csv": "9bc46871a1c7f40cab390357dc8a3bd8a6d08e0036b85e41d21e1eb79756a38a",
+            "summary.json": "9226434fe94988252a67df072ffa3ab0bc33a4265188aff58a7b0dec1e731fb9",
+        },
+    ),
     "hyperbolic-render": (
         ["render", "--geometry", "hyperbolic", "--n", "3000", "--a", "0.025",
          "--out", "{out}/figure.svg"],
