@@ -12,15 +12,16 @@ at most tessellation._BLOCK rows at a time, made column by column while it
 is written; write_json calls it anew on each writing and writes each block
 as soon as it is made, so the whole text of a tessellation is never in
 memory.  Floats are formatted from ``.tolist()`` with ``format(x, ".17g")``
-(NaN as null).  Each row of the tessellation's vertex table is formatted
-into ``[x, y]`` once per writing, by the first block that lists it, and
-kept until the last (_shared_rows, which render_svg uses as well); within a
-block, each distinct row of values is made into text once (_distinct_rows):
-each cell's list of link steps, and on the plane the equal radii rho and r.
-The text is the same as the generic writer gives for a list of per-row
-dicts.  Each CSV file is written from named columns: the ring columns are
-declared once, in BOUNDARY_COLUMNS, and the distance and area tables are
-written _BLOCK rows at a time, each field's text set by its column's dtype.
+(NaN as null).  The sites and the distance and area CSV tables are made by
+one row loop (_row_blocks) that makes each column of a block into text
+once, by its dtype (on the plane, r is the array rho).  Each row of the
+tessellation's vertex table is formatted into ``[x, y]`` once per writing,
+by the first block that lists it, and kept until the last (_shared_rows,
+which joins each cell's polygon and which render_svg uses as well); within
+a block, each distinct list of a cell's link steps is made into text once
+(_distinct_rows).  The text is the same as the generic writer gives for a
+list of per-row dicts.  The ring columns are declared once, in
+BOUNDARY_COLUMNS.
 """
 
 from __future__ import annotations
@@ -73,47 +74,58 @@ def _json_floats(values: np.ndarray) -> list[str]:
     return text
 
 
-def _distinct_rows(rows: np.ndarray, fmt, template: str):
-    """Iterator over template % tuple(fmt(row)) for each row of an (m, k) array.
+def _row_blocks(columns: list, fmt, template: str):
+    """Per block of at most _BLOCK rows, an iterator over template % row of the columns.
 
-    Each distinct row is formatted and filled once: fmt maps a 1-D array to
-    a list and is called once, on the distinct rows flattened.  The array
-    holds 8-byte numbers, and rows compare bit for bit, which keeps -0.0
-    apart from 0.0.
+    Float columns are made into text by fmt, which maps a 1-D array to a
+    list, and other columns by ``.tolist()``; a column listed twice (the
+    same array) is made into text once per block.
     """
-    m, k = rows.shape
-    bits = rows.view(np.int64)
-    order = np.lexsort(bits.T)
-    ordered = bits[order]
+    for lo in range(0, len(columns[0]), _BLOCK):
+        parts = {id(column): column[lo : lo + _BLOCK] for column in columns}
+        text = {key: fmt(part) if part.dtype.kind == "f" else part.tolist() for key, part in parts.items()}
+        yield map(template.__mod__, zip(*[text[id(column)] for column in columns]))
+
+
+def _distinct_rows(rows: np.ndarray, template: str):
+    """Iterator over template % tuple(row) for each row of an (m, k) integer array.
+
+    Each distinct row is filled once, and equal rows share its text.
+    """
+    m = len(rows)
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
     first = np.ones(m, dtype=bool)
     np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
     inverse = np.empty(m, dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    text = iter(fmt(rows[order[first]].ravel()))
-    filled = list(map(template.__mod__, zip(*[text] * k)))
+    filled = list(map(template.__mod__, map(tuple, ordered[first].tolist())))
     return map(filled.__getitem__, inverse.tolist())
 
 
-def _shared_rows(table: np.ndarray, index: np.ndarray, cuts: np.ndarray, fmt, template: str):
-    """Per span index[cuts[j]:cuts[j + 1]], the texts template % tuple(fmt(row)) of its table rows.
+def _shared_rows(table: np.ndarray, index: np.ndarray, offsets: np.ndarray, fmt, template: str, sep: str):
+    """Per block of at most _BLOCK polygons, the text of each polygon.
 
+    Polygon j has the corners table[index[offsets[j]:offsets[j + 1]]], and
+    its text is sep.join(template % tuple(fmt(corner)) for each corner).
     Each row of the (m, k) table is formatted and filled once, by the first
-    span that reads it (fmt is called once per span, on those rows
-    flattened), and its text is dropped after the last span that reads it.
+    block that reads it (fmt is called once per block, on those rows
+    flattened), and its text is dropped after the last block that reads it.
     """
     last = np.full(len(table), -1)
     np.maximum.at(last, index, np.arange(len(index)))
     text, done = np.empty(len(table), dtype=object), np.zeros(len(table), dtype=bool)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        read = index[lo:hi]
+    for lo in range(0, len(offsets) - 1, _BLOCK):
+        corners = offsets[lo : lo + _BLOCK + 1]
+        read = index[corners[0] : corners[-1]]
         new = np.sort(read[~done[read]])
         new = new[np.diff(new, prepend=-1) != 0]
         done[new] = True
         values = iter(fmt(table[new].ravel()))
         text[new] = list(map(template.__mod__, zip(*[values] * table.shape[1])))
-        texts = text[read].tolist()
-        text[read[last[read] < hi]] = None
-        yield texts
+        texts = iter(text[read].tolist())
+        text[read[last[read] < corners[-1]]] = None
+        yield [sep.join(islice(texts, k)) for k in np.diff(corners).tolist()]
 
 
 def dumps_json(doc) -> str:
@@ -178,7 +190,7 @@ def _surface_document(surface: SurfaceSpec) -> dict:
 def pattern_document(pattern: PhylloPattern) -> dict:
     """Pattern as a JSON-ready document; angles reduced to [0, 2pi) here only."""
     template = '{"s": %d, "rho": %s, "theta": %s, "r": %s'
-    columns = [pattern.rho, pattern.theta, pattern.r]
+    columns = [pattern.r]  # on the plane the array rho itself, made into text once
     if pattern.phi is not None:
         template += ', "phi": %s'
         columns.append(pattern.phi)
@@ -186,22 +198,14 @@ def pattern_document(pattern: PhylloPattern) -> dict:
         template += ', "xyz": [%s, %s, %s]'
         columns.extend(pattern.xyz.T)
     template += "}"
-
-    def blocks():
-        cuts = [*range(0, pattern.n, _BLOCK), pattern.n]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            # row by row, so that one iterator fills every float of a row
-            values = np.column_stack([column[lo:hi] for column in columns])
-            values[:, 1] = np.mod(values[:, 1], TWO_PI)
-            text = _distinct_rows(values.reshape(-1, 1), _json_floats, "%s")
-            yield map(template.__mod__, zip(pattern.s[lo:hi].tolist(), *[text] * len(columns)))
-
     return {
         "schema": PATTERN_SCHEMA,
         "surface": _surface_document(pattern.surface),
         "n": pattern.n,
         "indexing": pattern.indexing,
-        "sites": blocks,
+        "sites": lambda: _row_blocks(
+            [pattern.s, pattern.rho, np.mod(pattern.theta, TWO_PI), *columns], _json_floats, template
+        ),
     }
 
 
@@ -297,19 +301,17 @@ def tessellation_document(tess: Tessellation) -> dict:
     delta, indptr = adjacency.delta, adjacency.indptr
 
     def blocks():
-        cuts = [*range(0, pattern.n, _BLOCK), pattern.n]
-        points = _shared_rows(tess.vertices, tess.vertex_index, offsets[cuts], _json_floats, "[%s, %s]")
-        for lo, hi, texts in zip(cuts[:-1], cuts[1:], points):
-            corners = iter(texts)
-            polygons = [", ".join(islice(corners, k)) for k in np.diff(offsets[lo : hi + 1]).tolist()]
+        polygons = _shared_rows(tess.vertices, tess.vertex_index, offsets, _json_floats, "[%s, %s]", ", ")
+        for lo, texts in zip(range(0, pattern.n, _BLOCK), polygons):
+            hi = min(lo + _BLOCK, pattern.n)
             sides = cells.sides[lo:hi]
             deltas = np.empty(hi - lo, dtype=object)
             for k, rows in _blocks(sides):  # the steps of k-sided cells as (m, k) rows
                 steps = delta[indptr[lo + rows, None] + np.arange(k)]
-                deltas[rows] = list(_distinct_rows(steps, np.ndarray.tolist, ", ".join(["%d"] * k)))
+                deltas[rows] = list(_distinct_rows(steps, ", ".join(["%d"] * k)))
             areas = _json_floats(cells.area[lo:hi])  # a boundary cell's nan: null
             flags = map(("false", "true").__getitem__, cells.is_boundary[lo:hi].tolist())
-            yield map(template.__mod__, zip(range(lo, hi), polygons, sides.tolist(), areas, flags, deltas))
+            yield map(template.__mod__, zip(range(lo, hi), texts, sides.tolist(), areas, flags, deltas))
 
     return {
         "schema": TESSELLATION_SCHEMA,
@@ -353,22 +355,10 @@ def boundaries_csv(boundaries) -> str:
 
 
 def _csv_text(columns: dict) -> str:
-    """CSV text of a {name: array} table: a header of the names, then one row per entry.
-
-    Rows are made _BLOCK at a time from slices of the arrays, and each
-    field's text follows from its column's dtype: floats as 17-digit text
-    (_g17), integers and bools as their Python values.
-    """
-    values = list(columns.values())
-    template = ",".join(["%s"] * len(values)) + "\n"
-    blocks = [",".join(columns) + "\n"]
-    for lo in range(0, len(values[0]), _BLOCK):
-        fields = [
-            _g17(v[lo : lo + _BLOCK]) if v.dtype.kind == "f" else v[lo : lo + _BLOCK].tolist()
-            for v in values
-        ]
-        blocks.append("".join(map(template.__mod__, zip(*fields))))
-    return "".join(blocks)
+    """CSV text of a {name: array} table: a header of the names, then one row per entry."""
+    template = ",".join(["%s"] * len(columns)) + "\n"
+    blocks = _row_blocks(list(columns.values()), _g17, template)
+    return "".join([",".join(columns) + "\n", *map("".join, blocks)])
 
 
 def distance_csv(series) -> str:

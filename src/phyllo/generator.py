@@ -64,14 +64,15 @@ def _radial_law(surface: SurfaceSpec, x):
     """Geodesic radius, chart radius r and dr/dx of generate's spirals.
 
     x is the real site index on the plane and the disc, and z/R on the
-    sphere; dr/dx is infinite at a pole.
+    sphere.  The plane's r is the array rho itself.  dr/dx is infinite at a
+    pole, and nan on a disc whose a*a underflows (every site at the center).
     """
     x = np.asarray(x, dtype=float)
     a = surface.a
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if surface.kind == PLANE:
             rho = a * np.sqrt(x)
-            return rho, rho.copy(), a / (2.0 * np.sqrt(x))
+            return rho, rho, a / (2.0 * np.sqrt(x))
         if surface.kind == HYPERBOLIC:
             rho_hat = np.arccosh(a * a * x / 2.0 + 1.0)  # rho/R
             r = np.tanh(rho_hat / 2.0)

@@ -6,17 +6,17 @@ hexagons red, heptagons green, four-sided cells yellow.  A white dot marks
 the pattern origin.  Output contains no timestamps or other run metadata,
 so identical input gives byte-identical SVG.
 
-Polygons are written from the columns, tessellation._BLOCK drawn cells at a
-time: each (x, -y) point of the tessellation's vertex table is formatted
-(``.6g``) and filled into ``x,y`` once per figure, by the first block that
-draws it, and kept until the last cell that draws it is written
-(export._shared_rows); the points joined per cell fill one ``<polygon>``
-template, and only the block's joined text is kept.
+Polygons are written tessellation._BLOCK drawn cells at a time, from the
+polygon texts of export._shared_rows: each (x, -y) point of the
+tessellation's vertex table is formatted (``.6g``) and filled into ``x,y``
+once per figure, by the first block that draws it, and kept until the last
+cell that draws it is written; each cell's points, joined, fill one
+``<polygon>`` template, and only the block's joined text is kept.
 """
 
 from __future__ import annotations
 
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -69,7 +69,7 @@ def render_svg(tess: Tessellation, projection: str | None = None, size: int = 90
     if not keep.any():
         where = "out of view" if kind == SPHERE else "boundary cells"
         raise ValueError(f"nothing to draw: all {tess.n} cells are {where}")
-    corners = np.diff(offsets)[keep].tolist()
+    drawn_offsets = np.concatenate(([0], np.cumsum(np.diff(offsets)[keep])))
     drawn = index[keep[owner]]
     xy = np.column_stack((verts[:, 0], -verts[:, 1]))  # SVG's y points down
     if projection == "chart" and kind != HYPERBOLIC:
@@ -87,12 +87,9 @@ def render_svg(tess: Tessellation, projection: str | None = None, size: int = 90
         lines.append(f'<circle cx="0" cy="0" r="1" fill="none" {pen}/>')
     template = f'<polygon points="%s" fill="%s" {pen}/>'
     fills = [CELL_COLORS.get(label, FALLBACK_COLOR) for label in compress(classify(tess), keep)]
-    cuts = [*range(0, len(corners), _BLOCK), len(corners)]
-    points = _shared_rows(xy, drawn, np.cumsum([0] + corners)[cuts], _g6, "%s,%s")
-    for lo, hi, texts in zip(cuts[:-1], cuts[1:], points):
-        texts = iter(texts)
-        coords = [" ".join(islice(texts, k)) for k in corners[lo:hi]]
-        lines.append("\n".join(map(template.__mod__, zip(coords, fills[lo:hi]))))
+    polygons = _shared_rows(xy, drawn, drawn_offsets, _g6, "%s,%s", " ")
+    for lo, texts in zip(range(0, len(fills), _BLOCK), polygons):
+        lines.append("\n".join(map(template.__mod__, zip(texts, fills[lo : lo + _BLOCK]))))
     # white dot on the pattern origin (chart center / near pole); joining a
     # last "" ends the text with a newline without copying it
     lines += [f'<circle cx="0" cy="0" r="{dot}" fill="white" {pen}/>', "</svg>", ""]

@@ -485,8 +485,9 @@ def _parastichy_simplices(points: np.ndarray, lam: float, frames=None) -> np.nda
     fail the certificate are retried, with their fans' neighbours, on
     _RETRY steps.  The rest is left to Qhull.
 
-    points are chart points, or on the sphere unit vectors with their
-    tangent frames.
+    points are chart points scaled by chart_pow2, which keeps squared
+    lengths and their inverses in range, or on the sphere unit vectors with
+    their tangent frames.
     """
     n = len(points)
     if not 3 <= n < 2**21:  # the certificate packs a triangle into n**3 < 2**63
@@ -496,13 +497,7 @@ def _parastichy_simplices(points: np.ndarray, lam: float, frames=None) -> np.nda
         return None
     with np.errstate(all="ignore"):
         sphere = frames is not None
-        if sphere:
-            coords = tuple(np.ascontiguousarray(points.T))
-        else:
-            # scaled by a power of two, which moves no rounding, to keep
-            # squared lengths and their inverses in range
-            scale = np.ldexp(1.0, -int(np.frexp(np.max(np.abs(points)))[1]))
-            coords = tuple(np.ascontiguousarray(points.T) * scale)
+        coords = tuple(np.ascontiguousarray(points.T))
         rank = _local_rank(coords, steps)
         site = np.arange(n)
         # index distance to the nearer end: s = 0, or on the sphere either pole
@@ -673,8 +668,8 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
         raise ValueError(f"a {kind} pattern needs at least {least} sites to tessellate, got {n}")
     points = pattern.xyz if kind == SPHERE else pattern.chart_xy
     _check_distinct(points)
-    # plane circumcenters, lengths and areas are computed on the scaled chart,
-    # which keeps the cubes of lengths in range at every a
+    # plane fans, circumcenters, lengths and areas are computed on the scaled
+    # chart, which keeps the cubes of lengths in range at every a
     pow2 = chart_pow2(surface)
     frames = None
     if kind == SPHERE:
@@ -684,7 +679,8 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
         frames = _tangent_frames(unit)
         simplices = _parastichy_simplices(unit, surface.lam, frames)
     else:
-        simplices = _parastichy_simplices(points, surface.lam)
+        chart = points * pow2 if kind == PLANE else points  # the disc's pow2 is 1
+        simplices = _parastichy_simplices(chart, surface.lam)
     if simplices is None:
         simplices = _qhull_simplices(kind, points)
     # corners in ascending order, so both paths round each circumcenter alike;
@@ -711,7 +707,7 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
         if kind == HYPERBOLIC:
             centers = vertices = _disc_centers(points, simplices)
         else:
-            centers = _plane_centers(points * pow2, simplices)
+            centers = _plane_centers(chart, simplices)
             with np.errstate(over="ignore"):
                 vertices = centers / pow2
             if not np.isfinite(vertices).all():

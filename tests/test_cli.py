@@ -153,6 +153,7 @@ def _write_inputs(tmp_path):
     }
     for name, doc in docs.items():
         (tmp_path / name).write_text(json.dumps(doc))
+    (tmp_path / "truncated.json").write_text('{"schema": ')
 
 
 @pytest.mark.parametrize(
@@ -201,6 +202,9 @@ def _write_inputs(tmp_path):
         # every cell is a boundary cell, or on the far side of the sphere
         ["render", "--geometry", "hyperbolic", "--n", "5", "--a", "0.3"],
         ["render", "--geometry", "sphere", "--n", "5", "--indexing", "half-integer"],
+        # a disc whose a*a underflows, so that every site sits at the center
+        ["analyze", "--geometry", "hyperbolic", "--n", "100", "--a", "1e-300"],
+        ["render", "--geometry", "hyperbolic", "--n", "100", "--a", "1e-300"],
     ],
 )
 def test_usage_errors_exit_1(argv, tmp_path, capsys):
@@ -253,12 +257,19 @@ COLLINEAR_MESSAGES = [
          "a plane pattern needs at least 3 sites to tessellate, got 2"),
         (["render", "--geometry", "sphere", "--n", "3"],
          "a sphere pattern needs at least 4 sites to tessellate, got 3"),
+        (["analyze", "--in", "{tmp}/truncated.json"], "{tmp}/truncated.json:1:12: Expecting value"),
+        (["render", "--geometry", "plane", "--n", "10", "--a", "3e307"],
+         "scale a=3e+307 is too large: Voronoi vertices overflow"),
+        (["generate", "--geometry", "hyperbolic", "--n", "10", "--a", "5e-324"],
+         "hyperbolic needs a finite R, got inf"),
     ],
 )
-def test_usage_error_messages(argv, message, capsys):
+def test_usage_error_messages(argv, message, tmp_path, capsys):
+    _write_inputs(tmp_path)
     with pytest.raises(SystemExit) as err:
-        cli.main(argv)
+        cli.main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
     assert err.value.code == 1
+    message = message.replace("{tmp}", str(tmp_path))
     assert capsys.readouterr().err.splitlines()[-1] == f"phyllo: error: {message}"
 
 

@@ -1,7 +1,7 @@
 """The experiment scripts still import and run against the library.
 
 Each script is loaded by path, which runs its imports but not its
-``main``; the cheapest ones also run end to end, in-process.  Nothing is
+``main``; each also runs end to end, in-process.  Nothing is
 spawned.
 """
 
@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from phyllo.analysis import DISTANCE_MAX, DISTANCE_MIN
 
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
 
@@ -76,3 +78,25 @@ def test_area_scaling_runs(monkeypatch, capsys):
     for line in lines[:2]:
         mean = float(line.split("mean=")[1].split()[0])
         assert mean == pytest.approx(math.pi, rel=0.01)
+
+
+def test_distance_profile_runs(tmp_path, monkeypatch, capsys):
+    lines = _run("distance_profile", ["--out-dir", str(tmp_path)], monkeypatch, capsys)
+    names = ["plane_3000.csv", "hyperbolic_3000.csv", "sphere_9301.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    assert [line.split(":")[0] for line in lines] == [f"wrote {tmp_path / name}" for name in names]
+    for line in lines:
+        # "wrote PATH: N links, confinement [lo, hi]"
+        lo, hi = map(float, line.split("[")[1].rstrip("]").split(","))
+        assert 0.99 * DISTANCE_MIN <= lo <= hi <= 1.01 * DISTANCE_MAX, line
+
+
+def test_render_gallery_runs(tmp_path, monkeypatch, capsys):
+    lines = _run("render_gallery", ["--out-dir", str(tmp_path), "--size", "300"], monkeypatch, capsys)
+    assert len(lines) == 4 and len(list(tmp_path.iterdir())) == 4
+    for line in lines:
+        # "wrote PATH (N cells)"
+        path, _, count = line.removeprefix("wrote ").partition(" (")
+        svg = Path(path).read_text()
+        assert svg.startswith('<svg xmlns="http://www.w3.org/2000/svg" width="300" height="300"')
+        assert svg.count("<polygon") == int(count.removesuffix(" cells)"))

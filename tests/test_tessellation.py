@@ -881,6 +881,8 @@ def test_parastichy_steps_are_the_fibonacci_numbers_or_none():
             assert tessellation._parastichy_steps(lam, n).tolist() == fibs
     for lam in (0.0, 0.5, 0.4, 1 / 3, 0.3819, 0.55, 1e-4, 0.5000001):
         assert tessellation._parastichy_steps(lam, 10**6) is None
+    # from n = 2**21 on, the certificate's key of a triangle, n**3, overflows
+    assert tessellation._parastichy_simplices(np.zeros((2**21, 2)), golden) is None
 
 
 class _Qhull(Exception):
