@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import PhylloPattern, _effective_index, _radial_law, chart_pow2, normalization_scale
-from .geometry import HYPERBOLIC, PLANE, SPHERE, SurfaceSpec, circle_circumference, conformal_factor
+from .geometry import HYPERBOLIC, PLANE, SPHERE, SurfaceSpec, chart_distance_xy, circle_circumference, conformal_factor
 from .numerics import fibonacci, fibonacci_rank, inflate, words_equal
 from .tessellation import Tessellation
 
@@ -56,6 +56,9 @@ DEFECT_EDGE_MARGIN_CELLS = 3.0
 #: sqrt(2*pi/sqrt(5)) (tightest parastichy) up to sqrt(2*pi) (square diagonal)
 DISTANCE_MIN = math.sqrt(2.0 * math.pi / math.sqrt(5.0))
 DISTANCE_MAX = math.sqrt(2.0 * math.pi)
+
+#: links per array block; bounds the temporary arrays of the link lengths
+_LINK_BLOCK = 65536
 
 
 def site_depth(pattern: PhylloPattern, s) -> np.ndarray:
@@ -448,14 +451,35 @@ class DistanceSeries:
         }
 
 
+def _link_lengths(pattern: PhylloPattern, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The normalized metric length of each link (s, t); each formula is symmetric in its ends, bit for bit."""
+    surface, pow2 = pattern.surface, chart_pow2(pattern.surface)  # pow2 keeps plane squares in range
+    sphere = surface.kind == SPHERE
+    points = pattern.xyz / surface.R if sphere else pattern.chart_xy * pow2
+    lengths = np.empty(len(s))
+    for lo in range(0, len(s), _LINK_BLOCK):
+        block = slice(lo, lo + _LINK_BLOCK)
+        a, b = points[s[block]], points[t[block]]
+        if sphere:
+            lengths[block] = surface.R * np.arccos(np.clip(np.sum(a * b, axis=1), -1.0, 1.0))
+        else:
+            lengths[block] = chart_distance_xy(surface, a, b)
+    lengths /= normalization_scale(surface) * pow2
+    return lengths
+
+
 def distance_series(tess: Tessellation) -> DistanceSeries:
+    """Every forward link (s, t > s) with its measured and analytic length.
+
+    Each forward link is measured once, _LINK_BLOCK links at a time, and
+    no backward link is measured.
+    """
     pattern = tess.pattern
-    adjacency = tess.adjacency
-    source, target = adjacency.source, adjacency.indices
+    source, target = tess.adjacency.source, tess.adjacency.indices
     forward = target > source
     s_from, s_to = source[forward], target[forward]
-    rank = adjacency.rank[forward]
-    measured = adjacency.distance[forward]
+    rank = fibonacci_rank(s_to - s_from)
+    measured = _link_lengths(pattern, s_from, s_to)
     inside = ~tess.cells.is_boundary & (site_depth(pattern, np.arange(pattern.n)) >= CORE_DEPTH)
     interior = inside[s_from] & inside[s_to]
     analytic = np.full(len(measured), np.nan)

@@ -34,11 +34,9 @@ From the triangles on, every surface takes one path.  tessellate builds
 what ring detection reads: the CSR links with their sources (one sorted
 table of both directions of every triangle edge, whose edges met once mark
 the hull sites), the side counts and the boundary flags (which on a chart
-read the circumcenters, so those are computed there too).  The rest is left
-to three passes, each run at most once, on the first read of one of its
-fields:
-- the length pass measures every link; each formula is symmetric in its
-  ends, so both directions of an edge get the same bits;
+read the circumcenters, so those are computed there too).  The cell
+geometry is left to two passes, each run at most once, on the first read of
+one of its fields:
 - the polygon pass sorts the triangle corners by site (one stable sort)
   and each fan by the direction of the geodesic to each vertex;
 - the area pass sums each sorted fan; it reads the polygon pass's result,
@@ -48,14 +46,15 @@ _BLOCK at a time, which bounds the temporary memory.  Each value is reduced
 in the order, and through the same numpy and BLAS kernels, that a
 cell-by-cell computation would use (row dot products go through a stacked
 matmul, fan terms are summed with math.atan2), so the results are
-bit-identical to the per-cell formulas.  Plane circumcenters, lengths and
-areas are computed on the chart scaled by a power of two near 1/a, which
-moves no rounding and keeps their squares and cubes in range at every a.
+bit-identical to the per-cell formulas.  Plane circumcenters and areas are
+computed on the chart scaled by a power of two near 1/a, which moves no
+rounding and keeps their squares and cubes in range at every a.
 
 A Tessellation holds columns only: the Delaunay links as one CSR table, the
 fixed-width cell values as one array each, one chart vertex per triangle,
 and every chart polygon as a slice of one array of indices into those.
-Lengths and areas are normalized so the mean cell area is pi.
+Areas are normalized so the mean cell area is pi; link lengths are measured
+by analysis.distance_series, on the links it reads.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .generator import PhylloPattern, chart_pow2, normalization_scale
-from .geometry import HYPERBOLIC, PLANE, SPHERE, chart_distance_xy, chart_to_unit_surface
+from .geometry import HYPERBOLIC, PLANE, SPHERE, chart_to_unit_surface
 from .numerics import FIBONACCI, fibonacci_rank
 
 __all__ = ["Tessellation", "tessellate"]
@@ -137,17 +136,12 @@ class Adjacency:
     """Delaunay links in CSR form, both directions of every edge.
 
     Site s links to ``indices[indptr[s]:indptr[s + 1]]``, in ascending
-    order; ``source`` holds the near site s of each link, and ``distance``
-    the metric length of each link, the same for both directions of an
-    edge.  tessellate computes ``indptr``, ``indices`` and ``source``;
-    ``distance`` is computed from ``source`` and ``indices`` on first read
-    (the length pass).
+    order; ``source`` holds the near site s of each link.
     """
 
     indptr: np.ndarray  # (n + 1,) int64
     indices: np.ndarray  # (links,) int64: the far site t of each link
     source: np.ndarray  # (links,) int64
-    distance: np.ndarray = _OnFirstRead()  # (links,) float64
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -202,11 +196,10 @@ class Tessellation:
     order around the cell: ``vertices`` holds each Delaunay triangle's
     circumcenter once, for the cells of its three corners.  The adjacency's
     CSR columns and link sources, the side counts and the boundary flags are
-    computed by tessellate.  Three passes run on first read, each at most
-    once: the link lengths (``adjacency.distance``), the polygons (the three
-    vertex fields) and the cell areas (``cells.area``, which reads the
-    polygons).  So ring detection reads none of them, and rendering only
-    the polygons.
+    computed by tessellate.  Two passes run on first read, each at most
+    once: the polygons (the three vertex fields) and the cell areas
+    (``cells.area``, which reads the polygons).  So ring detection reads
+    neither, and rendering only the polygons.
     """
 
     pattern: PhylloPattern
@@ -653,9 +646,9 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
     Patterns with no triangulation (fewer than three sites, four on the
     sphere, all sites on a line or a plane, a scale whose squared lengths
     underflow) raise ValueError, as do chart triangulations that leave a
-    site out or hold a zero-area triangle.  The link lengths, the cell
-    polygons and the areas are left to the first read (see Tessellation);
-    every error is raised here.
+    site out or hold a zero-area triangle.  The cell polygons and the
+    areas are left to the first read (see Tessellation); every error is
+    raised here.
     """
     n, surface, kind, R = pattern.n, pattern.surface, pattern.surface.kind, pattern.surface.R
     scale = normalization_scale(surface)
@@ -668,7 +661,7 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
         raise ValueError(f"a {kind} pattern needs at least {least} sites to tessellate, got {n}")
     points = pattern.xyz if kind == SPHERE else pattern.chart_xy
     _check_distinct(points)
-    # plane fans, circumcenters, lengths and areas are computed on the scaled
+    # plane fans, circumcenters and areas are computed on the scaled
     # chart, which keeps the cubes of lengths in range at every a
     pow2 = chart_pow2(surface)
     frames = None
@@ -694,7 +687,7 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
     )
     source, indices = np.divmod(key, n)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(source, minlength=n))))
-    adjacency = Adjacency(indptr, indices, source, _Pass(_link_lengths, source, indices, pattern, pow2))
+    adjacency = Adjacency(indptr, indices, source)
 
     # hull sites have unbounded cells, and the window cuts every cell with a
     # vertex beyond the outermost site; the chart circumcenters are computed
@@ -717,24 +710,6 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
     polygons = _Pass(_cell_polygons, kind, points, simplices, vertices, frames)
     cells = Cells(np.diff(indptr), _Pass(_cell_areas, polygons, pattern, boundary, pow2), boundary)
     return Tessellation(pattern, cells, adjacency, polygons, polygons, polygons)
-
-
-def _link_lengths(s: np.ndarray, t: np.ndarray, pattern: PhylloPattern, pow2: float) -> dict:
-    """The length pass: the metric length of every link, normalized.
-
-    Every length formula is symmetric in its ends, bit for bit, so both
-    links of an edge get the same value.
-    """
-    surface = pattern.surface
-    if surface.kind == SPHERE:
-        unit = pattern.xyz / surface.R
-        cosang = np.clip(np.sum(unit[s] * unit[t], axis=1), -1.0, 1.0)
-        distance = surface.R * np.arccos(cosang)
-    else:
-        xy = pattern.chart_xy * pow2
-        distance = chart_distance_xy(surface, xy[s], xy[t])
-    distance /= normalization_scale(surface) * pow2
-    return {"distance": distance}
 
 
 def _cell_polygons(kind, points, simplices, vertices, frames) -> dict:

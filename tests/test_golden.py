@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from phyllo import cli
-from phyllo.analysis import detect_grain_boundaries
+from phyllo.analysis import detect_grain_boundaries, distance_series
 from phyllo.export import (
     BOUNDARY_COLUMNS,
     _distinct_rows,
@@ -216,9 +216,14 @@ LIBRARY_CASES = {
 
 
 def _link_bytes(tess) -> bytes:
-    adjacency = tess.adjacency
-    st = np.column_stack((adjacency.source, adjacency.indices)).astype("<i8")
-    return st.tobytes() + adjacency.distance.astype("<f8").tobytes()
+    adjacency, dist, n = tess.adjacency, distance_series(tess), tess.n
+    s, t = adjacency.source, adjacency.indices
+    # every link direction with its length: a backward link (t, s) takes the
+    # length of its forward link (s, t) from the distance series
+    forward = dist.s_from * n + dist.s_to  # ascending: the forward links in CSR order
+    lengths = dist.measured[np.searchsorted(forward, np.minimum(s, t) * n + np.maximum(s, t))]
+    st = np.column_stack((s, t)).astype("<i8")
+    return st.tobytes() + lengths.astype("<f8").tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(LIBRARY_CASES))

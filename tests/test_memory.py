@@ -1,11 +1,13 @@
-"""Memory the writers of phyllo.export and the CLI allocate, bounded by their output.
+"""Memory the writers of phyllo.export, the CLI and the pipeline stages allocate.
 
 The peaks are tracemalloc's, which counts every block that Python and numpy
 allocate while the writer runs.  Unlike RSS or time they do not depend on
 the host, the allocator or what ran before, so the bounds can be tight.
-Each bound is a multiple of the output's size: a writer that keeps its
-whole output as separate pieces, or whole columns as Python objects,
-exceeds it at these sizes.
+Each writer's bound is a multiple of the output's size: a writer that keeps
+its whole output as separate pieces, or whole columns as Python objects,
+exceeds it at these sizes.  tessellate, distance_series and the whole
+analyze command are bounded per site or per link, a little above what they
+take today.
 """
 
 import tracemalloc
@@ -116,3 +118,28 @@ def test_report_text_is_written_a_slice_at_a_time(tmp_path):
     # took a second copy of it
     assert path.read_text() == text
     assert peak < 0.5 * len(text)
+
+
+@pytest.mark.parametrize("kind, n", [("plane", 30000), ("sphere", 20001)])
+def test_tessellate_peak_per_site(kind, n):
+    pattern = generate(kind, n)
+    _, peak = _traced_peak(lambda: tessellate(pattern))
+    # 590 B/site on the plane and 646 on the sphere
+    assert peak < 700 * n
+
+
+def test_distance_series_peak_per_link():
+    tess = tessellate(generate("plane", 30000))
+    dist, peak = _traced_peak(lambda: distance_series(tess))
+    # 98 B per forward link; measuring every link in both directions, in
+    # whole columns, took 191
+    assert peak < 120 * len(dist.measured)
+
+
+def test_analyze_peak_per_site(tmp_path):
+    argv = ["analyze", "--geometry", "plane", "--n", "30000", "--format", "json", "--out", str(tmp_path)]
+    code, peak = _traced_peak(lambda: cli.main(argv))
+    # 621 B/site; measuring every link in both directions, in whole columns,
+    # took 817
+    assert code == 0
+    assert peak < 700 * 30000

@@ -55,6 +55,16 @@ def test_threshold_sweep_runs(monkeypatch, capsys):
     ]
 
 
+def test_threshold_sweep_shows_the_birth_window(monkeypatch, capsys):
+    # absent up to n* + 1, present from 197 to 205, absent again from 207
+    window = range(197, 206, 2)
+    assert _run("threshold_sweep", ["--rank", "7", "--halfwidth", "14"], monkeypatch, capsys) == [
+        "rank 7: analytic threshold n* = 194",
+        *(f"  n={n}  equatorial ring: {'present' if n in window else 'absent'}" for n in range(181, 208, 2)),
+        "first odd n with the ring: 197, last: 205",
+    ]
+
+
 def test_ring_census_runs(monkeypatch, capsys):
     sections = "\n".join(_run("ring_census", [], monkeypatch, capsys)).strip().split("\n\n")
     assert [section.splitlines()[0] for section in sections] == [

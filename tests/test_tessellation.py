@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, Delaunay, Voronoi, cKDTree
 
-from phyllo import cli, tessellation
-from phyllo.analysis import area_series, detect_grain_boundaries
+from phyllo import analysis, cli, tessellation
+from phyllo.analysis import area_series, detect_grain_boundaries, distance_series
 from phyllo.generator import PhylloPattern, generate, normalization_scale
 from phyllo.geometry import SurfaceSpec, chart_distance_xy
 from phyllo.numerics import fibonacci
@@ -76,9 +76,7 @@ def test_link_rank_reads_fibonacci_steps():
     steps = [1, 2, 3, fibonacci(90), 4, 6, 7, fibonacci(90) + 1]
     for sign in (1, -1):
         indices = np.array(steps, dtype=np.int64) * sign
-        adjacency = Adjacency(
-            np.array([0, len(steps)]), indices, np.zeros(len(steps), dtype=np.int64), np.zeros(len(steps))
-        )
+        adjacency = Adjacency(np.array([0, len(steps)]), indices, np.zeros(len(steps), dtype=np.int64))
         assert adjacency.rank.tolist() == [2, 3, 4, 90, -1, -1, -1, -1]
 
 
@@ -87,22 +85,16 @@ def test_link_rank_reads_fibonacci_steps():
     [("plane", 3000, {}), ("sphere", 1351, {}), ("hyperbolic", 3000, {"a": 0.4}), ("plane", 3000, {"lam": 0.4})],
 )
 def test_adjacency_is_symmetric(kind, n, kwargs):
-    # the length pass measures both links of an edge apart: its formulas
-    # must be symmetric in their ends, bit for bit
-    adjacency = tessellate(generate(kind, n, **kwargs)).adjacency
-    links = {
-        (s, t): (delta, distance)
-        for s, t, delta, distance in zip(
-            adjacency.source.tolist(),
-            adjacency.indices.tolist(),
-            adjacency.delta.tolist(),
-            adjacency.distance.tolist(),
-        )
-    }
-    for (s, t), (delta, distance) in links.items():
-        back_delta, back_distance = links[(t, s)]
-        assert back_delta == -delta
-        assert back_distance == distance
+    pattern = generate(kind, n, **kwargs)
+    adjacency = tessellate(pattern).adjacency
+    source, target = adjacency.source, adjacency.indices
+    links = dict(zip(zip(source.tolist(), target.tolist()), adjacency.delta.tolist()))
+    for (s, t), delta in links.items():
+        assert links[(t, s)] == -delta
+    # distance_series measures each edge from its forward link only: the
+    # length formulas must be symmetric in their ends, bit for bit
+    forth = analysis._link_lengths(pattern, source, target)
+    assert forth.tobytes() == analysis._link_lengths(pattern, target, source).tobytes()
 
 
 def test_interior_degree_equals_sides(tess_plane_3000):
@@ -246,8 +238,9 @@ def test_tessellation_is_deterministic():
     b = tessellate(generate("plane", 400))
     assert np.array_equal(a.cells.sides, b.cells.sides)
     assert np.array_equal(a.cells.area, b.cells.area, equal_nan=True)
-    for name in ("indptr", "indices", "distance"):
+    for name in ("indptr", "indices"):
         assert np.array_equal(getattr(a.adjacency, name), getattr(b.adjacency, name))
+    assert np.array_equal(distance_series(a).measured, distance_series(b).measured)
     assert np.array_equal(a.vertex_offsets, b.vertex_offsets)
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.vertex_index, b.vertex_index)
@@ -283,11 +276,11 @@ def test_vertex_table_holds_one_vertex_per_triangle(kind, n, kwargs):
     assert np.all(np.diff(key) > 0)
 
 
-# Three passes run on first read, each at most once: the link lengths, the
-# chart polygons and the cell areas (which read the polygons' sorted fans).
+# Two passes run on first read, each at most once: the chart polygons and
+# the cell areas (which read the polygons' sorted fans).
 
 #: the deferred passes, by the name of the function that runs each
-PASSES = {"lengths": "_link_lengths", "polygons": "_cell_polygons", "areas": "_cell_areas"}
+PASSES = {"polygons": "_cell_polygons", "areas": "_cell_areas"}
 
 
 @pytest.fixture
@@ -311,6 +304,14 @@ def geometry_runs(monkeypatch):
 def test_ring_detection_computes_no_cell_geometry(kind, n, kwargs, geometry_runs):
     boundaries = detect_grain_boundaries(tessellate(generate(kind, n, **kwargs)))
     assert any(b.complete for b in boundaries)
+    assert geometry_runs == []
+
+
+@pytest.mark.parametrize(
+    "kind,n,kwargs", [("plane", 3000, {}), ("sphere", 1351, {}), ("hyperbolic", 3000, {"a": 0.4})]
+)
+def test_distance_series_computes_no_cell_geometry(kind, n, kwargs, geometry_runs):
+    assert len(distance_series(tessellate(generate(kind, n, **kwargs))).measured)
     assert geometry_runs == []
 
 
@@ -356,13 +357,10 @@ def test_cell_geometry_runs_once_whatever_is_read_first(kind, n, kwargs, geometr
     assert np.array_equal(area_first.vertices, vertices, equal_nan=True)
     assert np.array_equal(area_first.vertex_offsets, offsets)
     assert np.array_equal(area_first.vertex_index, vertices_first.vertex_index)
-    assert np.array_equal(area_first.adjacency.distance, vertices_first.adjacency.distance)
-    assert geometry_runs == ["polygons", "areas", "polygons", "areas", "lengths", "lengths"]
     for tess in (area_first, vertices_first):
         assert tess.cells.area is tess.cells.area and tess.vertices is tess.vertices
-        assert tess.adjacency.distance is tess.adjacency.distance
         list(tess.cells)
-    assert geometry_runs == ["polygons", "areas", "polygons", "areas", "lengths", "lengths"]
+    assert geometry_runs == ["polygons", "areas", "polygons", "areas"]
 
 
 #: the containers a tessellation holds its arrays in
@@ -405,7 +403,7 @@ def test_polygon_pass_keeps_only_what_the_area_pass_reads(kind, n, kwargs):
     else:
         assert extra == []
     # every pass run, only the fields are left
-    fields += [cells.area, adjacency.distance]
+    fields += [cells.area]
     known = {id(a) for a in fields if a is not None}
     assert [a.shape for a in _arrays_held(tess) if id(a) not in known] == []
 
@@ -607,17 +605,15 @@ def _reference_links(pattern):
 )
 def test_adjacency_matches_per_link_reference(kind, n, kwargs):
     pattern = generate(kind, n, **kwargs)
-    adjacency = tessellate(pattern).adjacency
+    tess = tessellate(pattern)
+    adjacency, dist = tess.adjacency, distance_series(tess)
     got = list(
-        zip(
-            adjacency.source.tolist(),
-            adjacency.indices.tolist(),
-            adjacency.delta.tolist(),
-            adjacency.distance.tolist(),
-            adjacency.rank.tolist(),
-        )
+        zip(adjacency.source.tolist(), adjacency.indices.tolist(), adjacency.delta.tolist(), adjacency.rank.tolist())
     )
-    assert got == _reference_links(pattern)
+    reference = _reference_links(pattern)
+    assert got == [(s, t, delta, rank) for s, t, delta, _, rank in reference]
+    forward = list(zip(dist.s_from.tolist(), dist.s_to.tolist(), dist.measured.tolist(), dist.rank.tolist()))
+    assert forward == [(s, t, d, rank) for s, t, _, d, rank in reference if t > s]
     assert len(adjacency) == n
     assert adjacency.indptr[0] == 0 and adjacency.indptr[-1] == len(got)
 
@@ -668,7 +664,7 @@ def test_chart_cells_match_voronoi(kind, n, kwargs):
     adjacency = tess.adjacency
     assert np.array_equal(adjacency.indptr, np.r_[0, np.cumsum(np.bincount(links[:, 0], minlength=n))])
     assert np.array_equal(adjacency.indices, links[order, 1])
-    assert np.array_equal(adjacency.distance, np.tile(dist, 2)[order])
+    assert np.array_equal(distance_series(tess).measured, dist[np.lexsort((pairs[:, 1], pairs[:, 0]))])
     assert np.array_equal(tess.cells.sides, np.diff(adjacency.indptr))
 
     # a cell is cut when Qhull leaves it unbounded or a vertex lies beyond
@@ -862,8 +858,9 @@ def test_parastichy_triangulation_matches_qhull(kind, n, kwargs, monkeypatch):
     before = len(fallbacks)
     reference = tessellate(pattern)
     assert len(fallbacks) == before + 1
-    for name in ("indptr", "indices", "distance"):
+    for name in ("indptr", "indices"):
         assert np.array_equal(getattr(tess.adjacency, name), getattr(reference.adjacency, name)), name
+    assert np.array_equal(distance_series(tess).measured, distance_series(reference).measured)
     for name in ("sides", "is_boundary", "area"):
         assert np.array_equal(getattr(tess.cells, name), getattr(reference.cells, name), equal_nan=True), name
     # both paths put each triangle's corners in one order, so they round alike
