@@ -49,7 +49,8 @@ CORE_DEPTH = 10
 EDGE_MARGIN_CELLS = 2.0
 
 #: defect detection needs a wider margin: edge distortion can squeeze an
-#: interior cell to five sides without flagging it as a boundary cell
+#: interior cell to five sides without flagging it as a boundary cell, so a
+#: ring reaching this close to the edge is left out whole
 DEFECT_EDGE_MARGIN_CELLS = 3.0
 
 #: confinement bounds for neighbor distances at mean cell area pi:
@@ -165,22 +166,23 @@ def _extract_dipoles(
 def detect_grain_boundaries(tess: Tessellation) -> list[GrainBoundary]:
     """Group interior defect cells into rings (sorted inside outward).
 
-    Defects (pentagons and heptagons outside the core and away from the
-    pattern edge) are linked through Delaunay edges, but only an inward
-    heptagon to an outward pentagon: like-type contacts are ignored because
-    adjacent rings touch heptagon-to-heptagon where they meet.  A ring is a
-    contiguous run of sites, so linked defects are grouped by index band:
-    each defect spans the sites up to the furthest defect it links to, a
-    ring is a maximal run of overlapping spans, and the hexagons inside the
-    final band are claimed as ring members.
+    Defects (pentagons and heptagons outside the core) are linked through
+    Delaunay edges, but only an inward heptagon to an outward pentagon:
+    like-type contacts are ignored because adjacent rings touch
+    heptagon-to-heptagon where they meet.  A ring is a contiguous run of
+    sites, so linked defects are grouped by index band: each defect spans
+    the sites up to the furthest defect it links to, a ring is a maximal
+    run of overlapping spans, and the hexagons inside the final band are
+    claimed as ring members.  A ring whose band ends within
+    DEFECT_EDGE_MARGIN_CELLS cell widths of the pattern edge is cut by it
+    and left out whole, so none of its defects stands alone as an anomaly.
     """
     pattern = tess.pattern
     n = pattern.n
     sides = np.where(tess.cells.is_boundary, 0, tess.cells.sides)
     heptagon, hexagon = sides == 7, sides == 6
     depth = site_depth(pattern, np.arange(n))
-    clear = _clear_of_edge(pattern, DEFECT_EDGE_MARGIN_CELLS)
-    eligible = (depth >= CORE_DEPTH) & clear & (heptagon | (sides == 5))
+    eligible = (depth >= CORE_DEPTH) & (heptagon | (sides == 5))
     # each defect reaches up to the furthest later defect of the other type
     # that it links to, where the heptagon is the inward end of the link
     s, t = tess.adjacency.source, tess.adjacency.indices
@@ -197,9 +199,14 @@ def detect_grain_boundaries(tess: Tessellation) -> list[GrainBoundary]:
     scale = normalization_scale(pattern.surface)
     chart_scale = scale * chart_pow2(pattern.surface)  # keeps 2 pi rho in range
     nu = (n - 1) // 2
+    # rho rises with s, so the sites clear of the edge are a prefix (all of
+    # them on the sphere); a band ending past it is a ring the edge cuts
+    edge = int(_clear_of_edge(pattern, DEFECT_EDGE_MARGIN_CELLS).sum()) - 1
     out: list[GrainBoundary] = []
     for group in groups:
         lo, hi = int(group[0]), int(group[-1])
+        if hi > edge:
+            continue
         members = np.concatenate((group, lo + np.flatnonzero(hexagon[lo : hi + 1])))
         theta = np.mod(pattern.theta[members], 2.0 * math.pi)
         order = members[np.argsort(theta, kind="stable")].tolist()

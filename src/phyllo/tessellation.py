@@ -11,16 +11,17 @@ azimuth 2 pi lam s, so outside the disordered core each Delaunay neighbour
 of s is a site s +- q for a parastichy number q of lam (a Fibonacci number
 for the golden divergence).  Each site's fan is found among a few such
 candidates, and the fans are kept only if a certificate proves them the
-Delaunay triangulation: each triangle is found from all three corners,
-every edge passes the in-circle test with a margin, and the triangles number
-what Euler's formula asks.  Qhull, which scipy provides and which is
-imported only then, triangulates the patterns whose parastichy numbers
-are not the Fibonacci numbers (other divergences, decided from lam's
-continued fraction before any fan is built) and those that do not certify
-(nearly cocircular sites).  Patterns of fewer than three sites (four on the
-sphere) have no triangulation and raise before either.  Either way each
-triangle's corners are put in ascending order, so both paths round every
-circumcenter alike.
+Delaunay triangulation: each triangle is found from all three corners (as
+its corners in ascending order: every kept fan turns counterclockwise, so
+orientation adds nothing), every edge passes the in-circle test with a
+margin, and the triangles number what Euler's formula asks.  Qhull, which
+scipy provides and which is imported only then, triangulates the patterns
+whose parastichy numbers are not the Fibonacci numbers (other divergences,
+decided from lam's continued fraction before any fan is built) and those
+that do not certify (nearly cocircular sites).  Patterns of fewer than
+three sites (four on the sphere) have no triangulation and raise before
+either.  Either way a triangle is the row of its corners in ascending
+order, so both paths round every circumcenter alike.
 
 Plane cells are Euclidean polygons.  On both curved surfaces a vertex is
 the unit normal of the plane through the lifted sites of its triangle (the
@@ -434,33 +435,32 @@ def _certify(sphere: bool, count, neighbors, closed, sound):
     chart (h open fans) and 2n - 4 on the sphere.  The triangles then form a
     triangulation of the hull (of the sphere) whose every inner edge passed
     the in-circle test, which is the Delaunay triangulation by Delaunay's
-    lemma.  Each simplex is returned counterclockwise, least site first.
+    lemma.  A sound fan turns counterclockwise at each of its triangles and
+    meets each once, so orientation adds nothing: a triangle is keyed by its
+    corners in ascending order, and a key met three times was met once from
+    each corner.  The keys decode into the simplices, one ascending row each.
     """
     n = len(count)
-    offsets = np.concatenate(([0], np.cumsum(count)))
-    pos = np.arange(len(neighbors))
-    last = np.repeat(offsets[1:] - 1, count)
-    use = (pos != last) | np.repeat(closed, count)
-    s = np.repeat(np.arange(n), count)[use]
-    a = neighbors[use]
-    b = neighbors[np.where(pos == last, np.repeat(offsets[:-1], count), pos + 1)[use]]
-    # rotate each triangle to put its least site first; n**3 < 2**63
-    low_a, low_b = (a < s) & (a < b), (b < s) & (b < a)
-    key = np.where(low_a, a, np.where(low_b, b, s)) * n
-    key = (key + np.where(low_a, b, np.where(low_b, s, a))) * n
-    key += np.where(low_a, s, np.where(low_b, a, b))
-    key.sort()
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    seen = np.diff(starts, append=len(key))
-    odd = key[starts[seen != 3]]
+    offsets, sites = np.concatenate(([0], np.cumsum(count))), np.flatnonzero(count)
+    # the position after each neighbour in its fan: after a fan's last, its first (none if open)
+    after = np.arange(1, len(neighbors) + 1)
+    after[offsets[sites + 1] - 1] = np.where(closed[sites], offsets[sites], -1)
+    use = after >= 0
+    s, a, b = np.repeat(np.arange(n), count)[use], neighbors[use], neighbors[after[use]]
+    del after, use
+    # corners in ascending order; n**3 < 2**63
+    low, high = np.minimum(np.minimum(s, a), b), np.maximum(np.maximum(s, a), b)
+    s += a + b - low - high  # the middle corner, in place
+    del a, b
+    key, seen = np.unique((low * n + s) * n + high, return_counts=True)
+    simplices = np.column_stack((key // (n * n), key // n % n, key % n))
     suspect = ~sound
-    suspect[np.concatenate((odd // (n * n), odd // n % n, odd % n))] = True
+    suspect[simplices[seen != 3]] = True
     suspects = np.flatnonzero(suspect)
     triangles = 2 * n - 4 if sphere else 2 * n - 2 - int(np.sum(~closed))
-    if len(suspects) or len(starts) != triangles or triangles < 1:
+    if len(suspects) or len(key) != triangles or triangles < 1:
         return None, suspects
-    key = key[starts]
-    return np.column_stack((key // (n * n), key // n % n, key % n)), suspects
+    return simplices, suspects
 
 
 def _parastichy_simplices(points: np.ndarray, lam: float, frames=None) -> np.ndarray | None:
@@ -530,12 +530,11 @@ def _parastichy_simplices(points: np.ndarray, lam: float, frames=None) -> np.nda
         neighbors = _gather(count, pieces)
         simplices, suspects = _certify(sphere, count, neighbors, closed, sound)
         if simplices is None and len(suspects):
-            offsets = np.concatenate(([0], np.cumsum(count)))
             redo = np.zeros(n, dtype=bool)
             redo[suspects] = True
             redo[neighbors[np.repeat(redo, count)]] = True
             kept = np.flatnonzero(~redo)
-            pieces = run(redo, _RETRY, not sphere, [(kept, neighbors[np.repeat(~redo, np.diff(offsets))])])
+            pieces = run(redo, _RETRY, not sphere, [(kept, neighbors[np.repeat(~redo, count)])])
             simplices, _ = _certify(sphere, count, _gather(count, pieces), closed, sound)
     return simplices
 
@@ -676,8 +675,8 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
         simplices = _parastichy_simplices(chart, surface.lam)
     if simplices is None:
         simplices = _qhull_simplices(kind, points)
-    # corners in ascending order, so both paths round each circumcenter alike;
-    # int64, as Qhull's int32 corners would wrap in the keys below past n = 46340
+    # corners in ascending order (the certificate's already are), so both paths round each
+    # circumcenter alike; int64, as Qhull's int32 corners would wrap in the keys below past n = 46340
     simplices = np.sort(simplices, axis=1).astype(np.int64, copy=False)
 
     # both directions of every triangle edge as s * n + t: sorted, they are

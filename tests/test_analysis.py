@@ -107,6 +107,26 @@ def test_sphere_ring_census_mirrors(tess_sphere_9301, tess_sphere_1351):
             assert b1.perimeter == pytest.approx(b0.perimeter, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "kind, n, a, outermost",
+    [
+        ("plane", 1171, 1.0, 10),
+        ("plane", 2723, 1.0, 11),
+        ("plane", 2820, 1.0, 11),
+        ("hyperbolic", 1074, 0.025, 10),
+        ("hyperbolic", 2335, 0.025, 11),
+        ("hyperbolic", 1365, 0.1, 11),
+        ("hyperbolic", 2432, 0.1, 12),
+    ],
+)
+def test_a_ring_cut_by_the_edge_is_left_out(kind, n, a, outermost):
+    # the edge window cuts the next ring of each pattern; judged as it was
+    # cut, its 27 to 144 heptagons were each a one-site anomalous group
+    bs = detect_grain_boundaries(tessellate(generate(kind, n, a=a)))
+    assert not any(b.anomalous for b in bs)
+    assert [b.rank for b in bs] == list(range(7, outermost + 1))
+
+
 def test_complete_ring_membership(tess_plane_3000):
     bs = detect_grain_boundaries(tess_plane_3000)
     for b in bs:
