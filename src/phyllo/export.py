@@ -11,17 +11,22 @@ tessellation.  A document holds each as a function that yields the texts of
 at most tessellation._BLOCK rows at a time, made column by column while it
 is written; write_json calls it anew on each writing and writes each block
 as soon as it is made, so the whole text of a tessellation is never in
-memory.  Floats are formatted from ``.tolist()`` with ``format(x, ".17g")``
-(NaN as null).  The sites and the distance and area CSV tables are made by
-one row loop (_row_blocks) that makes each column of a block into text
-once, by its dtype (on the plane, r is the array rho).  Each row of the
-tessellation's vertex table is formatted into ``[x, y]`` once per writing,
-by the first block that lists it, and kept until the last (_shared_rows,
-which joins each cell's polygon and which render_svg uses as well); within
-a block, each distinct list of a cell's link steps is made into text once
-(_distinct_rows).  The text is the same as the generic writer gives for a
-list of per-row dicts.  The ring columns are declared once, in
-BOUNDARY_COLUMNS.
+memory.  The floats of a column are made into text by one numpy kernel
+(_g17), byte for byte ``format(x, ".17g")`` (NaN as null in JSON): for a
+value that .17g writes without an exponent it scales |x| by a power of ten
+that is exactly a double, takes the product exactly with Dekker's
+two-product, rounds it half to even to 17 digits and writes their ASCII
+through a table of four-digit groups; zeros and NaN are constant texts, and
+every other value is given to format itself.  The sites and the distance
+and area CSV tables are made by one row loop (_row_blocks) that makes each
+column of a block into text once, by its dtype (on the plane, r is the
+array rho).  Each row of the tessellation's vertex table is formatted into
+``[x, y]`` once per writing, by the first block that lists it, and kept
+until the last (_shared_rows, which joins each cell's polygon and which
+render_svg uses as well); within a block, each distinct list of a cell's
+link steps is made into text once (_distinct_rows).  The text is the same
+as the generic writer gives for a list of per-row dicts.  The ring columns
+are declared once, in BOUNDARY_COLUMNS.
 """
 
 from __future__ import annotations
@@ -29,9 +34,10 @@ from __future__ import annotations
 import io
 import json
 import math
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .generator import PhylloPattern, generate
 from .geometry import SPHERE, SurfaceSpec
@@ -61,17 +67,102 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _g17(values: np.ndarray) -> list[str]:
-    """17-significant-digit text of each value of a 1-D float array."""
-    return list(map(format, values.tolist(), repeat(".17g")))
+#: 10**p for p = 0..20, each exactly a double (5**20 < 2**53)
+_POW10 = np.array([float(10**p) for p in range(21)])
+_SPLITTER = 2.0**27 + 1.0  # Veltkamp's split of a double into two 26-bit halves
+
+
+def _four_digit_table() -> np.ndarray:
+    """The ASCII of each k < 10**4 as four digits in one uint32, then again with trailing zeros blank."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + 48  # row k: the digits of k
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == 48, axis=1)[:, ::-1]
+    return np.concatenate([digits, np.where(trailing, 32, digits)]).copy().view(np.uint32).ravel()
+
+
+_FOUR_DIGITS = _four_digit_table()
+
+
+def _split(a: np.ndarray):
+    """Veltkamp's split: (high, low) with high + low == a, each of at most 26 significant bits."""
+    high = _SPLITTER * a
+    high -= high - a
+    return high, a - high
+
+
+def _g17(values: np.ndarray, nan: str = "nan") -> list[str]:
+    """format(x, ".17g") of each value of a 1-D float array, with nan as the text of NaN.
+
+    A value of decimal exponent -4 <= E <= 16, which .17g writes without an
+    exponent, has the 17 digits D = round(|x| * 10**(16 - E)).  10**(16 - E)
+    is a double, and Dekker's two-product gives |x| * 10**(16 - E) exactly
+    as p + err.  Where D has 17 digits the product exceeds 2**53, so p is
+    an even integer and p + rint(err) rounds half to even, as format does.
+    Zeros and NaN are constant texts; any other value, and one whose D
+    shows that log10 misjudged E by one, is given to format.
+    """
+    x = np.asarray(values, dtype=float)
+    m = len(x)
+    magnitude = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exponent = np.floor(np.log10(magnitude))
+    fast = (exponent >= -4) & (exponent <= 16)  # false for zeros, infinities and NaN
+    exponent = np.where(fast, exponent, 0).astype(np.intp)
+    magnitude = np.where(fast, magnitude, 1.0)
+    scale = _POW10[16 - exponent]
+    p = magnitude * scale
+    (x_hi, x_lo), (s_hi, s_lo) = _split(magnitude), _split(scale)
+    err = ((x_hi * s_hi - p) + x_hi * s_lo + x_lo * s_hi) + x_lo * s_lo
+    digits = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    fast &= (digits >= 10**16) & (digits < 10**17)
+    digits[~fast] = 10**16  # any 17 digits: the row's text is replaced below
+    # digits = lead * 10**16 + the four-digit groups, first group first
+    high, low = np.divmod(digits, 10**8)
+    groups = np.empty((m, 4), dtype=np.uint32)
+    lead, groups[:, 1] = np.divmod(high.astype(np.uint32), 10**4)
+    lead, groups[:, 0] = np.divmod(lead, 10**4)
+    groups[:, 2], groups[:, 3] = np.divmod(low.astype(np.uint32), 10**4)
+    lead = lead.astype(np.uint8) + 48
+    # The integer part of a value, with its sign, is the window of head that
+    # ends at the digit of 10**0; its fraction is the window of tail that
+    # starts at the digit of 10**-1, where trailing zeros are blank.
+    head = np.empty((m, 36), dtype=np.uint8)  # 18 blanks, the sign, the 17 digits
+    head[:, :18] = 32
+    head[:, 18] = np.where(np.signbit(x), 45, 32)
+    head[:, 19] = np.where(exponent < 0, 48, lead)  # the integer part of |x| < 1 is 0
+    head[:, 20:] = np.take(_FOUR_DIGITS, groups).view(np.uint8)
+    stripped = np.zeros((m, 4), dtype=np.uint32)  # 10**4 where every later group is 0
+    stripped[:, 3] = 10_000
+    for k in (2, 1, 0):
+        stripped[:, k] = np.where(groups[:, k + 1] == 0, stripped[:, k + 1], 0)
+    tail = np.empty((m, 41), dtype=np.uint8)  # "0000", the 17 digits, 20 blanks
+    tail[:, :4] = 48
+    tail[:, 4] = lead
+    tail[:, 5:21] = np.take(_FOUR_DIGITS, groups + stripped).view(np.uint8)
+    tail[:, 21:] = 32
+    # A row of text: the sign and integer digits right-aligned, the point,
+    # the fraction digits and a blank, each part as wide as this array needs.
+    width = int(exponent.max(initial=0)) + 2
+    places = 16 - int(exponent.min(initial=0))
+    rows = np.arange(m)
+    out = np.empty((m, width + places + 2), dtype=np.uint8)
+    out[:, :width] = sliding_window_view(head, width, axis=1)[rows, 20 - width + np.maximum(exponent, 0)]
+    out[:, width + 1 : -1] = sliding_window_view(tail, places, axis=1)[rows, exponent + 5]
+    out[:, width] = np.where(out[:, width + 1] == 32, 32, 46)
+    out[:, -1] = 32
+    zero = x == 0
+    out[zero, width - 1] = 48
+    out[zero, width:] = 32
+    nans = np.isnan(x)
+    out[nans] = np.frombuffer(nan.ljust(out.shape[1]).encode(), dtype=np.uint8)
+    text = out.tobytes().decode("ascii").split()
+    for k in np.flatnonzero(~(fast | zero | nans)).tolist():
+        text[k] = format(x[k].item(), ".17g")
+    return text
 
 
 def _json_floats(values: np.ndarray) -> list[str]:
     """JSON text of each value of a 1-D float array: _g17, NaN as null."""
-    text = _g17(values)
-    for k in np.flatnonzero(np.isnan(values)).tolist():
-        text[k] = "null"
-    return text
+    return _g17(values, "null")
 
 
 def _row_blocks(columns: list, fmt, template: str):

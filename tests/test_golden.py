@@ -23,20 +23,27 @@ import csv
 import dataclasses
 import hashlib
 import io
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from phyllo import cli
-from phyllo.analysis import detect_grain_boundaries, distance_series
+from phyllo.analysis import area_series, detect_grain_boundaries, distance_series
 from phyllo.export import (
     BOUNDARY_COLUMNS,
     _distinct_rows,
+    _g17,
     _shared_rows,
     _json_floats,
+    area_csv,
     boundaries_csv,
     boundary_rows,
+    distance_csv,
     dumps_json,
     pattern_document,
     tessellation_document,
@@ -316,6 +323,7 @@ def _reference_tessellation_document(tess):
         ("sphere", 2 * _BLOCK + 1, {}),  # a block seam and a one-row last block
         ("plane", 3000, {"lam": 0.4}),  # Qhull's triangles
         ("hyperbolic", 3000, {"a": 0.1, "lam": 1.0 / 3.0}),  # Qhull's triangles
+        ("hyperbolic", 3000, {"a": 1.0}),  # 86% of the areas null
     ],
 )
 def test_documents_match_generic_writer(kind, n, kwargs):
@@ -370,6 +378,68 @@ def test_boundaries_csv_matches_csv_writer(tess_plane_3000):
     _assert_same_text(text, _reference_boundaries_csv([*boundaries, anomalous]))
     last = text.splitlines()[-1].split(",")
     assert (last[0], last[-1], last[7], last[8]) == ("", "", "False", "True")
+
+
+def _reference_csv(columns: dict) -> str:
+    """A header, then each row joined from format(x, ".17g") of its floats and str of the rest."""
+    rows = zip(*[column.tolist() for column in columns.values()])
+    cells = [[format(v, ".17g") if isinstance(v, float) else str(v) for v in row] for row in rows]
+    return "".join(",".join(row) + "\n" for row in [list(columns), *cells])
+
+
+@pytest.mark.parametrize(
+    "kind, n, kwargs",
+    [
+        ("sphere", 2 * _BLOCK + 1, {}),  # two block seams, a one-row last block
+        ("hyperbolic", 3000, {"a": 1.0}),  # nan areas and analytic distances
+    ],
+)
+def test_distance_and_area_csv_match_per_value_format(kind, n, kwargs):
+    tess = tessellate(generate(kind, n, **kwargs))
+    dist, areas = distance_series(tess), area_series(tess)
+    names = ("s_from", "s_to", "rank", "measured", "analytic", "interior")
+    _assert_same_text(distance_csv(dist), _reference_csv({name: getattr(dist, name) for name in names}))
+    _assert_same_text(area_csv(areas), _reference_csv({"s": areas.s, "area": areas.area, "in_window": areas.window}))
+
+
+def _assert_floats_format_17g(values: np.ndarray) -> None:
+    text = [format(x, ".17g") for x in values.tolist()]
+    assert _g17(values) == text
+    assert _json_floats(values) == ["null" if math.isnan(x) else t for x, t in zip(values.tolist(), text)]
+
+
+@given(arrays(np.float64, st.integers(0, 300), elements=st.floats() | st.floats(-1e17, 1e17)))
+def test_floats_are_format_17g(values):
+    # any double: subnormals, zeros of both signs, infinities and NaN, and
+    # many of the exponents written without one
+    _assert_floats_format_17g(values)
+
+
+def _adversarial_floats() -> np.ndarray:
+    values = [1e-5, 1.5e-5, 1e-4, 2.5e-4, 1e16, 3.5e16, 1e17, 2.5e17]  # E = -5, -4, 16, 17
+    for k in range(-6, 19):
+        # 40 doubles on either side of each power of ten
+        power = float(10**k) if k >= 0 else 1.0 / 10**-k
+        below = above = power
+        for _ in range(40):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, math.inf)
+            values += [below, above]
+    for e in range(-4, 16):
+        # exact ties of the 17th digit: k * 2**(e - 17) for odd k < 2**53, of
+        # decimal exponent e, is halfway between two 17-digit decimals (no
+        # double of exponent 16 has a fraction)
+        first = 10**e * 2 ** (17 - e) if e >= 0 else 2 ** (17 - e) // 10**-e + 1
+        values += [math.ldexp(k | 1, e - 17) for k in (first, 2 * first, 7 * first) if k < 2**53]
+    values += [1000000000000000.25, 2.0**50 + 0.25, 2.0**50 + 0.5, 2.0**50 + 0.75, 2.0**53 - 1.0]
+    values += [0.0, math.inf, math.nan]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def test_adversarial_floats_are_format_17g():
+    values = _adversarial_floats()
+    assert format(1000000000000000.25, ".17g") == "1000000000000000.2"  # half to even
+    _assert_floats_format_17g(values)
 
 
 def _fmt(x: float) -> str:
