@@ -12,21 +12,21 @@ at most tessellation._BLOCK rows at a time, made column by column while it
 is written; write_json calls it anew on each writing and writes each block
 as soon as it is made, so the whole text of a tessellation is never in
 memory.  The floats of a column are made into text by one numpy kernel
-(_g17), byte for byte ``format(x, ".17g")`` (NaN as null in JSON): for a
-value that .17g writes without an exponent it scales |x| by a power of ten
-that is exactly a double, takes the product exactly with Dekker's
-two-product, rounds it half to even to 17 digits and writes their ASCII
-through a table of four-digit groups; zeros and NaN are constant texts, and
-every other value is given to format itself.  The sites and the distance
-and area CSV tables are made by one row loop (_row_blocks) that makes each
-column of a block into text once, by its dtype (on the plane, r is the
-array rho).  Each row of the tessellation's vertex table is formatted into
-``[x, y]`` once per writing, by the first block that lists it, and kept
-until the last (_shared_rows, which joins each cell's polygon and which
-render_svg uses as well); within a block, each distinct list of a cell's
-link steps is made into text once (_distinct_rows).  The text is the same
-as the generic writer gives for a list of per-row dicts.  The ring columns
-are declared once, in BOUNDARY_COLUMNS.
+(_g_rows), byte for byte ``format(x, ".17g")`` (NaN as null in JSON), and
+render_svg's by the same kernel at 6 digits: for a value that the format
+writes without an exponent it scales |x| by a power of ten that is exactly
+a double, takes the product exactly with Dekker's two-product, rounds it
+half to even and writes the digits' ASCII through a table of four-digit
+groups; zeros and NaN are constant texts, and every other value is given
+to format itself.  The sites and the distance and area CSV tables are made
+by one row loop (_row_blocks) that makes each column of a block into text
+once, by its dtype (on the plane, r is the array rho).  Each row of the
+tessellation's vertex table is formatted into ``[x, y]`` once per writing,
+by the first block that lists it, and kept until the last (_shared_rows,
+which joins each cell's polygon); within a block, each distinct list of a
+cell's link steps is made into text once (_distinct_rows).  The text is the
+same as the generic writer gives for a list of per-row dicts.  The ring
+columns are declared once, in BOUNDARY_COLUMNS.
 """
 
 from __future__ import annotations
@@ -73,10 +73,14 @@ _SPLITTER = 2.0**27 + 1.0  # Veltkamp's split of a double into two 26-bit halves
 
 
 def _four_digit_table() -> np.ndarray:
-    """The ASCII of each k < 10**4 as four digits in one uint32, then again with trailing zeros blank."""
+    """The ASCII of each k < 10**4 as four digits in one uint32, then again with trailing zeros 0.
+
+    Every digit's byte has the bit 32 set, so OR-ing a blank byte (32 or 0)
+    into the second half writes those trailing zeros as that blank.
+    """
     digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + 48  # row k: the digits of k
     trailing = np.logical_and.accumulate(digits[:, ::-1] == 48, axis=1)[:, ::-1]
-    return np.concatenate([digits, np.where(trailing, 32, digits)]).copy().view(np.uint32).ravel()
+    return np.concatenate([digits, np.where(trailing, 0, digits)]).copy().view(np.uint32).ravel()
 
 
 _FOUR_DIGITS = _four_digit_table()
@@ -89,75 +93,97 @@ def _split(a: np.ndarray):
     return high, a - high
 
 
-def _g17(values: np.ndarray, nan: str = "nan") -> list[str]:
-    """format(x, ".17g") of each value of a 1-D float array, with nan as the text of NaN.
+def _g_rows(values: np.ndarray, digits: int, blank: int = 32, nan: str = "nan") -> np.ndarray:
+    """format(x, f".{digits}g") of each value of a 1-D float array, as rows of ASCII.
 
-    A value of decimal exponent -4 <= E <= 16, which .17g writes without an
-    exponent, has the 17 digits D = round(|x| * 10**(16 - E)).  10**(16 - E)
-    is a double, and Dekker's two-product gives |x| * 10**(16 - E) exactly
-    as p + err.  Where D has 17 digits the product exceeds 2**53, so p is
-    an even integer and p + rint(err) rounds half to even, as format does.
-    Zeros and NaN are constant texts; any other value, and one whose D
-    shows that log10 misjudged E by one, is given to format.
+    Row k of the (m, w) uint8 array is the text of values[k] (nan for NaN)
+    followed by at least one blank byte: 32, or 0 where the rows are joined
+    by dropping their blanks (no text holds a 0).  digits is 6 or 17.
+
+    A value of decimal exponent -4 <= E < digits, which the format writes
+    without an exponent, has the digits D = round(|x| * 10**(digits - 1 - E)).
+    10**(digits - 1 - E) is a double, and Dekker's two-product gives the
+    product exactly as p + err.  D is q = floor(p) + rint(err) plus a
+    carry of one where the rest ((p - floor(p)) - 0.5) + (err - rint(err))
+    is positive, or zero and q odd: half to even, as format rounds.  The
+    sign of the rest is exact, for its two terms are exact differences of
+    doubles and a rounded sum has the sign of the exact sum.  At 17 digits
+    p exceeds 2**53, so it is an even integer and the carry is 0; at 6
+    digits rint(err) is 0.  Zeros and NaN are constant texts; any other
+    value, and one whose D shows that log10 misjudged E or that the
+    rounding carried into a new digit (999999.5 at 6 digits), is given to
+    format.
     """
     x = np.asarray(values, dtype=float)
     m = len(x)
     magnitude = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         exponent = np.floor(np.log10(magnitude))
-    fast = (exponent >= -4) & (exponent <= 16)  # false for zeros, infinities and NaN
+    fast = (exponent >= -4) & (exponent < digits)  # false for zeros, infinities and NaN
     exponent = np.where(fast, exponent, 0).astype(np.intp)
     magnitude = np.where(fast, magnitude, 1.0)
-    scale = _POW10[16 - exponent]
+    scale = _POW10[digits - 1 - exponent]
     p = magnitude * scale
     (x_hi, x_lo), (s_hi, s_lo) = _split(magnitude), _split(scale)
     err = ((x_hi * s_hi - p) + x_hi * s_lo + x_lo * s_hi) + x_lo * s_lo
-    digits = p.astype(np.int64) + np.rint(err).astype(np.int64)
-    fast &= (digits >= 10**16) & (digits < 10**17)
-    digits[~fast] = 10**16  # any 17 digits: the row's text is replaced below
-    # digits = lead * 10**16 + the four-digit groups, first group first
-    high, low = np.divmod(digits, 10**8)
-    groups = np.empty((m, 4), dtype=np.uint32)
-    lead, groups[:, 1] = np.divmod(high.astype(np.uint32), 10**4)
-    lead, groups[:, 0] = np.divmod(lead, 10**4)
-    groups[:, 2], groups[:, 3] = np.divmod(low.astype(np.uint32), 10**4)
+    floor, step = np.floor(p), np.rint(err)
+    rest = ((p - floor) - 0.5) + (err - step)
+    q = floor.astype(np.int64) + step.astype(np.int64)
+    q += (rest > 0) | ((rest == 0) & (q & 1 == 1))
+    fast &= (q >= 10 ** (digits - 1)) & (q < 10**digits)
+    # D as a lead digit and g four-digit groups, first group first, padded
+    # with trailing zeros; rows whose text is replaced below get any digits
+    q[~fast] = 10 ** (digits - 1)
+    g = (digits + 2) // 4
+    q *= 10 ** (4 * g + 1 - digits)
+    high, low = np.divmod(q, 10**8)
+    groups = np.empty((m, g), dtype=np.uint32)
+    groups[:, -2], groups[:, -1] = np.divmod(low.astype(np.uint32), 10**4)
+    lead = high.astype(np.uint32)
+    for k in range(g - 3, -1, -1):
+        lead, groups[:, k] = np.divmod(lead, 10**4)
     lead = lead.astype(np.uint8) + 48
     # The integer part of a value, with its sign, is the window of head that
     # ends at the digit of 10**0; its fraction is the window of tail that
     # starts at the digit of 10**-1, where trailing zeros are blank.
-    head = np.empty((m, 36), dtype=np.uint8)  # 18 blanks, the sign, the 17 digits
-    head[:, :18] = 32
-    head[:, 18] = np.where(np.signbit(x), 45, 32)
-    head[:, 19] = np.where(exponent < 0, 48, lead)  # the integer part of |x| < 1 is 0
-    head[:, 20:] = np.take(_FOUR_DIGITS, groups).view(np.uint8)
-    stripped = np.zeros((m, 4), dtype=np.uint32)  # 10**4 where every later group is 0
-    stripped[:, 3] = 10_000
-    for k in (2, 1, 0):
+    head = np.full((m, digits + 3 + 4 * g), blank, dtype=np.uint8)  # blanks, the sign, the digits
+    head[:, digits + 1] = np.where(np.signbit(x), 45, blank)
+    head[:, digits + 2] = np.where(exponent < 0, 48, lead)  # the integer part of |x| < 1 is 0
+    head[:, digits + 3 :] = np.take(_FOUR_DIGITS, groups).view(np.uint8)
+    stripped = np.zeros((m, g), dtype=np.uint32)  # 10**4 where every later group is 0
+    stripped[:, -1] = 10_000
+    for k in range(g - 2, -1, -1):
         stripped[:, k] = np.where(groups[:, k + 1] == 0, stripped[:, k + 1], 0)
-    tail = np.empty((m, 41), dtype=np.uint8)  # "0000", the 17 digits, 20 blanks
+    tail = np.full((m, 2 * digits + 7), blank, dtype=np.uint8)  # "0000", the digits, blanks
     tail[:, :4] = 48
     tail[:, 4] = lead
-    tail[:, 5:21] = np.take(_FOUR_DIGITS, groups + stripped).view(np.uint8)
-    tail[:, 21:] = 32
+    blanks = np.uint32(0x01010101 * blank)  # the blank byte in each byte of a group
+    tail[:, 5 : 5 + 4 * g] = (np.take(_FOUR_DIGITS, groups + stripped) | blanks).view(np.uint8)
+    zero, nans = x == 0, np.isnan(x)
+    slow = np.flatnonzero(~(fast | zero | nans)).tolist()
+    texts = [format(x[k].item(), f".{digits}g") for k in slow]
     # A row of text: the sign and integer digits right-aligned, the point,
-    # the fraction digits and a blank, each part as wide as this array needs.
+    # the fraction digits and blanks, each part as wide as this array needs.
     width = int(exponent.max(initial=0)) + 2
-    places = 16 - int(exponent.min(initial=0))
+    places = digits - 1 - int(exponent.min(initial=0))
+    size = max(width + places + 2, len(nan) + 1, *[len(text) + 1 for text in texts])
     rows = np.arange(m)
-    out = np.empty((m, width + places + 2), dtype=np.uint8)
-    out[:, :width] = sliding_window_view(head, width, axis=1)[rows, 20 - width + np.maximum(exponent, 0)]
-    out[:, width + 1 : -1] = sliding_window_view(tail, places, axis=1)[rows, exponent + 5]
-    out[:, width] = np.where(out[:, width + 1] == 32, 32, 46)
-    out[:, -1] = 32
-    zero = x == 0
+    out = np.empty((m, size), dtype=np.uint8)
+    start = digits + 3 - width + np.maximum(exponent, 0)
+    out[:, :width] = sliding_window_view(head, width, axis=1)[rows, start]
+    out[:, width + 1 : width + 1 + places] = sliding_window_view(tail, places, axis=1)[rows, exponent + 5]
+    out[:, width] = np.where(out[:, width + 1] == blank, blank, 46)
+    out[:, width + 1 + places :] = blank
     out[zero, width - 1] = 48
-    out[zero, width:] = 32
-    nans = np.isnan(x)
-    out[nans] = np.frombuffer(nan.ljust(out.shape[1]).encode(), dtype=np.uint8)
-    text = out.tobytes().decode("ascii").split()
-    for k in np.flatnonzero(~(fast | zero | nans)).tolist():
-        text[k] = format(x[k].item(), ".17g")
-    return text
+    out[zero, width:] = blank
+    for where, text in [(nans, nan), *zip(slow, texts)]:
+        out[where] = np.frombuffer(text.ljust(size, chr(blank)).encode(), dtype=np.uint8)
+    return out
+
+
+def _g17(values: np.ndarray, nan: str = "nan") -> list[str]:
+    """format(x, ".17g") of each value of a 1-D float array, with nan as the text of NaN."""
+    return str(_g_rows(values, 17, nan=nan), "ascii").split()
 
 
 def _json_floats(values: np.ndarray) -> list[str]:
@@ -194,12 +220,12 @@ def _distinct_rows(rows: np.ndarray, template: str):
     return map(filled.__getitem__, inverse.tolist())
 
 
-def _shared_rows(table: np.ndarray, index: np.ndarray, offsets: np.ndarray, fmt, template: str, sep: str):
-    """Per block of at most _BLOCK polygons, the text of each polygon.
+def _shared_rows(table: np.ndarray, index: np.ndarray, offsets: np.ndarray, fmt):
+    """Per block of at most _BLOCK polygons, the text of each: the cells' vertices in tessellation.json.
 
     Polygon j has the corners table[index[offsets[j]:offsets[j + 1]]], and
-    its text is sep.join(template % tuple(fmt(corner)) for each corner).
-    Each row of the (m, k) table is formatted and filled once, by the first
+    its text is ", ".join("[%s, %s]" % tuple(fmt(corner)) for each corner).
+    Each row of the (m, 2) table is formatted and filled once, by the first
     block that reads it (fmt is called once per block, on those rows
     flattened), and its text is dropped after the last block that reads it.
     """
@@ -213,10 +239,10 @@ def _shared_rows(table: np.ndarray, index: np.ndarray, offsets: np.ndarray, fmt,
         new = new[np.diff(new, prepend=-1) != 0]
         done[new] = True
         values = iter(fmt(table[new].ravel()))
-        text[new] = list(map(template.__mod__, zip(*[values] * table.shape[1])))
+        text[new] = list(map("[%s, %s]".__mod__, zip(values, values)))
         texts = iter(text[read].tolist())
         text[read[last[read] < corners[-1]]] = None
-        yield [sep.join(islice(texts, k)) for k in np.diff(corners).tolist()]
+        yield [", ".join(islice(texts, k)) for k in np.diff(corners).tolist()]
 
 
 def dumps_json(doc) -> str:
@@ -392,7 +418,7 @@ def tessellation_document(tess: Tessellation) -> dict:
     delta, indptr = adjacency.delta, adjacency.indptr
 
     def blocks():
-        polygons = _shared_rows(tess.vertices, tess.vertex_index, offsets, _json_floats, "[%s, %s]", ", ")
+        polygons = _shared_rows(tess.vertices, tess.vertex_index, offsets, _json_floats)
         for lo, texts in zip(range(0, pattern.n, _BLOCK), polygons):
             hi = min(lo + _BLOCK, pattern.n)
             sides = cells.sides[lo:hi]

@@ -2,27 +2,27 @@
 
 Figures are drawn straight from chart coordinates into a square viewBox, one
 ``<polygon>`` per interior cell, colored by cell class: pentagons blue,
-hexagons red, heptagons green, four-sided cells yellow.  A white dot marks
-the pattern origin.  Output contains no timestamps or other run metadata,
-so identical input gives byte-identical SVG.
+hexagons red, heptagons green, four-sided cells yellow, any other light
+gray.  A white dot marks the pattern origin.  Output contains no
+timestamps or other run metadata, so identical input gives byte-identical
+SVG.
 
-Polygons are written tessellation._BLOCK drawn cells at a time, from the
-polygon texts of export._shared_rows: each (x, -y) point of the
-tessellation's vertex table is formatted (``.6g``) and filled into ``x,y``
-once per figure, by the first block that draws it, and kept until the last
-cell that draws it is written; each cell's points, joined, fill one
-``<polygon>`` template, and only the block's joined text is kept.
+Each corner point of the drawn cells is formatted once, as " x,y" (y
+negated) in a row of bytes padded with 0, by export's decimal kernel
+(byte for byte ``format(v, ".6g")``).  The polygons are then written
+_CELLS drawn cells at a time: each cell is one row of a byte array (the
+``<polygon`` head, its corners' rows, and its fill and pen by its side
+count), and the array's bytes other than 0 are the cells' text.  Only
+these texts are kept.
 """
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-
 import numpy as np
 
-from .export import _shared_rows
+from .export import _g_rows
 from .geometry import HYPERBOLIC, SPHERE, chart_to_unit_surface
-from .tessellation import _BLOCK, Tessellation, classify
+from .tessellation import _BLOCK, CELL_TYPE_BY_SIDES, Tessellation
 
 __all__ = ["PROJECTIONS", "render_svg"]
 
@@ -37,8 +37,15 @@ FALLBACK_COLOR = "lightgray"
 PROJECTIONS = ("chart", "orthographic", "stereographic")
 
 
-def _g6(values: np.ndarray) -> list[str]:
-    return list(map(format, values.tolist(), repeat(".6g")))
+#: the fill of a cell by its side count, the last entry for any larger count
+_FILLS = [
+    CELL_COLORS.get(CELL_TYPE_BY_SIDES.get(k), FALLBACK_COLOR) for k in range(max(CELL_TYPE_BY_SIDES) + 2)
+]
+_POLYGON = np.frombuffer(b'<polygon points="', dtype=np.uint8)
+#: drawn cells per byte array: arrays this small let the texts kept reuse
+#: the heap's free space (at 2,048 cells they raised the peak RSS of a
+#: hyperbolic 20000 render by 1.5 MB)
+_CELLS = 256
 
 
 def render_svg(tess: Tessellation, projection: str | None = None, size: int = 900) -> str:
@@ -76,7 +83,8 @@ def render_svg(tess: Tessellation, projection: str | None = None, size: int = 90
         extent = 1.02 * float(np.max(np.abs(xy[drawn])))
 
     stroke = extent / 600.0
-    corner, box, width, dot = _g6(np.array([-extent, 2.0 * extent, stroke, 6.0 * stroke]))
+    header = np.array([-extent, 2.0 * extent, stroke, 6.0 * stroke])
+    corner, box, width, dot = str(_g_rows(header, 6), "ascii").split()
     pen = f'stroke="black" stroke-width="{width}"'
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -85,12 +93,60 @@ def render_svg(tess: Tessellation, projection: str | None = None, size: int = 90
     ]
     if kind == HYPERBOLIC:
         lines.append(f'<circle cx="0" cy="0" r="1" fill="none" {pen}/>')
-    template = f'<polygon points="%s" fill="%s" {pen}/>'
-    fills = [CELL_COLORS.get(label, FALLBACK_COLOR) for label in compress(classify(tess), keep)]
-    polygons = _shared_rows(xy, drawn, drawn_offsets, _g6, "%s,%s", " ")
-    for lo, texts in zip(range(0, len(fills), _BLOCK), polygons):
-        lines.append("\n".join(map(template.__mod__, zip(texts, fills[lo : lo + _BLOCK]))))
+    # the end of a drawn cell's <polygon>, by its side count, padded with 0
+    ends = [f'" fill="{fill}" {pen}/>\n' for fill in _FILLS]
+    longest = max(map(len, ends))
+    ends = np.frombuffer("".join(end.ljust(longest, "\0") for end in ends).encode(), dtype=np.uint8)
+    fills = np.minimum(tess.cells.sides[keep], len(_FILLS) - 1)
+    lines += _polygons(xy, drawn, drawn_offsets, ends.reshape(len(_FILLS), longest), fills)
     # white dot on the pattern origin (chart center / near pole); joining a
     # last "" ends the text with a newline without copying it
     lines += [f'<circle cx="0" cy="0" r="{dot}" fill="white" {pen}/>', "</svg>", ""]
     return "\n".join(lines)
+
+
+def _polygons(
+    xy: np.ndarray, index: np.ndarray, offsets: np.ndarray, ends: np.ndarray, fills: np.ndarray
+) -> list[str]:
+    """The texts of the <polygon> lines of cells j, _CELLS cells a text.
+
+    Cell j has the corners xy[index[offsets[j]:offsets[j + 1]]] and the end
+    ends[fills[j]].  Each point it draws is formatted once, _BLOCK points
+    at a time, into the row " x,y" of a byte array padded with 0.
+    """
+    used = np.zeros(len(xy), dtype=bool)
+    used[index] = True
+    values = xy[used]
+    formatted = [_g_rows(values[lo : lo + _BLOCK].ravel(), 6, blank=0) for lo in range(0, len(values), _BLOCK)]
+    width = max(rows.shape[1] for rows in formatted)
+    point = np.zeros((len(values), 2 * width + 2), dtype=np.uint8)
+    point[:, 0], point[:, width + 1] = 32, 44
+    for lo, rows in zip(range(0, len(values), _BLOCK), formatted):
+        point[lo : lo + _BLOCK, 1 : rows.shape[1] + 1] = rows[0::2]
+        point[lo : lo + _BLOCK, width + 2 : width + 2 + rows.shape[1]] = rows[1::2]
+    rank = np.cumsum(used) - 1  # the row of point that holds each point of xy
+    texts = []
+    for lo in range(0, len(fills), _CELLS):
+        corners = offsets[lo : lo + _CELLS + 1]
+        read = point[rank[index[corners[0] : corners[-1]]]]
+        text = _polygon_bytes(read, np.diff(corners), ends[fills[lo : lo + _CELLS]])
+        texts.append(str(text[:-1], "ascii"))  # made once the cells' arrays are freed
+    return texts
+
+
+def _polygon_bytes(corners: np.ndarray, sides: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The bytes of the <polygon> lines of cells whose corners, in order, are the rows of corners.
+
+    Cell j is row j of a byte array: the polygon's head, its sides[j]
+    corners, 0 where it has fewer corners than the most, and ends[j].  The
+    text is the array's bytes other than 0.
+    """
+    head, body = len(_POLYGON), sides.max() * corners.shape[1]
+    rows = np.zeros((len(sides), head + body + ends.shape[1]), dtype=np.uint8)
+    rows[:, :head], rows[:, head + body :] = _POLYGON, ends
+    slots = rows[:, head : head + body].reshape(len(sides), sides.max(), corners.shape[1])
+    cell = np.repeat(np.arange(len(sides)), sides)
+    slots[cell, np.arange(len(corners)) - (np.cumsum(sides) - sides)[cell]] = corners
+    slots[:, 0, 0] = 0  # no blank before the first corner
+    flat = rows.ravel()
+    return flat[flat != 0]

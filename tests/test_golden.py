@@ -38,6 +38,7 @@ from phyllo.export import (
     BOUNDARY_COLUMNS,
     _distinct_rows,
     _g17,
+    _g_rows,
     _shared_rows,
     _json_floats,
     area_csv,
@@ -442,6 +443,53 @@ def test_adversarial_floats_are_format_17g():
     _assert_floats_format_17g(values)
 
 
+def _assert_floats_format_6g(values: np.ndarray) -> None:
+    text = [format(x, ".6g") for x in values.tolist()]
+    assert str(_g_rows(values, 6), "ascii").split() == text
+    # the rows render_svg joins: each text padded with 0, and no blank
+    assert [str(row[row != 0], "ascii") for row in _g_rows(values, 6, blank=0)] == text
+
+
+@given(arrays(np.float64, st.integers(0, 300), elements=st.floats() | st.floats(-1e6, 1e6)))
+def test_floats_are_format_6g(values):
+    # any double, and many of the exponents .6g writes without one
+    _assert_floats_format_6g(values)
+
+
+def _adversarial_floats_6g() -> np.ndarray:
+    values = [999999.5, 9.9999951, 5e-05, 0.0, math.inf, math.nan]  # 1e+06, 10 and the fallbacks
+    for e in range(6):
+        # exact ties of the 6th digit, and the doubles next to each: for odd
+        # j, x = j * 2**(e - 6) scales to x * 10**(5 - e) = j * 5**(5 - e) / 2,
+        # halfway between two integers, the lower one even or odd
+        first = 10**e * 2 ** (6 - e) + 1
+        for j in (first, first + 2, 3 * first, 7 * first + 2, 10 * first - 11, 10 * first - 13):
+            tie = math.ldexp(j, e - 6)
+            values += [np.nextafter(tie, 0.0), tie, np.nextafter(tie, math.inf)]
+    for e in range(-4, 6):
+        # the doubles nearest to decimal ties that no double holds: the
+        # scaled product can round to the tie, and only its error tells on
+        # which side of it |x| lies
+        values += [float(f"{d}5e{e - 6}") for d in (100000, 123456, 314159, 999998)]
+    for k in range(-6, 8):
+        # a few doubles on either side of each power of ten
+        power = float(10**k) if k >= 0 else 1.0 / 10**-k
+        below = above = power
+        values.append(power)
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, math.inf)
+            values += [below, above]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def test_adversarial_floats_are_format_6g():
+    values = _adversarial_floats_6g()
+    assert format(123456.5, ".6g") == "123456" and format(123457.5, ".6g") == "123458"  # half to even
+    assert [format(x, ".6g") for x in (999999.5, -9.9999951, 5e-05)] == ["1e+06", "-10", "5e-05"]
+    _assert_floats_format_6g(values)
+
+
 def _fmt(x: float) -> str:
     return format(x, ".6g")
 
@@ -547,7 +595,7 @@ def test_shared_rows_format_each_row_once_in_the_first_span_that_reads_it(seed):
         seen.append(values.copy())
         return _json_floats(values)
 
-    blocks = list(_shared_rows(table, index, offsets, fmt, "[%s, %s]", ", "))
+    blocks = list(_shared_rows(table, index, offsets, fmt))
     assert len(blocks) == len(seen) == 3
     corner = ["[%s, %s]" % tuple(_json_floats(row)) for row in table]
     assert sum(blocks, []) == [", ".join(corner[i] for i in index[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
@@ -570,17 +618,25 @@ def test_render_keeps_signed_zeros_and_last_bits():
     close = np.nextafter(0.25, 1.0)
     polygons[1] = np.array([[0.0, -0.0], [0.25, close], [-0.0, 0.0], [close, 0.25]])
     polygons[2] = np.array([[-0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    # values .6g writes with an exponent, or whose rounding carries into a
+    # new digit, in cells whose side counts have no cell type
+    polygons[3] = np.array([[5e-05, 9.9999951], [-9.9999951, -5e-05], [999999.5, -999999.5]])
+    sides = tess.cells.sides.copy()
+    sides[3:5] = 9, 3
     tess = dataclasses.replace(
         tess,
+        cells=dataclasses.replace(tess.cells, sides=sides),
         vertex_offsets=np.concatenate(([0], np.cumsum([len(p) for p in polygons]))),
         vertices=np.concatenate(polygons),
         vertex_index=np.arange(sum(map(len, polygons))),  # one table row per corner
     )
-    assert not tess.cells.is_boundary[1:3].any()
+    assert not tess.cells.is_boundary[1:5].any()
     text = render_svg(tess)
     _assert_same_text(text, _reference_render_svg(tess, "chart"))
     assert '<polygon points="0,0 0.25,-0.25 -0,-0 0.25,-0.25" ' in text
     assert '<polygon points="-0,-0 1,-0 0,-1" ' in text
+    assert '<polygon points="5e-05,-10 -10,5e-05 1e+06,1e+06" fill="lightgray" ' in text
+    assert text.count('fill="lightgray"') == 2
 
 
 def _assert_same_text(got: str, want: str) -> None:
