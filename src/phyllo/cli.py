@@ -9,6 +9,7 @@ invariant).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -339,6 +340,12 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_render)
 
     args = parser.parse_args(argv)
+    # argparse leaves every HelpFormatter it made in a reference cycle, and
+    # the parser objects fill most of the youngest generation: collect it
+    # once here, so each command starts with an empty one.  A command that
+    # makes few tracked objects (render) would otherwise leave the pause to
+    # whatever allocation next crosses the threshold, once main has returned.
+    gc.collect(0)
     # subparser errors must exit 1 as well; they share the _Parser class
     try:
         return args.func(parser, args)

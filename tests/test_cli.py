@@ -50,6 +50,19 @@ def test_generate_writes_loadable_pattern(tmp_path, capsys):
     assert loaded.n == fresh.n
 
 
+def test_commands_start_with_an_empty_young_generation(tmp_path):
+    """argparse's reference cycles are collected before the command runs:
+    render makes few tracked objects, so none would come due within it,
+    and the pause would fall to main's caller."""
+    import argparse
+    import gc
+
+    argv = ["render", "--geometry", "hyperbolic", "--n", "500", "--a", "0.025"]
+    assert cli.main([*argv, "--out", str(tmp_path / "figure.svg")]) == 0
+    young = gc.get_objects(0)
+    assert not [o for o in young if type(o).__module__ == "argparse" or isinstance(o, argparse.ArgumentParser)]
+
+
 def test_generate_is_byte_stable(tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:
