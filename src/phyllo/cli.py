@@ -106,6 +106,8 @@ def _pattern_from_args(parser: _Parser, args) -> "PhylloPattern":
             parser.error(f"cannot read {args.input}: {err.strerror or err}")
         except json.JSONDecodeError as err:
             parser.error(f"{args.input}:{err.lineno}:{err.colno}: {err.msg}")
+        except RecursionError:
+            parser.error(f"{args.input}: JSON nested too deeply to read")
         except ValueError as err:
             parser.error(f"{args.input}: {err}")
         except MemoryError:

@@ -32,12 +32,14 @@ normal's geodesic, outside the disc), and an area is the fan of geodesic
 triangles.
 
 From the triangles on, every surface takes one path.  tessellate builds
-what ring detection reads: the CSR links with their sources (one sorted
-table of both directions of every triangle edge, whose edges met once mark
-the hull sites), the side counts and the boundary flags (which on a chart
-read the circumcenters, so those are computed there too).  The cell
-geometry is left to two passes, each run at most once, on the first read of
-one of its fields:
+what ring detection reads: the CSR links with their sources, the side
+counts and the boundary flags (which on a chart read the circumcenters, so
+those are computed there too).  The links are sorted keys s * n + t: those
+of the certified fans, which list each link of their site once and are
+open at the hull sites alone; or, as Qhull gives triangles and no fans,
+those of both directions of every triangle edge, whose edges met once mark
+the hull sites.  The cell geometry is left to two passes, each run at most
+once, on the first read of one of its fields:
 - the polygon pass sorts the triangle corners by site (one stable sort)
   and each fan by the direction of the geodesic to each vertex;
 - the area pass sums each sorted fan; it reads the polygon pass's result,
@@ -215,7 +217,14 @@ class Tessellation:
         return self.pattern.n
 
 
-def _check_distinct(points: np.ndarray) -> None:
+def _check_distinct(points: np.ndarray, key: np.ndarray) -> None:
+    """Raise ValueError if two sites coincide.
+
+    key is a value per site that equal points share; when it rises strictly
+    with s, no two sites are equal and the points are not sorted.
+    """
+    if np.all(key[1:] > key[:-1]):
+        return
     order = np.lexsort(points.T)
     same = np.flatnonzero(np.all(points[order[1:]] == points[order[:-1]], axis=1))
     if len(same):
@@ -439,6 +448,12 @@ def _certify(sphere: bool, count, neighbors, closed, sound):
     meets each once, so orientation adds nothing: a triangle is keyed by its
     corners in ascending order, and a key met three times was met once from
     each corner.  The keys decode into the simplices, one ascending row each.
+
+    Fans that pass list each link of their site once: a triangle met from
+    all three corners puts each of its edges (s, t) in the fans of s and of
+    t.  A fan is open just where its site has an edge in one triangle only,
+    at a hull site.  So tessellate reads the links and the hull sites off
+    the fans that pass.
     """
     n = len(count)
     offsets, sites = np.concatenate(([0], np.cumsum(count))), np.flatnonzero(count)
@@ -463,11 +478,13 @@ def _certify(sphere: bool, count, neighbors, closed, sound):
     return simplices, suspects
 
 
-def _parastichy_simplices(points: np.ndarray, lam: float, frames=None) -> np.ndarray | None:
-    """Delaunay triangles found from Fibonacci index steps, or None.
+def _parastichy_simplices(points: np.ndarray, lam: float, frames=None) -> tuple | None:
+    """Delaunay triangles found from Fibonacci index steps, with their fans; or None.
 
-    None when lam's parastichy numbers below n are not the Fibonacci
-    numbers, or when the triangles do not certify.
+    The triangles as _certify decodes them, and the fans it passed: count,
+    neighbors and closed, as _fans gives them, in site order.  None when
+    lam's parastichy numbers below n are not the Fibonacci numbers, or when
+    the triangles do not certify.
 
     Site s sits at azimuth 2 pi lam s, so outside the disordered core its
     Delaunay neighbours are sites s +- q, for parastichy numbers q near the
@@ -535,8 +552,9 @@ def _parastichy_simplices(points: np.ndarray, lam: float, frames=None) -> np.nda
             redo[neighbors[np.repeat(redo, count)]] = True
             kept = np.flatnonzero(~redo)
             pieces = run(redo, _RETRY, not sphere, [(kept, neighbors[np.repeat(~redo, count)])])
-            simplices, _ = _certify(sphere, count, _gather(count, pieces), closed, sound)
-    return simplices
+            neighbors = _gather(count, pieces)
+            simplices, _ = _certify(sphere, count, neighbors, closed, sound)
+    return None if simplices is None else (simplices, count, neighbors, closed)
 
 
 def _gather(count: np.ndarray, pieces) -> np.ndarray:
@@ -644,10 +662,14 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
 
     Patterns with no triangulation (fewer than three sites, four on the
     sphere, all sites on a line or a plane, a scale whose squared lengths
-    underflow) raise ValueError, as do chart triangulations that leave a
-    site out or hold a zero-area triangle.  The cell polygons and the
-    areas are left to the first read (see Tessellation); every error is
-    raised here.
+    underflow) raise ValueError, as do coincident sites and chart
+    triangulations that leave a site out or hold a zero-area triangle.  The
+    cell polygons and the areas are left to the first read (see
+    Tessellation); every error is raised here.
+
+    The links and the hull sites are read off the certified fans, or on
+    Qhull's path off the directed edges of its triangles (see the module
+    docstring).
     """
     n, surface, kind, R = pattern.n, pattern.surface, pattern.surface.kind, pattern.surface.R
     scale = normalization_scale(surface)
@@ -659,31 +681,42 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
     if n < least:
         raise ValueError(f"a {kind} pattern needs at least {least} sites to tessellate, got {n}")
     points = pattern.xyz if kind == SPHERE else pattern.chart_xy
-    _check_distinct(points)
     # plane fans, circumcenters and areas are computed on the scaled
     # chart, which keeps the cubes of lengths in range at every a
     pow2 = chart_pow2(surface)
+    chart = points * pow2 if kind == PLANE else points  # the disc's pow2 is 1
+    # equal sites share z on the sphere, and their squared radius on a chart
+    # (on the scaled one, whose squares do not overflow)
+    _check_distinct(points, points[:, 2] if kind == SPHERE else chart[:, 0] ** 2 + chart[:, 1] ** 2)
     frames = None
     if kind == SPHERE:
         # tangent-plane basis of each site: its chart for the fans, and
         # the directions the circumcenters around it are sorted by
         unit = points / R
         frames = _tangent_frames(unit)
-        simplices = _parastichy_simplices(unit, surface.lam, frames)
+        found = _parastichy_simplices(unit, surface.lam, frames)
     else:
-        chart = points * pow2 if kind == PLANE else points  # the disc's pow2 is 1
-        simplices = _parastichy_simplices(chart, surface.lam)
-    if simplices is None:
-        simplices = _qhull_simplices(kind, points)
-    # corners in ascending order (the certificate's already are), so both paths round each
-    # circumcenter alike; int64, as Qhull's int32 corners would wrap in the keys below past n = 46340
-    simplices = np.sort(simplices, axis=1).astype(np.int64, copy=False)
+        found = _parastichy_simplices(chart, surface.lam)
 
-    # both directions of every triangle edge as s * n + t: sorted, they are
-    # the CSR links; a hull edge lies in one triangle, so its links occur once
-    key, count = np.unique(
-        simplices[:, [0, 1, 1, 2, 0, 2]] * n + simplices[:, [1, 0, 2, 1, 2, 0]], return_counts=True
-    )
+    # the links as s * n + t, sorted: the CSR rows
+    if found is None:
+        # corners in ascending order, as the certificate's are, so both paths round each
+        # circumcenter alike; int64, as Qhull's int32 corners would wrap in the keys past n = 46340
+        simplices = np.sort(_qhull_simplices(kind, points), axis=1).astype(np.int64, copy=False)
+        # both directions of every triangle edge; a hull edge lies in one
+        # triangle, so its links occur once
+        key, count = np.unique(
+            simplices[:, [0, 1, 1, 2, 0, 2]] * n + simplices[:, [1, 0, 2, 1, 2, 0]], return_counts=True
+        )
+        boundary = np.zeros(n, dtype=bool)
+        boundary[key[count == 1] // n] = True
+    else:
+        # a certified fan lists each link of its site once, and the open fans are the hull sites
+        simplices, count, neighbors, closed = found
+        key = np.repeat(np.arange(n) * n, count) + neighbors
+        key.sort()
+        boundary = ~closed
+        del found, neighbors  # the fans: 6n entries
     source, indices = np.divmod(key, n)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(source, minlength=n))))
     adjacency = Adjacency(indptr, indices, source)
@@ -692,8 +725,6 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
     # vertex beyond the outermost site; the chart circumcenters are computed
     # here for that test (and the check for zero-area triangles), the
     # sphere's wait for the polygon pass
-    boundary = np.zeros(n, dtype=bool)
-    boundary[source[count == 1]] = True
     vertices = None
     if kind != SPHERE:
         if kind == HYPERBOLIC:

@@ -167,6 +167,9 @@ def _write_inputs(tmp_path):
     for name, doc in docs.items():
         (tmp_path / name).write_text(json.dumps(doc))
     (tmp_path / "truncated.json").write_text('{"schema": ')
+    # nested past the JSON decoder's recursion limit
+    (tmp_path / "deep-array.json").write_text("[" * 100000 + "]" * 100000)
+    (tmp_path / "deep-object.json").write_text('{"a": ' * 100000 + "1" + "}" * 100000)
 
 
 @pytest.mark.parametrize(
@@ -275,6 +278,8 @@ COLLINEAR_MESSAGES = [
          "scale a=3e+307 is too large: Voronoi vertices overflow"),
         (["generate", "--geometry", "hyperbolic", "--n", "10", "--a", "5e-324"],
          "hyperbolic needs a finite R, got inf"),
+        (["analyze", "--in", "{tmp}/deep-array.json"], "{tmp}/deep-array.json: JSON nested too deeply to read"),
+        (["analyze", "--in", "{tmp}/deep-object.json"], "{tmp}/deep-object.json: JSON nested too deeply to read"),
     ],
 )
 def test_usage_error_messages(argv, message, tmp_path, capsys):

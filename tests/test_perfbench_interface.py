@@ -77,3 +77,25 @@ def test_traced_render_run(tmp_path, capsys):
     assert metrics["render.polygons"] == data.count(b"<polygon") > 0
     assert metrics["render.bytes_out"] == len(data)
     assert sum(metrics[f"{layer}.errors"] for layer in spans.LAYERS) == 0
+
+
+def test_traced_empirical_thresholds_run(capsys):
+    # the thresholds-empirical workload's command at a smaller rank: six
+    # sphere tessellations, whose links and boundary cells the spans count
+    spans = _load_spans()
+    tracer = spans.Tracer("test")
+    tracer.install(cli)
+    try:
+        assert cli.main(["thresholds", "--u-max", "7", "--empirical"]) == 0
+    finally:
+        tracer.uninstall(cli)
+    assert capsys.readouterr().out.count("empirical=confirmed") == 3
+    metrics = spans.layer_metrics(tracer.spans, 0.0)
+    json.dumps(metrics)
+    sizes = [pattern.n for pattern in tracer.tessellated]
+    assert metrics["tessellation.calls"] == len(sizes) == 6
+    assert metrics["tessellation.sites"] == sum(sizes)
+    # a triangulated sphere has 3n - 6 edges and no boundary cell
+    assert metrics["tessellation.links"] == sum(3 * n - 6 for n in sizes)
+    assert metrics["tessellation.boundary_cells"] == 0
+    assert sum(metrics[f"{layer}.errors"] for layer in spans.LAYERS) == 0

@@ -180,6 +180,34 @@ def test_coincident_sites_rejected():
         tessellate(pattern)
 
 
+def test_distinct_sites_whose_key_falls_are_sorted(monkeypatch):
+    # the squared chart radius proves the sites distinct only where it rises
+    # with s; two sites swapped make it fall once, and the points are sorted
+    lexsorts, lexsort = [], np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(len(keys)) or lexsort(keys))
+    pattern = generate("plane", 600)
+    reference = tessellate(pattern).adjacency
+    assert lexsorts == []
+    order = np.arange(600)
+    order[[300, 301]] = [301, 300]
+    r = pattern.r[order]
+    swapped = PhylloPattern(pattern.surface, 600, "integer", np.arange(600), r, pattern.theta[order], r)
+    adjacency = tessellate(swapped).adjacency
+    assert lexsorts == [2]
+    # the same Delaunay graph, its sites relabelled
+    links = set(zip(order[adjacency.source].tolist(), order[adjacency.indices].tolist()))
+    assert links == set(zip(reference.source.tolist(), reference.indices.tolist()))
+
+
+def test_distinctness_key_is_taken_on_the_scaled_chart():
+    # the unscaled chart's squares overflow at a = 1e300 (and warnings are errors here)
+    tess = tessellate(generate("plane", 3000, a=1e300))
+    assert np.all(tess.cells.sides[~tess.cells.is_boundary] >= 3)
+    # a*a/2 underflows against 1 for the first sites of this disc, which all sit at the center
+    with pytest.raises(ValueError, match="^coincident sites 0 and 1$"):
+        tessellate(generate("hyperbolic", 3000, a=1e-8))
+
+
 def _brute_force_nearest(pattern, probe):
     if pattern.surface.kind == "sphere":
         return int(np.argmax(pattern.xyz @ probe))
@@ -868,6 +896,59 @@ def test_parastichy_triangulation_matches_qhull(kind, n, kwargs, monkeypatch):
     assert np.array_equal(tess.vertex_offsets, reference.vertex_offsets)
     polygons = [t.vertices[t.vertex_index] for t in (tess, reference)]
     assert np.array_equal(*polygons, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "kind,n,kwargs,certificates",
+    [
+        ("plane", 30000, {}, 1),
+        # few enough sites that the edge window leaves some hull cells uncut
+        ("plane", 12, {}, 1),
+        ("sphere", 20001, {}, 1),
+        ("hyperbolic", 20000, {"a": 0.025}, 1),
+        # sites that fail the first certificate are retried
+        ("hyperbolic", 3000, {"a": 0.4}, 2),
+        ("hyperbolic", 3000, {"a": 1.0}, 2),
+        # other divergences go to Qhull, which gives triangles, not fans
+        ("plane", 3000, {"lam": 0.4}, 0),
+        ("plane", 3000, {"lam": 1 / 3}, 0),
+    ],
+)
+def test_links_match_the_directed_edges_of_the_triangles(kind, n, kwargs, certificates, monkeypatch):
+    # a certified fan lists each link of its site once and the open fans are
+    # the hull sites: the links read off the fans are those of the triangles
+    found, qhulled, certified = [], [], []
+    fans, qhull, certify = tessellation._parastichy_simplices, tessellation._qhull_simplices, tessellation._certify
+
+    def recorded(calls, fn):
+        return lambda *args: calls.append(fn(*args)) or calls[-1]
+
+    monkeypatch.setattr(tessellation, "_parastichy_simplices", recorded(found, fans))
+    monkeypatch.setattr(tessellation, "_qhull_simplices", recorded(qhulled, qhull))
+    monkeypatch.setattr(tessellation, "_certify", recorded(certified, certify))
+    tess = tessellate(generate(kind, n, **kwargs))
+    assert len(certified) == certificates
+    if certificates:
+        assert qhulled == [] and certified[-1][0] is not None
+        simplices, _, _, closed = found[0]
+        assert np.array_equal(simplices, np.sort(simplices, axis=1))
+    else:
+        assert found == [None] and len(qhulled) == 1
+        simplices = np.sort(qhulled[0], axis=1).astype(np.int64)
+    edges = simplices[:, [0, 1, 1, 2, 0, 2]] * n + simplices[:, [1, 0, 2, 1, 2, 0]]
+    key, count = np.unique(edges, return_counts=True)
+    source, indices = np.divmod(key, n)
+    sides = np.bincount(source, minlength=n)
+    adjacency = tess.adjacency
+    assert np.array_equal(adjacency.indptr, np.r_[0, np.cumsum(sides)])
+    assert np.array_equal(adjacency.indices, indices)
+    assert np.array_equal(adjacency.source, source)
+    assert np.array_equal(tess.cells.sides, sides)
+    hull = np.unique(source[count == 1])
+    if certificates:
+        assert np.array_equal(np.flatnonzero(~closed), hull)
+    assert (len(hull) == 0) == (kind == "sphere")
+    assert tess.cells.is_boundary[hull].all()
 
 
 def test_parastichy_steps_are_the_fibonacci_numbers_or_none():
