@@ -7,7 +7,7 @@ records a timestamp.
 
 The documents are dicts written by one generic writer, dumps_json, except
 for their large lists: the sites of a pattern and the cells of a
-tessellation.  A document holds each as a function that yields the texts of
+tessellation.  A document holds each as a function that yields the text of
 at most tessellation._BLOCK rows at a time, made column by column while it
 is written; write_json calls it anew on each writing and writes each block
 as soon as it is made, so the whole text of a tessellation is never in
@@ -18,15 +18,22 @@ writes without an exponent it scales |x| by a power of ten that is exactly
 a double, takes the product exactly with Dekker's two-product, rounds it
 half to even and writes the digits' ASCII through a table of four-digit
 groups; zeros and NaN are constant texts, and every other value is given
-to format itself.  The sites and the distance and area CSV tables are made
-by one row loop (_row_blocks) that makes each column of a block into text
-once, by its dtype (on the plane, r is the array rho).  Each row of the
-tessellation's vertex table is formatted into ``[x, y]`` once per writing,
-by the first block that lists it, and kept until the last (_shared_rows,
-which joins each cell's polygon); within a block, each distinct list of a
-cell's link steps is made into text once (_distinct_rows).  The text is the
-same as the generic writer gives for a list of per-row dicts.  The ring
-columns are declared once, in BOUNDARY_COLUMNS.
+to format itself.  Each row's digits are a window of those groups; where
+every value of a block has one decimal exponent the windows are the same
+plain slices in every row, and otherwise they are gathered row by row.
+The sites and the distance and area CSV tables, whose rows have fixed
+columns, are made by one row assembler (_byte_rows): per block it makes
+each column into rows of ASCII padded with 0 once, by its dtype (floats by
+the kernel, integers by the same four-digit groups, booleans from a table
+of two rows; on the plane, r is the array rho), copies them and the
+literal separators into one 0-filled byte array, and keeps its nonzero
+bytes.  Each row of the tessellation's vertex table is formatted into
+``[x, y]`` once per writing, by the first block that lists it, and kept
+until the last (_shared_rows, which joins each cell's polygon); within a
+block, each distinct list of a cell's link steps is made into text once
+(_distinct_rows).  The text is the same as the generic writer gives for a
+list of per-row dicts.  The ring columns are declared once, in
+BOUNDARY_COLUMNS.
 """
 
 from __future__ import annotations
@@ -167,11 +174,17 @@ def _g_rows(values: np.ndarray, digits: int, blank: int = 32, nan: str = "nan") 
     width = int(exponent.max(initial=0)) + 2
     places = digits - 1 - int(exponent.min(initial=0))
     size = max(width + places + 2, len(nan) + 1, *[len(text) + 1 for text in texts])
-    rows = np.arange(m)
     out = np.empty((m, size), dtype=np.uint8)
-    start = digits + 3 - width + np.maximum(exponent, 0)
-    out[:, :width] = sliding_window_view(head, width, axis=1)[rows, start]
-    out[:, width + 1 : width + 1 + places] = sliding_window_view(tail, places, axis=1)[rows, exponent + 5]
+    if m and exponent.min() == exponent.max():  # one exponent: the same windows in every row
+        e = int(exponent[0])
+        start = digits + 3 - width + max(e, 0)
+        out[:, :width] = head[:, start : start + width]
+        out[:, width + 1 : width + 1 + places] = tail[:, e + 5 : e + 5 + places]
+    else:
+        rows = np.arange(m)
+        start = digits + 3 - width + np.maximum(exponent, 0)
+        out[:, :width] = sliding_window_view(head, width, axis=1)[rows, start]
+        out[:, width + 1 : width + 1 + places] = sliding_window_view(tail, places, axis=1)[rows, exponent + 5]
     out[:, width] = np.where(out[:, width + 1] == blank, blank, 46)
     out[:, width + 1 + places :] = blank
     out[zero, width - 1] = 48
@@ -191,17 +204,66 @@ def _json_floats(values: np.ndarray) -> list[str]:
     return _g17(values, "null")
 
 
-def _row_blocks(columns: list, fmt, template: str):
-    """Per block of at most _BLOCK rows, an iterator over template % row of the columns.
+#: 10**k for k = 1..19: an integer of magnitude at least 10**k has more than k digits
+_DIGIT_EDGES = 10 ** np.arange(1, 20, dtype=np.uint64)
 
-    Float columns are made into text by fmt, which maps a 1-D array to a
-    list, and other columns by ``.tolist()``; a column listed twice (the
-    same array) is made into text once per block.
+#: str(False) and str(True), as 0-padded rows of ASCII
+_BOOLS = np.array([list(b"False"), list(b"True\0")], dtype=np.uint8)
+
+
+def _int_rows(values: np.ndarray) -> np.ndarray:
+    """str(k) of each value of a 1-D integer array, as rows of ASCII padded with 0.
+
+    |k| is written as four-digit groups through _FOUR_DIGITS, as many as the
+    largest |k| needs, with its leading zeros blanked, and a negative k has a
+    - before its first digit.
     """
+    k = np.asarray(values, dtype=np.int64)
+    magnitude = np.abs(k).astype(np.uint64)  # -2**63 is its own absolute value, 2**63 as unsigned
+    count = np.searchsorted(_DIGIT_EDGES, magnitude, side="right") + 1  # the digits of |k|
+    g = (int(count.max(initial=1)) + 3) // 4
+    groups = np.empty((len(k), g), dtype=np.uint32)
+    for j in range(g - 1, -1, -1):
+        magnitude, groups[:, j] = np.divmod(magnitude, 10**4)
+    out = np.zeros((len(k), 4 * g + 1), dtype=np.uint8)  # a sign, then the groups
+    out[:, 1:] = np.take(_FOUR_DIGITS, groups).view(np.uint8)
+    first = 4 * g + 1 - count  # the column of the first digit
+    out *= np.arange(4 * g + 1) >= first[:, None]
+    negative = np.flatnonzero(k < 0)
+    out[negative, first[negative] - 1] = 45
+    return out
+
+
+def _byte_rows(columns: list, literals: list[str], nan: str = "nan"):
+    """Per block of at most _BLOCK rows, the text of its rows: literals and column texts in turn.
+
+    Row k is literals[0], the text of columns[0][k], literals[1], ..., the
+    text of columns[-1][k], literals[-1].  A float is written as
+    format(x, ".17g") (nan as the text of NaN), an integer and a boolean as
+    str writes them.  Each column of a block is made into ASCII rows padded
+    with 0 once, even if listed twice (the same array), and copied into its
+    slot of one 0-filled array, with each literal written into its own
+    slot; the block's text is the array's nonzero bytes.
+    """
+
+    def rows(part: np.ndarray) -> np.ndarray:
+        if part.dtype.kind == "f":
+            return _g_rows(part, 17, blank=0, nan=nan)
+        return _BOOLS[part.view(np.uint8)] if part.dtype.kind == "b" else _int_rows(part)
+
+    slots = [np.frombuffer(literal.encode(), dtype=np.uint8) for literal in literals]
+    distinct = {id(column): column for column in columns}
     for lo in range(0, len(columns[0]), _BLOCK):
-        parts = {id(column): column[lo : lo + _BLOCK] for column in columns}
-        text = {key: fmt(part) if part.dtype.kind == "f" else part.tolist() for key, part in parts.items()}
-        yield map(template.__mod__, zip(*[text[id(column)] for column in columns]))
+        made = {key: rows(column[lo : lo + _BLOCK]) for key, column in distinct.items()}
+        parts = [slots[0]]
+        for column, literal in zip(columns, slots[1:]):
+            parts += [made[id(column)], literal]
+        out = np.zeros((len(parts[1]), sum(part.shape[-1] for part in parts)), dtype=np.uint8)
+        at = 0
+        for part in parts:  # a literal's 1-D bytes fill its slot in every row
+            out[:, at : at + part.shape[-1]] = part
+            at += part.shape[-1]
+        yield str(out[out != 0], "ascii")
 
 
 def _distinct_rows(rows: np.ndarray, template: str):
@@ -282,8 +344,8 @@ def _write_json(node, out) -> None:
         out.write("}")
     elif isinstance(node, (list, tuple, np.ndarray)) or callable(node):
         # a function is a list made while it is written: it yields the JSON
-        # texts of one block of items at a time
-        items = map(", ".join, node()) if callable(node) else node
+        # text of one block of items at a time
+        items = node() if callable(node) else node
         write = out.write if callable(node) else lambda item: _write_json(item, out)
         out.write("[")
         for k, item in enumerate(items):
@@ -306,23 +368,26 @@ def _surface_document(surface: SurfaceSpec) -> dict:
 
 def pattern_document(pattern: PhylloPattern) -> dict:
     """Pattern as a JSON-ready document; angles reduced to [0, 2pi) here only."""
-    template = '{"s": %d, "rho": %s, "theta": %s, "r": %s'
+    literals = ['{"s": ', ', "rho": ', ', "theta": ', ', "r": ']
     columns = [pattern.r]  # on the plane the array rho itself, made into text once
     if pattern.phi is not None:
-        template += ', "phi": %s'
+        literals.append(', "phi": ')
         columns.append(pattern.phi)
     if pattern.xyz is not None:
-        template += ', "xyz": [%s, %s, %s]'
+        literals += [', "xyz": [', ", ", ", "]
         columns.extend(pattern.xyz.T)
-    template += "}"
+    literals.append("]}, " if pattern.xyz is not None else "}, ")
+
+    def sites():
+        blocks = _byte_rows([pattern.s, pattern.rho, np.mod(pattern.theta, TWO_PI), *columns], literals, "null")
+        return (text[:-2] for text in blocks)  # each block's rows, joined by ", "
+
     return {
         "schema": PATTERN_SCHEMA,
         "surface": _surface_document(pattern.surface),
         "n": pattern.n,
         "indexing": pattern.indexing,
-        "sites": lambda: _row_blocks(
-            [pattern.s, pattern.rho, np.mod(pattern.theta, TWO_PI), *columns], _json_floats, template
-        ),
+        "sites": sites,
     }
 
 
@@ -428,7 +493,7 @@ def tessellation_document(tess: Tessellation) -> dict:
                 deltas[rows] = list(_distinct_rows(steps, ", ".join(["%d"] * k)))
             areas = _json_floats(cells.area[lo:hi])  # a boundary cell's nan: null
             flags = map(("false", "true").__getitem__, cells.is_boundary[lo:hi].tolist())
-            yield map(template.__mod__, zip(range(lo, hi), texts, sides.tolist(), areas, flags, deltas))
+            yield ", ".join(map(template.__mod__, zip(range(lo, hi), texts, sides.tolist(), areas, flags, deltas)))
 
     return {
         "schema": TESSELLATION_SCHEMA,
@@ -473,9 +538,8 @@ def boundaries_csv(boundaries) -> str:
 
 def _csv_text(columns: dict) -> str:
     """CSV text of a {name: array} table: a header of the names, then one row per entry."""
-    template = ",".join(["%s"] * len(columns)) + "\n"
-    blocks = _row_blocks(list(columns.values()), _g17, template)
-    return "".join([",".join(columns) + "\n", *map("".join, blocks)])
+    literals = ["", *[","] * (len(columns) - 1), "\n"]
+    return "".join([",".join(columns) + "\n", *_byte_rows(list(columns.values()), literals)])
 
 
 def distance_csv(series) -> str:

@@ -280,7 +280,7 @@ def _fan_areas(ring: np.ndarray, sign: float) -> np.ndarray:
         b, c = ring[:, j], ring[:, j + 1]
         numer = _row_dot(a, _cross(b, c))
         denom = 1.0 + _row_dot(a, cos[:, j]) + _row_dot(b, cos[:, j + 1]) + _row_dot(c, cos[:, 0])
-        fan += 2.0 * np.array(list(map(math.atan2, numer.tolist(), denom.tolist())))
+        fan += 2.0 * np.fromiter(map(math.atan2, numer.tolist(), denom.tolist()), float, count=len(numer))
     return fan
 
 
@@ -804,37 +804,3 @@ def _cell_areas(polygons: _Pass, pattern: PhylloPattern, boundary: np.ndarray, p
             area = _fan_areas(chart_to_unit_surface(kind, moved), -1.0) * R * R
         areas[rows] = area / (scale * scale)
     return {"area": areas}
-
-
-def classify(tess: Tessellation) -> list[str]:
-    """Per-site cell label from the side count; boundary cells set aside."""
-    top = max(CELL_TYPE_BY_SIDES) + 1  # this and every larger side count is "other"
-    names = [CELL_TYPE_BY_SIDES.get(k, "other") for k in range(top + 1)] + ["boundary"]
-    code = np.where(tess.cells.is_boundary, top + 1, np.minimum(tess.cells.sides, top))
-    return np.array(names)[code].tolist()
-
-
-def cell_contains(tess: Tessellation, s: int, point) -> bool:
-    """Whether a probe point lies in cell s (ties count as inside).
-
-    Decided purely against the constructed adjacency: the probe is in the
-    cell iff it is at least as close to s as to every Delaunay neighbor of
-    s.  The comparisons reduce to polynomial predicates on each chart.
-    """
-    pattern = tess.pattern
-    point = np.asarray(point, dtype=float)
-    kind = pattern.surface.kind
-    if kind == SPHERE:
-        site = pattern.xyz[s]
-        others = pattern.xyz[tess.adjacency[s]]
-        return bool(np.all(point @ site >= others @ point))
-    xy = pattern.chart_xy
-    site = xy[s]
-    others = xy[tess.adjacency[s]]
-    d2s = float(np.sum((point - site) ** 2))
-    d2t = np.sum((point - others) ** 2, axis=1)
-    if kind == PLANE:
-        return bool(np.all(d2s <= d2t))
-    w_s = 1.0 - float(np.sum(site * site))
-    w_t = 1.0 - np.sum(others * others, axis=1)
-    return bool(np.all(d2s * w_t <= d2t * w_s))

@@ -24,7 +24,9 @@ from phyllo.analysis import (
 from phyllo.generator import generate
 from phyllo.geometry import chart_distance_xy
 from phyllo.numerics import fibonacci, strip_sequence
-from phyllo.tessellation import cell_contains, classify, tessellate
+from phyllo.tessellation import tessellate
+
+from oracles import cell_contains, classify
 
 LOG_TAU = math.log((1.0 + math.sqrt(5.0)) / 2.0)
 

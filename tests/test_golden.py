@@ -25,6 +25,7 @@ import hashlib
 import io
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,13 +33,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from phyllo import cli
+from phyllo import cli, export
 from phyllo.analysis import area_series, detect_grain_boundaries, distance_series
 from phyllo.export import (
     BOUNDARY_COLUMNS,
+    _byte_rows,
     _distinct_rows,
     _g17,
     _g_rows,
+    _int_rows,
     _shared_rows,
     _json_floats,
     area_csv,
@@ -488,6 +491,72 @@ def test_adversarial_floats_are_format_6g():
     assert format(123456.5, ".6g") == "123456" and format(123457.5, ".6g") == "123458"  # half to even
     assert [format(x, ".6g") for x in (999999.5, -9.9999951, 5e-05)] == ["1e+06", "-10", "5e-05"]
     _assert_floats_format_6g(values)
+
+
+def _decade(k: int):
+    """Doubles of decimal exponent k, either sign: |x| in [10**k, 10**(k + 1))."""
+    magnitude = st.floats(10.0**k, 10.0 ** (k + 1), exclude_max=True)  # 10.0**k >= 10**k for k >= -4
+    return st.tuples(st.booleans(), magnitude).map(lambda pair: -pair[1] if pair[0] else pair[1])
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("digits", [6, 17])
+@given(data=st.data())
+def test_floats_of_one_decade_are_format(digits, mixed, data):
+    # a block of one exponent takes the slice path; zeros and NaN mixed in
+    # have exponent 0, and send every other block to the gathers
+    k = data.draw(st.integers(-4, 16), label="k")
+    elements = _decade(k) | st.sampled_from([0.0, -0.0, math.nan]) if mixed else _decade(k)
+    values = data.draw(arrays(np.float64, st.integers(1, 100), elements=elements), label="values")
+    (_assert_floats_format_6g if digits == 6 else _assert_floats_format_17g)(values)
+
+
+@pytest.mark.parametrize("digits", [6, 17])
+def test_a_block_of_one_exponent_is_copied_with_slices(digits, monkeypatch):
+    def no_gather(*args, **kwargs):
+        raise AssertionError("a block of one exponent gathered its windows")
+
+    monkeypatch.setattr(export, "sliding_window_view", no_gather)
+    for k in range(-4, digits):
+        values = np.array([1.0, -2.5, 9.75, 3.0625]) * 10.0**k
+        assert str(_g_rows(values, digits), "ascii").split() == [format(x, f".{digits}g") for x in values.tolist()]
+
+
+_INT_EDGES = [0, -1, 9, 10, 9999, 10_000, -9999, -10_000, 10**8 - 1, 10**8, -(10**8), 2**31, 2**31 + 1, -(2**31) - 1]
+
+
+@given(
+    arrays(
+        np.int64,
+        st.integers(0, 300),
+        elements=st.integers(-(10**9), 10**9) | st.integers(-(2**63), 2**63 - 1) | st.sampled_from(_INT_EDGES),
+    )
+)
+def test_integers_are_str(values):
+    assert [str(row[row != 0], "ascii") for row in _int_rows(values)] == list(map(str, values.tolist()))
+
+
+def test_byte_rows_match_per_value_format_across_block_seams():
+    # two block seams and a one-row last block; each block sizes its own
+    # slots, and a column listed twice is one array
+    m = 2 * _BLOCK + 1
+    rng = np.random.default_rng(0)
+    ints = rng.integers(-(10**6), 10**6, size=m)
+    ints[[0, 1, _BLOCK, m - 1]] = -1, 0, 2**40, 7
+    floats = rng.standard_normal(m) * 10.0 ** rng.integers(-6, 18, size=m)
+    floats[[0, 1, 2, 3, m - 1]] = math.nan, 0.0, -0.0, math.inf, 0.5
+    flags = rng.random(m) < 0.5
+    blocks = list(_byte_rows([ints, floats, flags, floats], ["<", "|", "|", "|", ">\n"]))
+    assert [block.count("\n") for block in blocks] == [_BLOCK, _BLOCK, 1]
+    rows = zip(ints.tolist(), floats.tolist(), flags.tolist())
+    assert "".join(blocks) == "".join(f"<{k}|{x:.17g}|{b}|{x:.17g}>\n" for k, x, b in rows)
+
+
+def test_an_empty_table_is_its_header():
+    ints, floats, flags = np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=bool)
+    dist = SimpleNamespace(s_from=ints, s_to=ints, rank=ints, measured=floats, analytic=floats, interior=flags)
+    assert distance_csv(dist) == "s_from,s_to,rank,measured,analytic,interior\n"
+    assert area_csv(SimpleNamespace(s=ints, area=floats, window=flags)) == "s,area,in_window\n"
 
 
 def _fmt(x: float) -> str:

@@ -20,10 +20,10 @@ from phyllo.tessellation import (
     Adjacency,
     Cells,
     Tessellation,
-    cell_contains,
-    classify,
     tessellate,
 )
+
+from oracles import cell_contains, classify
 
 # neighbor structure of the first two defect rings of the plane pattern,
 # recorded from the n=3000 tessellation: (site, cell type, sorted index
