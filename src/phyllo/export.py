@@ -21,19 +21,23 @@ groups; zeros and NaN are constant texts, and every other value is given
 to format itself.  Each row's digits are a window of those groups; where
 every value of a block has one decimal exponent the windows are the same
 plain slices in every row, and otherwise they are gathered row by row.
-The sites and the distance and area CSV tables, whose rows have fixed
-columns, are made by one row assembler (_byte_rows): per block it makes
-each column into rows of ASCII padded with 0 once, by its dtype (floats by
-the kernel, integers by the same four-digit groups, booleans from a table
-of two rows; on the plane, r is the array rho), copies them and the
-literal separators into one 0-filled byte array, and keeps its nonzero
-bytes.  Each row of the tessellation's vertex table is formatted into
-``[x, y]`` once per writing, by the first block that lists it, and kept
-until the last (_shared_rows, which joins each cell's polygon); within a
-block, each distinct list of a cell's link steps is made into text once
-(_distinct_rows).  The text is the same as the generic writer gives for a
-list of per-row dicts.  The ring columns are declared once, in
-BOUNDARY_COLUMNS.
+Every table is then made from two primitives.  A layout (_layout) copies
+parts side by side into one 0-filled byte array: a column's ASCII rows
+padded with 0 fill its slot row by row, and a literal fills its slot in
+every row; the text is the array's nonzero bytes.  A list layout
+(_list_layout) puts each row's items, rows of ASCII themselves, into
+padded slots, with a separator before every item but the first.  The
+sites and the distance and area CSV tables are a layout per block of
+their columns and literals (_byte_rows), each column made into rows once
+by its dtype: floats by the kernel, integers by the same four-digit
+groups, booleans from a table of two rows (on the plane, r is the array
+rho).  A block of tessellation.json's cells is one layout of s, the list
+layout of its vertices, sides, area, isBoundary and the list layout of
+its link steps; each distinct vertex the block lists is made into one
+``[x, y]`` row once, and its polygons take those rows in order.
+render_svg draws its polygons with the same two primitives.  The text is
+the same as the generic writer gives for a list of per-row dicts.  The
+ring columns are declared once, in BOUNDARY_COLUMNS.
 """
 
 from __future__ import annotations
@@ -41,14 +45,13 @@ from __future__ import annotations
 import io
 import json
 import math
-from itertools import islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .generator import PhylloPattern, generate
 from .geometry import SPHERE, SurfaceSpec
-from .tessellation import _BLOCK, Tessellation, _blocks
+from .tessellation import _BLOCK, Tessellation
 
 __all__ = [
     "dumps_json",
@@ -194,21 +197,12 @@ def _g_rows(values: np.ndarray, digits: int, blank: int = 32, nan: str = "nan") 
     return out
 
 
-def _g17(values: np.ndarray, nan: str = "nan") -> list[str]:
-    """format(x, ".17g") of each value of a 1-D float array, with nan as the text of NaN."""
-    return str(_g_rows(values, 17, nan=nan), "ascii").split()
-
-
-def _json_floats(values: np.ndarray) -> list[str]:
-    """JSON text of each value of a 1-D float array: _g17, NaN as null."""
-    return _g17(values, "null")
-
-
 #: 10**k for k = 1..19: an integer of magnitude at least 10**k has more than k digits
 _DIGIT_EDGES = 10 ** np.arange(1, 20, dtype=np.uint64)
 
-#: str(False) and str(True), as 0-padded rows of ASCII
+#: str(False) and str(True), and JSON's false and true, as 0-padded rows of ASCII
 _BOOLS = np.array([list(b"False"), list(b"True\0")], dtype=np.uint8)
+_JSON_BOOLS = np.array([list(b"false"), list(b"true\0")], dtype=np.uint8)
 
 
 def _int_rows(values: np.ndarray) -> np.ndarray:
@@ -234,6 +228,44 @@ def _int_rows(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _layout(parts: list) -> np.ndarray:
+    """The parts side by side, in order, in one 0-filled uint8 array.
+
+    A part of (m, w) bytes fills its slot of w columns row by row, and a
+    literal (bytes) fills its slot in every row.  The text of the rows is
+    the array's nonzero bytes (_text).
+    """
+    widths = [len(part) if isinstance(part, bytes) else part.shape[1] for part in parts]
+    m = next(len(part) for part in parts if not isinstance(part, bytes))
+    out = np.zeros((m, sum(widths)), dtype=np.uint8)
+    at = 0
+    for part, width in zip(parts, widths):
+        out[:, at : at + width] = np.frombuffer(part, dtype=np.uint8) if isinstance(part, bytes) else part
+        at += width
+    return out
+
+
+def _list_layout(items: np.ndarray, counts: np.ndarray, sep: bytes) -> np.ndarray:
+    """Row j of the (m, kmax * (len(sep) + w)) uint8 array: the next counts[j] rows of items.
+
+    The (sum(counts), w) rows of items are taken in turn, each into a slot
+    of len(sep) + w bytes that starts with sep, except the first slot of a
+    row; slots past a row's count, like the padding of an item, are 0.
+    """
+    m, (n, w), k = len(counts), items.shape, int(counts.max(initial=0))
+    out = np.zeros((m * k, len(sep) + w), dtype=np.uint8)  # a row per slot
+    at = np.arange(n) + np.repeat(np.arange(m) * k - (np.cumsum(counts) - counts), counts)
+    out[at, len(sep) :] = items
+    out[at, : len(sep)] = np.frombuffer(sep, dtype=np.uint8)
+    out[:: k or 1, : len(sep)] = 0  # no sep before a row's first item
+    return out.reshape(m, k * (len(sep) + w))
+
+
+def _text(rows: np.ndarray) -> str:
+    """The nonzero bytes of a uint8 array, row after row, as ASCII text."""
+    return str(rows[rows != 0], "ascii")
+
+
 def _byte_rows(columns: list, literals: list[str], nan: str = "nan"):
     """Per block of at most _BLOCK rows, the text of its rows: literals and column texts in turn.
 
@@ -241,9 +273,8 @@ def _byte_rows(columns: list, literals: list[str], nan: str = "nan"):
     text of columns[-1][k], literals[-1].  A float is written as
     format(x, ".17g") (nan as the text of NaN), an integer and a boolean as
     str writes them.  Each column of a block is made into ASCII rows padded
-    with 0 once, even if listed twice (the same array), and copied into its
-    slot of one 0-filled array, with each literal written into its own
-    slot; the block's text is the array's nonzero bytes.
+    with 0 once, even if listed twice (the same array), and laid out with
+    the literals.
     """
 
     def rows(part: np.ndarray) -> np.ndarray:
@@ -251,60 +282,14 @@ def _byte_rows(columns: list, literals: list[str], nan: str = "nan"):
             return _g_rows(part, 17, blank=0, nan=nan)
         return _BOOLS[part.view(np.uint8)] if part.dtype.kind == "b" else _int_rows(part)
 
-    slots = [np.frombuffer(literal.encode(), dtype=np.uint8) for literal in literals]
+    literals = [literal.encode() for literal in literals]
     distinct = {id(column): column for column in columns}
     for lo in range(0, len(columns[0]), _BLOCK):
         made = {key: rows(column[lo : lo + _BLOCK]) for key, column in distinct.items()}
-        parts = [slots[0]]
-        for column, literal in zip(columns, slots[1:]):
+        parts = [literals[0]]
+        for column, literal in zip(columns, literals[1:]):
             parts += [made[id(column)], literal]
-        out = np.zeros((len(parts[1]), sum(part.shape[-1] for part in parts)), dtype=np.uint8)
-        at = 0
-        for part in parts:  # a literal's 1-D bytes fill its slot in every row
-            out[:, at : at + part.shape[-1]] = part
-            at += part.shape[-1]
-        yield str(out[out != 0], "ascii")
-
-
-def _distinct_rows(rows: np.ndarray, template: str):
-    """Iterator over template % tuple(row) for each row of an (m, k) integer array.
-
-    Each distinct row is filled once, and equal rows share its text.
-    """
-    m = len(rows)
-    order = np.lexsort(rows.T)
-    ordered = rows[order]
-    first = np.ones(m, dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
-    inverse = np.empty(m, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    filled = list(map(template.__mod__, map(tuple, ordered[first].tolist())))
-    return map(filled.__getitem__, inverse.tolist())
-
-
-def _shared_rows(table: np.ndarray, index: np.ndarray, offsets: np.ndarray, fmt):
-    """Per block of at most _BLOCK polygons, the text of each: the cells' vertices in tessellation.json.
-
-    Polygon j has the corners table[index[offsets[j]:offsets[j + 1]]], and
-    its text is ", ".join("[%s, %s]" % tuple(fmt(corner)) for each corner).
-    Each row of the (m, 2) table is formatted and filled once, by the first
-    block that reads it (fmt is called once per block, on those rows
-    flattened), and its text is dropped after the last block that reads it.
-    """
-    last = np.full(len(table), -1)
-    np.maximum.at(last, index, np.arange(len(index)))
-    text, done = np.empty(len(table), dtype=object), np.zeros(len(table), dtype=bool)
-    for lo in range(0, len(offsets) - 1, _BLOCK):
-        corners = offsets[lo : lo + _BLOCK + 1]
-        read = index[corners[0] : corners[-1]]
-        new = np.sort(read[~done[read]])
-        new = new[np.diff(new, prepend=-1) != 0]
-        done[new] = True
-        values = iter(fmt(table[new].ravel()))
-        text[new] = list(map("[%s, %s]".__mod__, zip(values, values)))
-        texts = iter(text[read].tolist())
-        text[read[last[read] < corners[-1]]] = None
-        yield [", ".join(islice(texts, k)) for k in np.diff(corners).tolist()]
+        yield _text(_layout(parts))
 
 
 def dumps_json(doc) -> str:
@@ -475,25 +460,45 @@ def load_pattern(path) -> PhylloPattern:
 
 def tessellation_document(tess: Tessellation) -> dict:
     pattern = tess.pattern
-    cells, adjacency, offsets = tess.cells, tess.adjacency, tess.vertex_offsets
-    template = (
-        '{"s": %d, "vertices": [%s], "sides": %d, "area": %s, "isBoundary": %s,'
-        ' "neighborDeltas": [%s]}'
-    )
-    delta, indptr = adjacency.delta, adjacency.indptr
+    cells, offsets, index = tess.cells, tess.vertex_offsets, tess.vertex_index
+    delta, indptr = tess.adjacency.delta, tess.adjacency.indptr
+
+    def points(lo: int, hi: int) -> np.ndarray:
+        """The [x, y] row of each vertex cells lo..hi-1 list; each distinct vertex is made into text once."""
+        read = index[offsets[lo] : offsets[hi]]
+        order = np.argsort(read, kind="stable")  # not np.unique: see tessellation._blocks
+        ordered = read[order]
+        first = np.ones(len(read), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        inverse = np.empty(len(read), dtype=np.intp)
+        inverse[order] = np.cumsum(first) - 1
+        xy = _g_rows(tess.vertices[ordered[first]].ravel(), 17, blank=0, nan="null")
+        return _layout([b"[", xy[0::2], b", ", xy[1::2], b"]"])[inverse]
+
+    def parts(lo: int, hi: int) -> list:
+        """The parts of the rows of cells lo..hi-1, for _layout."""
+        sides = cells.sides[lo:hi]
+        return [
+            b'{"s": ',
+            _int_rows(np.arange(lo, hi)),
+            b', "vertices": [',
+            _list_layout(points(lo, hi), np.diff(offsets[lo : hi + 1]), b", "),
+            b'], "sides": ',
+            _int_rows(sides),
+            b', "area": ',
+            _g_rows(cells.area[lo:hi], 17, blank=0, nan="null"),  # a boundary cell's nan: null
+            b', "isBoundary": ',
+            _JSON_BOOLS[cells.is_boundary[lo:hi].view(np.uint8)],
+            b', "neighborDeltas": [',
+            _list_layout(_int_rows(delta[indptr[lo] : indptr[hi]]), sides, b", "),
+            b"]}, ",
+        ]
 
     def blocks():
-        polygons = _shared_rows(tess.vertices, tess.vertex_index, offsets, _json_floats)
-        for lo, texts in zip(range(0, pattern.n, _BLOCK), polygons):
-            hi = min(lo + _BLOCK, pattern.n)
-            sides = cells.sides[lo:hi]
-            deltas = np.empty(hi - lo, dtype=object)
-            for k, rows in _blocks(sides):  # the steps of k-sided cells as (m, k) rows
-                steps = delta[indptr[lo + rows, None] + np.arange(k)]
-                deltas[rows] = list(_distinct_rows(steps, ", ".join(["%d"] * k)))
-            areas = _json_floats(cells.area[lo:hi])  # a boundary cell's nan: null
-            flags = map(("false", "true").__getitem__, cells.is_boundary[lo:hi].tolist())
-            yield ", ".join(map(template.__mod__, zip(range(lo, hi), texts, sides.tolist(), areas, flags, deltas)))
+        for lo in range(0, pattern.n, _BLOCK):
+            # the block's cells, joined by ", "; in one expression, so that
+            # none of the block's arrays is kept while the text is written
+            yield _text(_layout(parts(lo, min(lo + _BLOCK, pattern.n))))[:-2]
 
     return {
         "schema": TESSELLATION_SCHEMA,

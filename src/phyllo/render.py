@@ -7,12 +7,13 @@ gray.  A white dot marks the pattern origin.  Output contains no
 timestamps or other run metadata, so identical input gives byte-identical
 SVG.
 
-Each corner point of the drawn cells is formatted once, as " x,y" (y
-negated) in a row of bytes padded with 0, by export's decimal kernel
-(byte for byte ``format(v, ".6g")``).  The polygons are then written
-_CELLS drawn cells at a time: each cell is one row of a byte array (the
-``<polygon`` head, its corners' rows, and its fill and pen by its side
-count), and the array's bytes other than 0 are the cells' text.  Only
+Each corner point of the drawn cells is formatted once, by export's
+decimal kernel (byte for byte ``format(v, ".6g")``), and laid out as the
+row "x,y" (y negated) of a byte array padded with 0.  The polygons are
+then written _CELLS drawn cells at a time with export's two primitives:
+each cell is one row of a layout of the ``<polygon`` head, the list layout
+of its corners' rows, blank-separated, and its fill and pen by its side
+count, and the array's bytes other than 0 are the cells' text.  Only
 these texts are kept.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .export import _g_rows
+from .export import _g_rows, _layout, _list_layout, _text
 from .geometry import HYPERBOLIC, SPHERE, chart_to_unit_surface
 from .tessellation import _BLOCK, CELL_TYPE_BY_SIDES, Tessellation
 
@@ -41,7 +42,7 @@ PROJECTIONS = ("chart", "orthographic", "stereographic")
 _FILLS = [
     CELL_COLORS.get(CELL_TYPE_BY_SIDES.get(k), FALLBACK_COLOR) for k in range(max(CELL_TYPE_BY_SIDES) + 2)
 ]
-_POLYGON = np.frombuffer(b'<polygon points="', dtype=np.uint8)
+_POLYGON = b'<polygon points="'
 #: drawn cells per byte array: arrays this small let the texts kept reuse
 #: the heap's free space (at 2,048 cells they raised the peak RSS of a
 #: hyperbolic 20000 render by 1.5 MB)
@@ -112,41 +113,21 @@ def _polygons(
 
     Cell j has the corners xy[index[offsets[j]:offsets[j + 1]]] and the end
     ends[fills[j]].  Each point it draws is formatted once, _BLOCK points
-    at a time, into the row " x,y" of a byte array padded with 0.
+    at a time, into the row "x,y" of a byte array padded with 0.
     """
     used = np.zeros(len(xy), dtype=bool)
     used[index] = True
     values = xy[used]
     formatted = [_g_rows(values[lo : lo + _BLOCK].ravel(), 6, blank=0) for lo in range(0, len(values), _BLOCK)]
     width = max(rows.shape[1] for rows in formatted)
-    point = np.zeros((len(values), 2 * width + 2), dtype=np.uint8)
-    point[:, 0], point[:, width + 1] = 32, 44
-    for lo, rows in zip(range(0, len(values), _BLOCK), formatted):
-        point[lo : lo + _BLOCK, 1 : rows.shape[1] + 1] = rows[0::2]
-        point[lo : lo + _BLOCK, width + 2 : width + 2 + rows.shape[1]] = rows[1::2]
+    formatted = np.concatenate([np.pad(rows, ((0, 0), (0, width - rows.shape[1]))) for rows in formatted])
+    point = _layout([formatted[0::2], b",", formatted[1::2]])
+    del formatted
     rank = np.cumsum(used) - 1  # the row of point that holds each point of xy
     texts = []
     for lo in range(0, len(fills), _CELLS):
         corners = offsets[lo : lo + _CELLS + 1]
         read = point[rank[index[corners[0] : corners[-1]]]]
-        text = _polygon_bytes(read, np.diff(corners), ends[fills[lo : lo + _CELLS]])
-        texts.append(str(text[:-1], "ascii"))  # made once the cells' arrays are freed
+        parts = [_POLYGON, _list_layout(read, np.diff(corners), b" "), ends[fills[lo : lo + _CELLS]]]
+        texts.append(_text(_layout(parts))[:-1])
     return texts
-
-
-def _polygon_bytes(corners: np.ndarray, sides: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The bytes of the <polygon> lines of cells whose corners, in order, are the rows of corners.
-
-    Cell j is row j of a byte array: the polygon's head, its sides[j]
-    corners, 0 where it has fewer corners than the most, and ends[j].  The
-    text is the array's bytes other than 0.
-    """
-    head, body = len(_POLYGON), sides.max() * corners.shape[1]
-    rows = np.zeros((len(sides), head + body + ends.shape[1]), dtype=np.uint8)
-    rows[:, :head], rows[:, head + body :] = _POLYGON, ends
-    slots = rows[:, head : head + body].reshape(len(sides), sides.max(), corners.shape[1])
-    cell = np.repeat(np.arange(len(sides)), sides)
-    slots[cell, np.arange(len(corners)) - (np.cumsum(sides) - sides)[cell]] = corners
-    slots[:, 0, 0] = 0  # no blank before the first corner
-    flat = rows.ravel()
-    return flat[flat != 0]

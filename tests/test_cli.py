@@ -363,16 +363,16 @@ def test_out_of_memory_is_a_one_line_error(stage, argv, message, monkeypatch, ca
 def test_failed_write_leaves_no_partial_file(error, message, tmp_path, monkeypatch, capsys):
     # the first block of cells formats its vertices, then fails on its areas,
     # after the file was opened and its head written
-    json_floats = export._json_floats
+    g_rows = export._g_rows
     calls = []
 
-    def fail_second_call(values):
+    def fail_second_call(values, *args, **kwargs):
         calls.append(len(values))
         if len(calls) == 2:
             raise error
-        return json_floats(values)
+        return g_rows(values, *args, **kwargs)
 
-    monkeypatch.setattr(export, "_json_floats", fail_second_call)
+    monkeypatch.setattr(export, "_g_rows", fail_second_call)
     with pytest.raises(SystemExit) as err:
         cli.main(["analyze", "--geometry", "plane", "--n", "600", "--out", str(tmp_path)])
     assert err.value.code == 1

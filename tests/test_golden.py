@@ -25,6 +25,7 @@ import hashlib
 import io
 import math
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,12 +39,9 @@ from phyllo.analysis import area_series, detect_grain_boundaries, distance_serie
 from phyllo.export import (
     BOUNDARY_COLUMNS,
     _byte_rows,
-    _distinct_rows,
-    _g17,
     _g_rows,
     _int_rows,
-    _shared_rows,
-    _json_floats,
+    _list_layout,
     area_csv,
     boundaries_csv,
     boundary_rows,
@@ -408,8 +406,9 @@ def test_distance_and_area_csv_match_per_value_format(kind, n, kwargs):
 
 def _assert_floats_format_17g(values: np.ndarray) -> None:
     text = [format(x, ".17g") for x in values.tolist()]
-    assert _g17(values) == text
-    assert _json_floats(values) == ["null" if math.isnan(x) else t for x, t in zip(values.tolist(), text)]
+    assert str(_g_rows(values, 17), "ascii").split() == text
+    json_text = ["null" if math.isnan(x) else t for x, t in zip(values.tolist(), text)]
+    assert str(_g_rows(values, 17, nan="null"), "ascii").split() == json_text
 
 
 @given(arrays(np.float64, st.integers(0, 300), elements=st.floats() | st.floats(-1e17, 1e17)))
@@ -633,49 +632,43 @@ def test_render_matches_polygon_writer(kind, n, kwargs, projection):
         assert text.count("<polygon") == n  # the chart draws every sphere cell
 
 
-@pytest.mark.parametrize("m", [0, 1, 2 * _BLOCK])
-def test_distinct_rows_fill_each_distinct_row_once(m):
-    # integer rows from a small pool, with equal rows, negative steps and
-    # (x, y) beside (y, x)
-    pool = np.array([-2584, -1, 0, 1, 2, 13, 2584])
-    rows = pool[np.random.default_rng(m).integers(len(pool), size=(m, 2))]
-    keys = {tuple(row) for row in rows.tolist()}
-    if m > 1:
-        assert any(y != x and (y, x) in keys for x, y in keys)  # swapped pairs
-    text = list(_distinct_rows(rows, "%d, %d"))
-    assert text == ["%d, %d" % tuple(row) for row in rows.tolist()]
-    # equal rows share the one text their distinct row was filled into
-    assert len({id(t) for t in text}) == len(keys)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_shared_rows_format_each_row_once_in_the_first_span_that_reads_it(seed):
-    # a table of values that print alike or compare equal, read by polygons
-    # of zero to four corners in a random order, over three blocks
+def test_list_layout_and_cell_writer_join_each_row_as_listed(seed, monkeypatch):
+    # polygons of zero to four corners over two block seams, with a block in
+    # which no polygon has a corner (no slot at all), read in a random order
+    # from a table of values that print alike or compare equal
     rng = np.random.default_rng(seed)
     pool = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.25, np.nextafter(0.25, 1.0), -7.5])
-    table = pool[rng.integers(len(pool), size=(5000, 2))]
-    sizes = rng.integers(0, 5, size=2 * _BLOCK + 100)
+    m = 2 * _BLOCK + 100
+    sizes = rng.integers(0, 5, size=m)
+    sizes[_BLOCK : 2 * _BLOCK] = 0
     offsets = np.concatenate(([0], np.cumsum(sizes)))
+    table = pool[rng.integers(len(pool), size=(5000, 2))]
     index = rng.integers(len(table), size=offsets[-1])
-    seen = []
+    corner = ["[%s, %s]" % tuple("null" if math.isnan(v) else format(v, ".17g") for v in row) for row in table.tolist()]
+    joined = [", ".join(corner[i] for i in index[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
+    items = np.array([list(text.encode().ljust(48, b"\0")) for text in corner], dtype=np.uint8)
+    for lo in range(0, m, _BLOCK):
+        hi = min(lo + _BLOCK, m)
+        rows = _list_layout(items[index[offsets[lo] : offsets[hi]]], sizes[lo:hi], b", ")
+        assert rows.shape == (hi - lo, sizes[lo:hi].max() * 50)
+        assert [str(row[row != 0], "ascii") for row in rows] == joined[lo:hi]
+    # the cells of tessellation.json: each block makes each distinct vertex
+    # it reads into text once, and lists it in its polygons' order
+    tess = tessellate(generate("plane", m))
+    tess = dataclasses.replace(tess, vertex_offsets=offsets, vertices=table, vertex_index=index)
+    g_rows, calls = export._g_rows, []
 
-    def fmt(values):
-        seen.append(values.copy())
-        return _json_floats(values)
+    def record(values, *args, **kwargs):
+        calls.append(len(values))
+        return g_rows(values, *args, **kwargs)
 
-    blocks = list(_shared_rows(table, index, offsets, fmt))
-    assert len(blocks) == len(seen) == 3
-    corner = ["[%s, %s]" % tuple(_json_floats(row)) for row in table]
-    assert sum(blocks, []) == [", ".join(corner[i] for i in index[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
-    read_before = set()
-    for lo, values in zip(range(0, len(sizes), _BLOCK), seen):
-        # the values of the rows this block reads first, bit for bit
-        read = index[offsets[lo] : offsets[min(lo + _BLOCK, len(sizes))]]
-        first = sorted(set(read.tolist()) - read_before)
-        assert first
-        assert np.array_equal(values.view(np.int64), table[first].ravel().view(np.int64))
-        read_before.update(first)
+    monkeypatch.setattr(export, "_g_rows", record)
+    text = dumps_json(tessellation_document(tess))
+    assert re.findall(r'"vertices": \[(.*?)\], "sides"', text) == joined
+    read = [set(index[offsets[lo] : offsets[min(lo + _BLOCK, m)]].tolist()) for lo in range(0, m, _BLOCK)]
+    assert calls[0::2] == [2 * len(block) for block in read]  # then each block's areas
+    assert calls[1::2] == [_BLOCK, _BLOCK, 100]
 
 
 def test_render_keeps_signed_zeros_and_last_bits():

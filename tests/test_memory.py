@@ -74,8 +74,8 @@ def test_render_svg_keeps_point_tables_per_block():
     tess = tessellate(generate("hyperbolic", 20000, a=0.025))
     tess.vertices  # runs the polygon pass, the only one rendering reads: bound the writer alone
     text, peak = _traced_peak(lambda: render_svg(tess))
-    # the text, the block texts it is joined from, the drawn vertices, and
-    # one block's table of distinct points
+    # the text, the group texts it is joined from, the drawn vertices, the
+    # one table of every drawn point's text, and one group's byte arrays
     assert len(text) > 3_000_000
     assert peak < 3.5 * len(text)
 
