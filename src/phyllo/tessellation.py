@@ -17,11 +17,13 @@ orientation adds nothing), every edge passes the in-circle test with a
 margin, and the triangles number what Euler's formula asks.  Qhull, which
 scipy provides and which is imported only then, triangulates the patterns
 whose parastichy numbers are not the Fibonacci numbers (other divergences,
-decided from lam's continued fraction before any fan is built) and those
-that do not certify (nearly cocircular sites).  Patterns of fewer than
-three sites (four on the sphere) have no triangulation and raise before
-either.  Either way a triangle is the row of its corners in ascending
-order, so both paths round every circumcenter alike.
+decided from lam's continued fraction before any fan is built), those that
+do not certify (nearly cocircular sites), and those whose certificate key
+of a triangle could overflow int64 (n w**2 >= 2**63, w one more than the
+widest triangle's index span).  Patterns of fewer than three sites (four
+on the sphere) have no triangulation and raise before either.  Either way
+a triangle is the row of its corners in ascending order, so both paths
+round every circumcenter alike.
 
 Plane cells are Euclidean polygons.  On both curved surfaces a vertex is
 the unit normal of the plane through the lifted sites of its triangle (the
@@ -362,9 +364,13 @@ def _fans(coords, frames, sites: np.ndarray, cand: np.ndarray, open_ok: bool):
     image is a vertex of the convex hull of the images, and of the origin
     when s lies on the hull of the pattern (its images then leave a gap of a
     half turn or more, and the fan is open).  The hull is found by deleting
-    the reflex vertices of the images sorted by angle until none is left,
-    for every site at once.  The turn at a kept vertex t is the in-circle
-    test of the edge (s, t) against the neighbours before and after t.
+    reflex vertices of the images sorted by angle, for every site at once.
+    Each pass deletes the first vertex of each run of reflex vertices: both
+    of its neighbours stay alive, so it is unlinked by one scatter on each
+    side.  The passes end when no run has a first vertex; a fan whose live
+    images are all reflex keeps them, and is unsound.  The turn at a kept
+    vertex t is the in-circle test of the edge (s, t) against the neighbours
+    before and after t.
 
     Returns the neighbours in counterclockwise order, flat, their count per
     site, whether each fan closes, and whether it is sound: every turn and
@@ -398,7 +404,6 @@ def _fans(coords, frames, sites: np.ndarray, cand: np.ndarray, open_ok: bool):
         behind[rows] = np.where(flat[rows] > first[rows], flat[rows] - 1, flat[rows])
         ahead[rows] = np.where(flat[rows] < last[rows], flat[rows] + 1, flat[rows])
 
-    wrap = closed[:, None]
     while True:
         qx, qy = np.take(wx, ahead), np.take(wy, ahead)
         ux, uy = wx - np.take(wx, behind), wy - np.take(wy, behind)
@@ -406,17 +411,13 @@ def _fans(coords, frames, sites: np.ndarray, cand: np.ndarray, open_ok: bool):
         turn = ux * vy - uy * vx
         inner = alive & (behind != flat) & (ahead != flat)
         reflex = inner & ~(turn > 0)
-        if not reflex.any():
+        # the first reflex vertex of each run; no two of them are neighbours
+        drop = np.flatnonzero(reflex & ~np.take(reflex, behind))
+        if not len(drop):
             break
-        alive &= ~reflex
-        # relink each position to the nearest live one on either side
-        up = np.maximum.accumulate(np.where(alive, flat, -1), axis=1)
-        down = np.minimum.accumulate(np.where(alive, flat, m * c)[:, ::-1], axis=1)[:, ::-1]
-        behind[:, 0], behind[:, 1:] = -1, up[:, :-1]
-        ahead[:, -1], ahead[:, :-1] = m * c, down[:, 1:]
-        # a closed fan wraps around (within its row, should no site be left)
-        behind = np.where(behind < 0, np.where(wrap, np.maximum(up[:, -1:], flat[:, :1]), flat), behind)
-        ahead = np.where(ahead == m * c, np.where(wrap, np.minimum(down[:, :1], flat[:, -1:]), flat), ahead)
+        alive.flat[drop] = False
+        back, on = behind.flat[drop], ahead.flat[drop]
+        ahead.flat[back], behind.flat[on] = on, back
     floor = _MIN_SINE * _MIN_SINE
     spin = wx * qy - wy * qx
     sound = np.all(
@@ -447,7 +448,12 @@ def _certify(sphere: bool, count, neighbors, closed, sound):
     lemma.  A sound fan turns counterclockwise at each of its triangles and
     meets each once, so orientation adds nothing: a triangle is keyed by its
     corners in ascending order, and a key met three times was met once from
-    each corner.  The keys decode into the simplices, one ascending row each.
+    each corner.  The key is (low w + mid - low) w + high - low, its least
+    corner and the offsets of the others from it, where w is one more than
+    the widest triangle's span high - low; for one least corner the offsets
+    sort like the corners.  The keys decode into the simplices, one
+    ascending row each, in the order of their corners.  A key is below
+    n w**2: fans with n w**2 >= 2**63 are refused, None with no suspects.
 
     Fans that pass list each link of their site once: a triangle met from
     all three corners puts each of its edges (s, t) in the fans of s and of
@@ -463,12 +469,19 @@ def _certify(sphere: bool, count, neighbors, closed, sound):
     use = after >= 0
     s, a, b = np.repeat(np.arange(n), count)[use], neighbors[use], neighbors[after[use]]
     del after, use
-    # corners in ascending order; n**3 < 2**63
+    # corners in ascending order
     low, high = np.minimum(np.minimum(s, a), b), np.maximum(np.maximum(s, a), b)
     s += a + b - low - high  # the middle corner, in place
     del a, b
-    key, seen = np.unique((low * n + s) * n + high, return_counts=True)
-    simplices = np.column_stack((key // (n * n), key // n % n, key % n))
+    # the offsets from the least corner, in place once a and b are freed
+    s -= low
+    high -= low
+    w = int(high.max(initial=0)) + 1
+    if n * w * w >= 2**63:
+        return None, np.empty(0, dtype=np.int64)
+    key, seen = np.unique((low * w + s) * w + high, return_counts=True)
+    low = key // (w * w)
+    simplices = np.column_stack((low, key // w % w + low, key % w + low))
     suspect = ~sound
     suspect[simplices[seen != 3]] = True
     suspects = np.flatnonzero(suspect)
@@ -484,7 +497,8 @@ def _parastichy_simplices(points: np.ndarray, lam: float, frames=None) -> tuple 
     The triangles as _certify decodes them, and the fans it passed: count,
     neighbors and closed, as _fans gives them, in site order.  None when
     lam's parastichy numbers below n are not the Fibonacci numbers, or when
-    the triangles do not certify.
+    the triangles do not certify or their keys would overflow (see
+    _certify); n itself has no bound.
 
     Site s sits at azimuth 2 pi lam s, so outside the disordered core its
     Delaunay neighbours are sites s +- q, for parastichy numbers q near the
@@ -500,8 +514,6 @@ def _parastichy_simplices(points: np.ndarray, lam: float, frames=None) -> tuple 
     their tangent frames.
     """
     n = len(points)
-    if not 3 <= n < 2**21:  # the certificate packs a triangle into n**3 < 2**63
-        return None
     steps = _parastichy_steps(lam, n)
     if steps is None:
         return None

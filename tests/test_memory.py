@@ -124,10 +124,11 @@ def test_report_text_is_written_a_slice_at_a_time(tmp_path):
 def test_tessellate_peak_per_site(kind, n):
     pattern = generate(kind, n)
     _, peak = _traced_peak(lambda: tessellate(pattern))
-    # 473 B/site on the plane and 546 on the sphere, with the distinctness
-    # key freed before the fans are built (481 on the plane if it is kept);
-    # the certificate's triangles rotated least site first, keyed through
-    # np.where, took 574 and 647
+    # 489 B/site on the plane and 546 on the sphere, with the certificate
+    # keying a triangle by its least corner and two offsets (531 on the
+    # plane if the middle offset is formed while a and b are held); the
+    # triangles rotated least site first, keyed through np.where, took 574
+    # and 647
     assert peak < {"plane": 520, "sphere": 590}[kind] * n
 
 

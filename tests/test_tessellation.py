@@ -959,8 +959,79 @@ def test_parastichy_steps_are_the_fibonacci_numbers_or_none():
             assert tessellation._parastichy_steps(lam, n).tolist() == fibs
     for lam in (0.0, 0.5, 0.4, 1 / 3, 0.3819, 0.55, 1e-4, 0.5000001):
         assert tessellation._parastichy_steps(lam, 10**6) is None
-    # from n = 2**21 on, the certificate's key of a triangle, n**3, overflows
-    assert tessellation._parastichy_simplices(np.zeros((2**21, 2)), golden) is None
+
+
+def test_certificate_refuses_only_keys_that_overflow():
+    # a triangle's key is below n * w**2, w one more than the widest
+    # triangle's index span: n alone, here past n**3 = 2**63, is no reason
+    n = 2**21
+
+    def certify(far):
+        # the triangle (0, 1, far) as the open fans of its corners, among
+        # sites of no fan; site 5 is unsound, so a certificate that runs
+        # names it a suspect
+        count = np.zeros(n, dtype=np.int64)
+        count[[0, 1, far]] = 2
+        neighbors = np.array([1, far, far, 0, 0, 1])
+        sound = np.ones(n, dtype=bool)
+        sound[5] = False
+        return tessellation._certify(False, count, neighbors, np.zeros(n, dtype=bool), sound)
+
+    simplices, suspects = certify(n - 2)  # n * (n - 1)**2 < 2**63
+    assert simplices is None and suspects.tolist() == [5]
+    simplices, suspects = certify(n - 1)  # n * n**2 = 2**63: refused, so Qhull takes it
+    assert simplices is None and suspects.tolist() == []
+
+
+def _full_key_simplices(count, neighbors, closed):
+    """Triangles of the fans as unique keys (low n + mid) n + high, decoded."""
+    n = len(count)
+    corners = [
+        (s, a, b)
+        for s, fan in enumerate(np.split(neighbors, np.cumsum(count)[:-1]))
+        for a, b in zip(fan, np.roll(fan, -1)[: len(fan) - (not closed[s])])
+    ]
+    low, mid, high = np.sort(np.array(corners), axis=1).T
+    key = np.unique((low * n + mid) * n + high)
+    return np.column_stack((key // (n * n), key // n % n, key % n))
+
+
+@pytest.mark.parametrize(
+    "kind,n,kwargs",
+    [
+        ("plane", 3000, {}),
+        ("sphere", 1351, {}),
+        ("sphere", 600, {"indexing": "half-integer"}),
+        ("hyperbolic", 3000, {"a": 0.4}),
+    ],
+)
+def test_offset_key_orders_simplices_as_the_full_key(kind, n, kwargs, monkeypatch):
+    found = []
+    fans = tessellation._parastichy_simplices
+    monkeypatch.setattr(tessellation, "_parastichy_simplices", lambda *args: found.append(fans(*args)) or found[-1])
+    tessellate(generate(kind, n, **kwargs))
+    simplices, count, neighbors, closed = found[0]
+    assert np.array_equal(simplices, _full_key_simplices(count, neighbors, closed))
+
+
+@pytest.mark.parametrize(
+    "x,y,cand,open_ok",
+    [
+        # images on one line through the site, so every turn is zero: closed,
+        # no run of reflex images has a first one and all are kept; open,
+        # the inner ones go and the triangle of the two ends is flat
+        ([0, 1, 2, -1, -3], [0, 0, 0, 0, 0], [1, 2, 3, 4], False),
+        ([0, 1, 2, -1, -3], [0, 0, 0, 0, 0], [1, 2, 3, 4], True),
+        # a closed fan of two: each image is behind and ahead of the other
+        ([0, 1, 0], [0, 0, 1], [1, 2, -1], False),
+    ],
+    ids=["collinear-closed", "collinear-open", "two-closed"],
+)
+def test_fan_that_stays_reflex_is_unsound(x, y, cand, open_ok):
+    coords = (np.array(x, dtype=float), np.array(y, dtype=float))
+    found, count, closed, sound = tessellation._fans(coords, None, np.array([0]), np.array([cand]), open_ok)
+    assert closed.tolist() == [not open_ok] and sound.tolist() == [False]
+    assert len(found) == count[0] >= 2 and set(found.tolist()) <= set(cand)
 
 
 class _Qhull(Exception):
