@@ -12,7 +12,7 @@ with the ring bound the middle regime.
 
 import argparse
 
-from phyllo.analysis import detect_grain_boundaries, ring_spans_equator, sphere_thresholds
+from phyllo.analysis import ring_spans_equator, sphere_thresholds
 from phyllo.generator import generate
 from phyllo.tessellation import tessellate
 
@@ -31,8 +31,7 @@ def main() -> None:
     for n in range(n_star - args.halfwidth, n_star + args.halfwidth + 1):
         if n % 2 == 0:
             continue  # even n has no equatorial site row
-        tess = tessellate(generate("sphere", n))
-        present = ring_spans_equator(detect_grain_boundaries(tess), n)
+        present = ring_spans_equator(tessellate(generate("sphere", n)))
         if present:
             with_ring.append(n)
         print(f"  n={n}  equatorial ring: {'present' if present else 'absent'}")

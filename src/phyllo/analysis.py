@@ -163,24 +163,23 @@ def _extract_dipoles(
     return sorted(pairs)
 
 
-def detect_grain_boundaries(tess: Tessellation) -> list[GrainBoundary]:
-    """Group interior defect cells into rings (sorted inside outward).
+def _ring_bands(tess: Tessellation) -> list[np.ndarray]:
+    """The eligible defect sites of each ring detect_grain_boundaries reports, in index order.
 
     Defects (pentagons and heptagons outside the core) are linked through
     Delaunay edges, but only an inward heptagon to an outward pentagon:
     like-type contacts are ignored because adjacent rings touch
     heptagon-to-heptagon where they meet.  A ring is a contiguous run of
     sites, so linked defects are grouped by index band: each defect spans
-    the sites up to the furthest defect it links to, a ring is a maximal
-    run of overlapping spans, and the hexagons inside the final band are
-    claimed as ring members.  A ring whose band ends within
+    the sites up to the furthest defect it links to, and a ring is a maximal
+    run of overlapping spans.  A ring whose band ends within
     DEFECT_EDGE_MARGIN_CELLS cell widths of the pattern edge is cut by it
     and left out whole, so none of its defects stands alone as an anomaly.
     """
     pattern = tess.pattern
     n = pattern.n
     sides = np.where(tess.cells.is_boundary, 0, tess.cells.sides)
-    heptagon, hexagon = sides == 7, sides == 6
+    heptagon = sides == 7
     depth = site_depth(pattern, np.arange(n))
     eligible = (depth >= CORE_DEPTH) & (heptagon | (sides == 5))
     # each defect reaches up to the furthest later defect of the other type
@@ -194,19 +193,31 @@ def detect_grain_boundaries(tess: Tessellation) -> list[GrainBoundary]:
     sites = np.flatnonzero(eligible)
     covered = np.maximum.accumulate(reach[sites])
     starts = np.flatnonzero(sites[1:] > covered[:-1]) + 1
-    groups = np.split(sites, starts) if len(sites) else []
-
-    scale = normalization_scale(pattern.surface)
-    chart_scale = scale * chart_pow2(pattern.surface)  # keeps 2 pi rho in range
-    nu = (n - 1) // 2
     # rho rises with s, so the sites clear of the edge are a prefix (all of
     # them on the sphere); a band ending past it is a ring the edge cuts
     edge = int(_clear_of_edge(pattern, DEFECT_EDGE_MARGIN_CELLS).sum()) - 1
+    return [group for group in np.split(sites, starts) if group[-1] <= edge] if len(sites) else []
+
+
+def detect_grain_boundaries(tess: Tessellation) -> list[GrainBoundary]:
+    """Describe each ring of _ring_bands (sorted inside outward around each pole).
+
+    The hexagons inside a ring's band are claimed as its members, with its
+    defects.  A ring whose pentagon count is f_{u-1} gets rank u (one unit
+    of slack); its dipoles pair each heptagon with the pentagon f_u sites
+    on, and its word reads the dipoles in azimuthal order.
+    """
+    pattern = tess.pattern
+    n = pattern.n
+    bands = _ring_bands(tess)
+    sides = np.where(tess.cells.is_boundary, 0, tess.cells.sides)
+    heptagon, hexagon = sides == 7, sides == 6
+    scale = normalization_scale(pattern.surface)
+    chart_scale = scale * chart_pow2(pattern.surface)  # keeps 2 pi rho in range
+    nu = (n - 1) // 2
     out: list[GrainBoundary] = []
-    for group in groups:
+    for group in bands:
         lo, hi = int(group[0]), int(group[-1])
-        if hi > edge:
-            continue
         members = np.concatenate((group, lo + np.flatnonzero(hexagon[lo : hi + 1])))
         theta = np.mod(pattern.theta[members], 2.0 * math.pi)
         order = members[np.argsort(theta, kind="stable")].tolist()
@@ -247,10 +258,13 @@ def detect_grain_boundaries(tess: Tessellation) -> list[GrainBoundary]:
     return out
 
 
-def ring_spans_equator(boundaries: list[GrainBoundary], n: int) -> bool:
-    """Whether a detected ring's index band holds the equator of an n-site sphere."""
-    nu = (n - 1) // 2
-    return any(b.s_range[0] <= nu <= b.s_range[1] for b in boundaries)
+def ring_spans_equator(tess: Tessellation) -> bool:
+    """Whether a ring's index band holds the equator of a sphere, nu = (n - 1) // 2.
+
+    It reads only the bands of _ring_bands, not the described rings.
+    """
+    nu = (tess.n - 1) // 2
+    return any(group[0] <= nu <= group[-1] for group in _ring_bands(tess))
 
 
 def verify_inflation(boundaries: list[GrainBoundary]) -> list[tuple[int, int, bool]]:

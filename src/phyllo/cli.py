@@ -247,7 +247,7 @@ def _cmd_thresholds(parser: _Parser, args) -> int:
     thresholds = sphere_thresholds(args.u_max)
 
     def equator_ring(n: int) -> bool:
-        return ring_spans_equator(detect_grain_boundaries(tessellate(generate(SPHERE, n))), n)
+        return ring_spans_equator(tessellate(generate(SPHERE, n)))
 
     rows = []
     for u, n_star in enumerate(thresholds, start=1):

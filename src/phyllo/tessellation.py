@@ -10,20 +10,21 @@ The triangles come from the pattern's own parastichies.  Site s sits at
 azimuth 2 pi lam s, so outside the disordered core each Delaunay neighbour
 of s is a site s +- q for a parastichy number q of lam (a Fibonacci number
 for the golden divergence).  Each site's fan is found among a few such
-candidates, and the fans are kept only if a certificate proves them the
-Delaunay triangulation: each triangle is found from all three corners (as
-its corners in ascending order: every kept fan turns counterclockwise, so
-orientation adds nothing), every edge passes the in-circle test with a
-margin, and the triangles number what Euler's formula asks.  Qhull, which
-scipy provides and which is imported only then, triangulates the patterns
-whose parastichy numbers are not the Fibonacci numbers (other divergences,
-decided from lam's continued fraction before any fan is built), those that
-do not certify (nearly cocircular sites), and those whose certificate key
-of a triangle could overflow int64 (n w**2 >= 2**63, w one more than the
-widest triangle's index span).  Patterns of fewer than three sites (four
-on the sphere) have no triangulation and raise before either.  Either way
-a triangle is the row of its corners in ascending order, so both paths
-round every circumcenter alike.
+candidates (a disordered core site takes as many of its nearest sites), the
+sites of a block in one vectorized call, and the fans are kept only if a
+certificate proves them the Delaunay triangulation: each triangle is found
+from all three corners (as its corners in ascending order: every kept fan
+turns counterclockwise, so orientation adds nothing), every edge passes the
+in-circle test with a margin, and the triangles number what Euler's formula
+asks.  Qhull, which scipy provides and which is imported only then,
+triangulates the patterns whose parastichy numbers are not the Fibonacci
+numbers (other divergences, decided from lam's continued fraction before
+any fan is built), those that do not certify (nearly cocircular sites), and
+those whose certificate key of a triangle could overflow int64 (n w**2 >=
+2**63, w one more than the widest triangle's index span).  Patterns of
+fewer than three sites (four on the sphere) have no triangulation and raise
+before either.  Either way a triangle is the row of its corners in
+ascending order, so both paths round every circumcenter alike.
 
 Plane cells are Euclidean polygons.  On both curved surfaces a vertex is
 the unit normal of the plane through the lifted sites of its triangle (the
@@ -87,7 +88,8 @@ _BLOCK = 2048
 _BULK, _RIM, _RETRY = (-2, 2), (-6, 2), (-7, 3)
 
 #: the disordered core: sites this close in index to either end of the
-#: index range also take every one of the _CORE_POOL sites at that end
+#: index range take the nearest of the _CORE_POOL sites at that end and of
+#: their steps, as many candidates as their block's other sites take
 _CORE, _CORE_POOL = 12, 32
 
 #: a turn whose sine is smaller is too close to four cocircular sites for
@@ -356,8 +358,11 @@ def _inverted(coords, frames, sites: np.ndarray, cand: np.ndarray):
     return x, y, d2
 
 
-def _fans(coords, frames, sites: np.ndarray, cand: np.ndarray, open_ok: bool):
+def _fans(coords, frames, sites: np.ndarray, cand: np.ndarray, open_ok):
     """Delaunay fans of (m,) sites among their (m, c) candidates (-1 for none).
+
+    open_ok is a bool, or one per site: whether the site's fan may open.  A
+    fan that may not is closed; the gap test runs only on the sites that may.
 
     Inversion in a circle about site s maps the circles through s to lines.
     So candidate t is a Delaunay neighbour of s among the candidates iff its
@@ -391,13 +396,14 @@ def _fans(coords, frames, sites: np.ndarray, cand: np.ndarray, open_ok: bool):
     first, last = flat[:, :1], flat[:, :1] + count - 1
     behind, ahead = np.where(flat > first, flat - 1, last), np.where(flat < last, flat + 1, first)
     closed = np.ones(m, dtype=bool)
-    if open_ok:
+    may = np.flatnonzero(np.broadcast_to(open_ok, m))
+    if len(may):
         # a gap of a half turn or more between images: the fan is open
-        gap = alive & ~(wx * np.take(wy, ahead) - wy * np.take(wx, ahead) > 0)
-        closed = ~gap.any(axis=1)
-        rows = np.flatnonzero(~closed)
+        gap = alive[may] & ~(wx[may] * np.take(wy, ahead[may]) - wy[may] * np.take(wx, ahead[may]) > 0)
+        opened = gap.any(axis=1)
+        closed[may], rows = ~opened, may[opened]
         # an open fan starts after its gap; its ends link to themselves
-        start = np.argmax(gap[rows], axis=1)[:, None] + 1
+        start = np.argmax(gap[opened], axis=1)[:, None] + 1
         at = np.where(alive[rows], (flat[rows] - first[rows] + start) % count[rows] + first[rows], flat[rows])
         for a in (wx, wy, cand):
             a[rows] = np.take(a, at)
@@ -504,10 +510,16 @@ def _parastichy_simplices(points: np.ndarray, lam: float, frames=None) -> tuple 
     Delaunay neighbours are sites s +- q, for parastichy numbers q near the
     step to its nearest site.  Each site takes the candidates of _BULK steps
     around that one; sites whose outward steps leave the pattern (its rim,
-    where the hull edges are long) take _RIM; the _CORE sites nearest each
-    end of the index range take every site of a pool as well.  Sites that
-    fail the certificate are retried, with their fans' neighbours, on
-    _RETRY steps.  The rest is left to Qhull.
+    where the hull edges are long) take _RIM; sites that fail the
+    certificate are retried, with their fans' neighbours, on _RETRY steps.
+    The rest is left to Qhull.  A window of steps gives w = 2 (window[1] -
+    window[0] + 1) candidates.  The _CORE sites nearest each end of the
+    index range, where the steps do not yet hold the neighbours, take the w
+    nearest (by squared distance on the points, ties to the earlier) of the
+    _CORE_POOL sites at that end and of their steps outside it; so they run
+    in their block's _fans call, _BLOCK sites at a time, and on a chart
+    their fans may open as the rim's do.  A core site whose nearest miss a
+    neighbour fails the certificate and is retried, never accepted.
 
     points are chart points scaled by chart_pow2, which keeps squared
     lengths and their inverses in range, or on the sphere unit vectors with
@@ -526,29 +538,37 @@ def _parastichy_simplices(points: np.ndarray, lam: float, frames=None) -> tuple 
         depth = np.minimum(site, n - 1 - site) if sphere else site
         pool = min(n, _CORE_POOL)
 
-        def candidates(sites, window, pooled):
+        def candidates(sites, window):
             ks = rank[sites, None] + np.arange(window[0], window[1] + 1)
             q = steps[np.clip(ks, 0, len(steps) - 1)]
             cand = np.hstack((sites[:, None] + q, sites[:, None] - q))
-            keep = np.tile((ks >= 0) & (ks < len(steps)), 2) & (cand >= 0) & (cand < n)
-            if not pooled:
-                return np.where(keep, cand, -1)
-            north = (sites >= n // 2)[:, None] & sphere
-            members = np.where(north, n - 1 - np.arange(pool), np.arange(pool))
-            keep &= np.where(north, cand < n - pool, cand >= pool)
-            return np.hstack((np.where(members == sites[:, None], -1, members), np.where(keep, cand, -1)))
+            cand = np.where(np.tile((ks >= 0) & (ks < len(steps)), 2) & (cand >= 0) & (cand < n), cand, -1)
+            core = np.flatnonzero(depth[sites] < _CORE)
+            if len(core):
+                # a core row's pool and its steps outside the pool, cut to the nearest as many
+                at, step = sites[core, None], cand[core]
+                north = (at >= n // 2) & sphere
+                members = np.where(north, n - 1 - np.arange(pool), np.arange(pool))
+                step = np.where(np.where(north, step < n - pool, step >= pool), step, -1)
+                pooled = np.hstack((np.where(members == at, -1, members), step))
+                d2 = sum((c[pooled] - c[at]) ** 2 for c in coords)
+                d2[pooled < 0] = np.inf
+                nearest = np.argsort(d2, axis=1, kind="stable")[:, : cand.shape[1]]
+                cand[core] = np.take_along_axis(pooled, nearest, axis=1)
+            return cand
 
         count, closed, sound = np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
 
         def run(mask, window, open_ok, pieces):
-            for pooled in (False, True):
-                sites = np.flatnonzero(mask & ((depth < _CORE) == pooled))
-                for lo in range(0, len(sites), _BLOCK):
-                    block = sites[lo : lo + _BLOCK]
-                    found, count[block], closed[block], sound[block] = _fans(
-                        coords, frames, block, candidates(block, window, pooled), open_ok or (pooled and not sphere)
-                    )
-                    pieces.append((block, found))
+            sites = np.flatnonzero(mask)
+            for lo in range(0, len(sites), _BLOCK):
+                block = sites[lo : lo + _BLOCK]
+                # a core site of a few-site chart pattern is a hull site: its fan may open
+                may_open = open_ok or (not sphere and depth[block] < _CORE)
+                found, count[block], closed[block], sound[block] = _fans(
+                    coords, frames, block, candidates(block, window), may_open
+                )
+                pieces.append((block, found))
             return pieces
 
         rim = np.zeros(n, dtype=bool)

@@ -168,7 +168,7 @@ def test_criterion_06_sphere_ring_thresholds():
 
     t0 = time.perf_counter()
     below, above = (
-        ring_spans_equator(detect_grain_boundaries(tessellate(generate("sphere", n))), n)
+        ring_spans_equator(tessellate(generate("sphere", n)))
         for n in (1329, 1333)
     )
     elapsed = time.perf_counter() - t0

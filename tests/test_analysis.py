@@ -14,10 +14,12 @@ from phyllo.analysis import (
     boundary_polar_angle,
     boundary_radius,
     _rank_from_pentagon_count,
+    _ring_bands,
     _ring_word,
     detect_grain_boundaries,
     dipole_angles,
     distance_series,
+    ring_spans_equator,
     site_depth,
     sphere_thresholds,
     verify_inflation,
@@ -329,6 +331,37 @@ def test_equatorial_ring_birth(tess_sphere_1329, tess_sphere_1333):
 
     assert not spans_equator(tess_sphere_1329)
     assert spans_equator(tess_sphere_1333)
+
+
+RING_BAND_PATTERNS = (
+    [("plane", 2820, {}), ("plane", 3000, {}), ("hyperbolic", 3000, {"a": 0.2}), ("sphere", 9301, {})]
+    + [("sphere", 200, {"indexing": "half-integer"})]
+    # the birth windows of the rank-7 and rank-9 equatorial rings
+    + [("sphere", n, {}) for n in (*range(197, 206, 2), *range(1333, 1344, 2))]
+)
+
+
+@pytest.mark.parametrize(
+    "kind,n,kwargs", RING_BAND_PATTERNS, ids=[f"{k}-{n}-{kw}" for k, n, kw in RING_BAND_PATTERNS]
+)
+def test_ring_bands_are_the_bands_of_the_reported_rings(kind, n, kwargs):
+    tess = tessellate(generate(kind, n, **kwargs))
+    bands = [(int(group[0]), int(group[-1])) for group in _ring_bands(tess)]
+    assert bands == sorted(b.s_range for b in detect_grain_boundaries(tess))
+
+
+# odd spheres below and above each analytic ring-birth threshold from u=5
+# to 10, and one inside the rank-10 birth window
+EQUATOR_VERDICTS = [
+    (25, False), (31, True), (71, False), (77, True), (191, False), (197, True),
+    (505, False), (511, True), (1329, False), (1333, True), (3481, False), (3487, True),
+    (3491, True),
+]
+
+
+@pytest.mark.parametrize("n,spans", EQUATOR_VERDICTS)
+def test_ring_spans_equator_verdicts(n, spans):
+    assert ring_spans_equator(tessellate(generate("sphere", n))) is spans
 
 
 def test_perimeter_prediction_value():

@@ -912,6 +912,15 @@ def test_parastichy_triangulation_matches_qhull(kind, n, kwargs, monkeypatch):
         # other divergences go to Qhull, which gives triangles, not fans
         ("plane", 3000, {"lam": 0.4}, 0),
         ("plane", 3000, {"lam": 1 / 3}, 0),
+        # patterns made mostly of core sites, whose candidates are the
+        # nearest of a pool and of their steps
+        ("plane", 3, {}, 1),
+        ("plane", 5, {}, 1),
+        ("plane", 20, {}, 1),
+        ("sphere", 25, {}, 1),
+        ("sphere", 31, {}, 1),
+        ("sphere", 10, {"indexing": "half-integer"}, 1),
+        ("hyperbolic", 12, {"a": 0.3}, 1),
     ],
 )
 def test_links_match_the_directed_edges_of_the_triangles(kind, n, kwargs, certificates, monkeypatch):
@@ -1032,6 +1041,31 @@ def test_fan_that_stays_reflex_is_unsound(x, y, cand, open_ok):
     found, count, closed, sound = tessellation._fans(coords, None, np.array([0]), np.array([cand]), open_ok)
     assert closed.tolist() == [not open_ok] and sound.tolist() == [False]
     assert len(found) == count[0] >= 2 and set(found.tolist()) <= set(cand)
+
+
+def test_fans_open_where_each_row_may():
+    # site 1 is a corner of the hexagon around site 0: its fan opens only
+    # where allowed, while site 0's closes either way
+    angle = np.arange(6) * np.pi / 3
+    coords = (np.r_[0.0, np.cos(angle)], np.r_[0.0, np.sin(angle)])
+    sites = np.array([1, 0, 1])
+    cand = np.array([[0, 2, 6, 3, 5, -1], [1, 2, 3, 4, 5, 6], [0, 2, 6, 3, 5, -1]])
+    mixed = tessellation._fans(coords, None, sites, cand, np.array([True, False, False]))
+    alone = [tessellation._fans(coords, None, sites[[j]], cand[[j]], ok) for j, ok in enumerate((True, False, False))]
+    assert mixed[2].tolist() == [False, True, True]
+    for got, *want in zip(mixed, *alone):
+        assert np.array_equal(got, np.concatenate(want))
+
+
+@pytest.mark.parametrize("n", THRESHOLD_SPHERES)
+def test_core_rows_share_their_blocks_fan_call(n, monkeypatch):
+    # one _fans call per _BLOCK of sites: the core takes no call of its own
+    calls, fans = [], tessellation._fans
+    monkeypatch.setattr(tessellation, "_fans", lambda *args: calls.append(len(args[2])) or fans(*args))
+    pattern = generate("sphere", n)
+    unit = pattern.xyz / pattern.surface.R
+    assert tessellation._parastichy_simplices(unit, pattern.surface.lam, tessellation._tangent_frames(unit)) is not None
+    assert len(calls) == -(-n // tessellation._BLOCK) and sum(calls) == n
 
 
 class _Qhull(Exception):
