@@ -21,7 +21,7 @@ import numpy as np
 from .generator import PhylloPattern, _effective_index, _radial_law, chart_pow2, normalization_scale
 from .geometry import HYPERBOLIC, PLANE, SPHERE, SurfaceSpec, chart_distance_xy, circle_circumference, conformal_factor
 from .numerics import fibonacci, fibonacci_rank, inflate, words_equal
-from .tessellation import Tessellation
+from .tessellation import _BLOCK, Tessellation
 
 __all__ = [
     "CORE_DEPTH",
@@ -57,9 +57,6 @@ DEFECT_EDGE_MARGIN_CELLS = 3.0
 #: sqrt(2*pi/sqrt(5)) (tightest parastichy) up to sqrt(2*pi) (square diagonal)
 DISTANCE_MIN = math.sqrt(2.0 * math.pi / math.sqrt(5.0))
 DISTANCE_MAX = math.sqrt(2.0 * math.pi)
-
-#: links per array block; bounds the temporary arrays of the link lengths
-_LINK_BLOCK = 65536
 
 
 def site_depth(pattern: PhylloPattern, s) -> np.ndarray:
@@ -478,8 +475,8 @@ def _link_lengths(pattern: PhylloPattern, s: np.ndarray, t: np.ndarray) -> np.nd
     sphere = surface.kind == SPHERE
     points = pattern.xyz / surface.R if sphere else pattern.chart_xy * pow2
     lengths = np.empty(len(s))
-    for lo in range(0, len(s), _LINK_BLOCK):
-        block = slice(lo, lo + _LINK_BLOCK)
+    for lo in range(0, len(s), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
         a, b = points[s[block]], points[t[block]]
         if sphere:
             lengths[block] = surface.R * np.arccos(np.clip(np.sum(a * b, axis=1), -1.0, 1.0))
@@ -492,8 +489,8 @@ def _link_lengths(pattern: PhylloPattern, s: np.ndarray, t: np.ndarray) -> np.nd
 def distance_series(tess: Tessellation) -> DistanceSeries:
     """Every forward link (s, t > s) with its measured and analytic length.
 
-    Each forward link is measured once, _LINK_BLOCK links at a time, and
-    no backward link is measured.
+    Each forward link is measured once, _BLOCK links at a time (which
+    bounds the temporary arrays), and no backward link is measured.
     """
     pattern = tess.pattern
     source, target = tess.adjacency.source, tess.adjacency.indices

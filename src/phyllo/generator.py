@@ -11,7 +11,8 @@ geometries are directly comparable without further rescaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,15 +50,11 @@ class PhylloPattern:
     r: np.ndarray
     phi: np.ndarray | None = None
     xyz: np.ndarray | None = None
-    _chart_xy: np.ndarray | None = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def chart_xy(self) -> np.ndarray:
         """(n, 2) chart coordinates; computed once and cached."""
-        if self._chart_xy is None:
-            xy = np.column_stack((self.r * np.cos(self.theta), self.r * np.sin(self.theta)))
-            object.__setattr__(self, "_chart_xy", xy)
-        return self._chart_xy
+        return np.column_stack((self.r * np.cos(self.theta), self.r * np.sin(self.theta)))
 
 
 def _radial_law(surface: SurfaceSpec, x):

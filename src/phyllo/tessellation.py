@@ -42,7 +42,7 @@ of the certified fans, which list each link of their site once and are
 open at the hull sites alone; or, as Qhull gives triangles and no fans,
 those of both directions of every triangle edge, whose edges met once mark
 the hull sites.  The cell geometry is left to two passes, each run at most
-once, on the first read of one of its fields:
+once, on the first read of one of its properties:
 - the polygon pass sorts the triangle corners by site (one stable sort)
   and each fan by the direction of the geodesic to each vertex;
 - the area pass sums each sorted fan; it reads the polygon pass's result,
@@ -98,44 +98,21 @@ _MIN_SINE = 1e-9
 
 
 class _Pass:
-    """Fields computed together, once, the first time one of them is read.
+    """Values computed together, once, the first time they are read.
 
     It holds the inputs of its function until the first call runs it, and
-    from then on only the result, a dict from field name to array.  An
-    input may be another _Pass, which the function calls for the fields it
-    reads: so a pass runs the one it reads from first, and that one's result
-    is shared, not computed again.
+    from then on only the result.  An input may be another _Pass, which the
+    function calls for the values it reads: so a pass runs the one it reads
+    from first, and that one's result is shared, not computed again.
     """
 
     def __init__(self, run, *inputs):
         self._run, self._inputs, self._result = run, inputs, None
 
-    def __call__(self) -> dict[str, np.ndarray]:
+    def __call__(self):
         if self._result is None:
             self._result, self._inputs = self._run(*self._inputs), None
         return self._result
-
-
-class _OnFirstRead:
-    """A dataclass field set to its array, or to the _Pass that computes it.
-
-    In the second case the first read runs the pass (once for all its
-    fields) and keeps the field's array in place of it.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.name)  # read on the class: the field has no default
-        value = obj.__dict__[self.name]
-        if isinstance(value, _Pass):
-            value = obj.__dict__[self.name] = value()[self.name]
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,9 +146,9 @@ class Adjacency:
         return fibonacci_rank(np.abs(self.delta))
 
 
-#: the fixed-width values of one cell, as Python scalars (a numpy record
+#: the triangulation's values of one cell, as Python scalars (a numpy record
 #: array would yield numpy scalars, whose sums JSON cannot write)
-Cell = NamedTuple("Cell", [("sides", int), ("area", float), ("is_boundary", bool)])
+Cell = NamedTuple("Cell", [("sides", int), ("is_boundary", bool)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,18 +157,19 @@ class Cells:
 
     ``sides`` is the number of Delaunay neighbors and ``area`` the metric
     area (nan for boundary cells).  ``sides`` and ``is_boundary`` come with
-    the triangulation.  ``area`` is computed on first read (the area pass),
-    from the sorted fans of the polygon pass, which it runs first if no
-    chart polygon has been read yet.  Iteration yields one Cell per site,
-    and so reads ``area``.
+    the triangulation.  ``area`` is a read-only property over the area pass,
+    which runs on its first read, from the sorted fans of the polygon pass
+    (run first if no chart polygon has been read yet).  Iteration yields one
+    Cell per site and runs no pass.
     """
 
     sides: np.ndarray  # (n,) int64
-    area: np.ndarray = _OnFirstRead()  # (n,) float64
     is_boundary: np.ndarray  # (n,) bool
+    _areas: _Pass  # the area pass
+    area = property(lambda self: self._areas())  # (n,) float64
 
     def __iter__(self):
-        return map(Cell, self.sides.tolist(), self.area.tolist(), self.is_boundary.tolist())
+        return map(Cell, self.sides.tolist(), self.is_boundary.tolist())
 
 
 @dataclass(eq=False)
@@ -204,7 +182,7 @@ class Tessellation:
     circumcenter once, for the cells of its three corners.  The adjacency's
     CSR columns and link sources, the side counts and the boundary flags are
     computed by tessellate.  Two passes run on first read, each at most
-    once: the polygons (the three vertex fields) and the cell areas
+    once: the polygons (the three vertex properties) and the cell areas
     (``cells.area``, which reads the polygons).  So ring detection reads
     neither, and rendering only the polygons.
     """
@@ -212,9 +190,10 @@ class Tessellation:
     pattern: PhylloPattern
     cells: Cells
     adjacency: Adjacency
-    vertex_offsets: np.ndarray = _OnFirstRead()  # (n + 1,) int64
-    vertices: np.ndarray = _OnFirstRead()  # (triangles, 2) float64
-    vertex_index: np.ndarray = _OnFirstRead()  # (V,) int64: a row of vertices per polygon corner
+    _polygons: _Pass  # the polygon pass
+    vertex_offsets = property(lambda self: self._polygons()["vertex_offsets"])  # (n + 1,) int64
+    vertices = property(lambda self: self._polygons()["vertices"])  # (triangles, 2) float64
+    vertex_index = property(lambda self: self._polygons()["vertex_index"])  # (V,) int64: a vertex row per corner
 
     @property
     def n(self) -> int:
@@ -770,16 +749,16 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
         boundary[simplices[np.sum(centers * centers, axis=1) > (pattern.r.max() * pow2) ** 2]] = True
 
     polygons = _Pass(_cell_polygons, kind, points, simplices, vertices, frames)
-    cells = Cells(np.diff(indptr), _Pass(_cell_areas, polygons, pattern, boundary, pow2), boundary)
-    return Tessellation(pattern, cells, adjacency, polygons, polygons, polygons)
+    cells = Cells(np.diff(indptr), boundary, _Pass(_cell_areas, polygons, pattern, boundary, pow2))
+    return Tessellation(pattern, cells, adjacency, polygons)
 
 
 def _cell_polygons(kind, points, simplices, vertices, frames) -> dict:
-    """The polygon pass: the chart polygon of every cell, as the Tessellation fields.
+    """The polygon pass: the chart polygon of every cell, by Tessellation property name.
 
     vertices are the chart circumcenters of the triangles, or None on the
     sphere, whose are computed here from the facet normals; those are
-    returned too, as "normals", for the area pass.
+    returned too, as "normals", which the area pass takes out.
     """
     n, polygons = len(points), {}
     centers = vertices
@@ -813,15 +792,15 @@ def _cell_polygons(kind, points, simplices, vertices, frames) -> dict:
     return polygons
 
 
-def _cell_areas(polygons: _Pass, pattern: PhylloPattern, boundary: np.ndarray, pow2: float) -> dict:
+def _cell_areas(polygons: _Pass, pattern: PhylloPattern, boundary: np.ndarray, pow2: float) -> np.ndarray:
     """The area pass: the metric area of every cell but the boundary ones, normalized.
 
-    It reads the fans the polygon pass sorted; a cell is convex around its
-    site, so its sorted fan turns counterclockwise.
+    It reads the fans the polygon pass sorted (a cell is convex around its
+    site, so its sorted fan turns counterclockwise) and takes the normals out.
     """
     surface, polygons = pattern.surface, polygons()
     kind, R, offsets, index = surface.kind, surface.R, polygons["vertex_offsets"], polygons["vertex_index"]
-    centers = polygons["normals"] if kind == SPHERE else polygons["vertices"]
+    centers = polygons.pop("normals") if kind == SPHERE else polygons["vertices"]
     scale = normalization_scale(surface) * pow2
     areas = np.full(len(boundary), math.nan)
     for k, rows in _blocks(np.diff(offsets)):
@@ -835,4 +814,4 @@ def _cell_areas(polygons: _Pass, pattern: PhylloPattern, boundary: np.ndarray, p
             moved = _to_origin(ring, pattern.chart_xy[rows][:, None, :])
             area = _fan_areas(chart_to_unit_surface(kind, moved), -1.0) * R * R
         areas[rows] = area / (scale * scale)
-    return {"area": areas}
+    return areas

@@ -376,6 +376,24 @@ def test_analytic_distance_minimum():
     assert float(d.min()) == pytest.approx(DISTANCE_MIN, rel=0.01)
 
 
+def test_predictions_refuse_what_they_cannot_place():
+    sphere, plane = generate("sphere", 101).surface, SurfaceSpec("plane", None, 1.0)
+    # a ring of perimeter sqrt(pi f_17) = 70.83 is longer than the equator
+    with pytest.raises(ValueError, match=r"^ring of rank 8 needs perimeter 70\.83 > equator 31\.57$"):
+        boundary_radius(sphere, 8)
+    for u_max in (0, 41):
+        with pytest.raises(ValueError, match=rf"^need 1 <= u_max <= 40, got {u_max}$"):
+            sphere_thresholds(u_max)
+    with pytest.raises(ValueError, match=r"^distance profile needs s >= 1$"):
+        analytic_distance(plane, [0.5, 2.0], 3)
+    with pytest.raises(ValueError, match=r"^rank 0 has no parastichy step$"):
+        analytic_distance(plane, 5.0, 0)
+    # n = 101 puts the far pole at s = 100: 97 + f_3 = 99 stays short of it
+    assert analytic_distance(sphere, 97.0, 3) > 0
+    with pytest.raises(ValueError, match=r"^s \+ f_u at or beyond the far pole$"):
+        analytic_distance(sphere, 98.0, 3)
+
+
 def test_analytic_vs_measured_distances(tess_plane_3000, tess_sphere_1351):
     for tess in (tess_plane_3000, tess_sphere_1351):
         ds = distance_series(tess)

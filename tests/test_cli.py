@@ -291,6 +291,45 @@ def test_usage_error_messages(argv, message, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines()[-1] == f"phyllo: error: {message}"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["render", "--geometry", "plane", "--n", "600", "--projection", "orthographic"],
+         "projection 'orthographic' needs a sphere pattern"),
+        (["generate", "--geometry", "sphere", "--n", "1"], "need n >= 3, got 1"),
+    ],
+)
+def test_surface_errors_are_one_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"phyllo: error: {message}"
+
+
+@pytest.mark.parametrize(
+    "keys,value,message",
+    [
+        (["schema"], TESSELLATION_SCHEMA, f"not a pattern document (schema {TESSELLATION_SCHEMA!r})"),
+        (["surface", "kind"], 5, "surface field 'kind' is not a string"),
+        (["sites", 3], [1.0, 2.0], "site 3 is not a JSON object"),
+        (["sites", 3, "rho"], "1.0", "site 3 field 'rho' is not a number"),
+        (["sites", 2, "theta"], 0.5, "stored azimuths disagree with regeneration"),
+    ],
+)
+def test_pattern_file_errors_name_what_is_wrong(keys, value, message, tmp_path, capsys):
+    doc = json.loads(dumps_json(pattern_document(generate("plane", 5))))
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path = tmp_path / "pattern.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["analyze", "--in", str(path)])
+    assert err.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"phyllo: error: {path}: {message}"
+
+
 @pytest.mark.parametrize("argv,message", COLLINEAR_MESSAGES)
 def test_forced_fallback_keeps_collinear_messages(argv, message, monkeypatch, capsys):
     # no certificate passes, so Qhull triangulates and names the lost site
@@ -382,6 +421,40 @@ def test_failed_write_leaves_no_partial_file(error, message, tmp_path, monkeypat
     path = tmp_path / "tessellation.json"
     errors = [line for line in stderr.splitlines() if "error" in line]
     assert errors == ["phyllo: error: " + message.format(path=path)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
+
+
+def _fail_with(error):
+    """A stand-in for export._g_rows that raises error: the first block of cells fails on its vertices."""
+
+    def fail(*args, **kwargs):
+        raise error
+
+    return fail
+
+
+def test_a_partial_file_that_cannot_be_removed_is_left(tmp_path, monkeypatch, capsys):
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+    monkeypatch.setattr(export, "_g_rows", _fail_with(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))))
+    monkeypatch.setattr(Path, "unlink", refuse)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["analyze", "--geometry", "plane", "--n", "600", "--out", str(tmp_path)])
+    assert err.value.code == 1
+    path = tmp_path / "tessellation.json"
+    message = f"phyllo: error: cannot write {path}: {os.strerror(errno.ENOSPC)}"
+    assert [line for line in capsys.readouterr().err.splitlines() if "error" in line] == [message]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json", "tessellation.json"]
+
+
+def test_a_failed_write_of_another_kind_propagates(tmp_path, monkeypatch):
+    # not a one-line error: an exception that is neither OSError nor
+    # MemoryError is a fault of the program, raised once the partial file
+    # is removed
+    monkeypatch.setattr(export, "_g_rows", _fail_with(RuntimeError("no rows")))
+    with pytest.raises(RuntimeError, match="^no rows$"):
+        cli.main(["analyze", "--geometry", "plane", "--n", "600", "--out", str(tmp_path)])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
 
 

@@ -53,7 +53,7 @@ from phyllo.export import (
 from phyllo.generator import generate
 from phyllo.geometry import HYPERBOLIC
 from phyllo.render import CELL_COLORS, FALLBACK_COLOR, render_svg
-from phyllo.tessellation import _BLOCK, CELL_TYPE_BY_SIDES, tessellate
+from phyllo.tessellation import _BLOCK, CELL_TYPE_BY_SIDES, _Pass, tessellate
 
 CASES = {
     "plane-analyze-json": (
@@ -303,7 +303,7 @@ def _reference_tessellation_document(tess):
                 [float(x), float(y)] for x, y in tess.vertices[index[offsets[s] : offsets[s + 1]]]
             ],
             "sides": int(cell.sides),
-            "area": None if cell.is_boundary else float(cell.area),
+            "area": None if cell.is_boundary else float(tess.cells.area[s]),
             "isBoundary": bool(cell.is_boundary),
             "neighborDeltas": [int(t) - s for t in tess.adjacency[s]],
         }
@@ -311,6 +311,12 @@ def _reference_tessellation_document(tess):
     ]
     doc = tessellation_document(tess)
     return {**doc, "cells": cells}
+
+
+def _with_polygons(tess, vertex_offsets, vertices, vertex_index, **changes):
+    """tess with these chart polygons in place of its polygon pass's, and any other field changes."""
+    polygons = {"vertex_offsets": vertex_offsets, "vertices": vertices, "vertex_index": vertex_index}
+    return dataclasses.replace(tess, _polygons=_Pass(dict, polygons), **changes)
 
 
 @pytest.mark.parametrize(
@@ -349,7 +355,7 @@ def test_tessellation_document_keeps_signed_zeros_and_nans():
     polygons = [tess.vertices[index[offsets[s] : offsets[s + 1]]] for s in range(tess.n)]
     polygons[1] = np.array([[0.0, -0.0], [np.nan, 1.0], [-0.0, 0.0]])
     polygons[2] = np.array([[-0.0, 0.0]])
-    tess = dataclasses.replace(
+    tess = _with_polygons(
         tess,
         vertex_offsets=np.concatenate(([0], np.cumsum([len(p) for p in polygons]))),
         vertices=np.concatenate(polygons),
@@ -551,6 +557,13 @@ def test_byte_rows_match_per_value_format_across_block_seams():
     assert "".join(blocks) == "".join(f"<{k}|{x:.17g}|{b}|{x:.17g}>\n" for k, x, b in rows)
 
 
+def test_the_writers_refuse_what_they_cannot_write():
+    with pytest.raises(TypeError, match="^cannot serialize set$"):
+        dumps_json({"ranks": {3, 5}})
+    with pytest.raises(ValueError, match="^unknown projection 'sideways'$"):
+        render_svg(tessellate(generate("plane", 600)), "sideways")
+
+
 def test_an_empty_table_is_its_header():
     ints, floats, flags = np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=bool)
     dist = SimpleNamespace(s_from=ints, s_to=ints, rank=ints, measured=floats, analytic=floats, interior=flags)
@@ -656,7 +669,7 @@ def test_list_layout_and_cell_writer_join_each_row_as_listed(seed, monkeypatch):
     # the cells of tessellation.json: each block makes each distinct vertex
     # it reads into text once, and lists it in its polygons' order
     tess = tessellate(generate("plane", m))
-    tess = dataclasses.replace(tess, vertex_offsets=offsets, vertices=table, vertex_index=index)
+    tess = _with_polygons(tess, vertex_offsets=offsets, vertices=table, vertex_index=index)
     g_rows, calls = export._g_rows, []
 
     def record(values, *args, **kwargs):
@@ -685,7 +698,7 @@ def test_render_keeps_signed_zeros_and_last_bits():
     polygons[3] = np.array([[5e-05, 9.9999951], [-9.9999951, -5e-05], [999999.5, -999999.5]])
     sides = tess.cells.sides.copy()
     sides[3:5] = 9, 3
-    tess = dataclasses.replace(
+    tess = _with_polygons(
         tess,
         cells=dataclasses.replace(tess.cells, sides=sides),
         vertex_offsets=np.concatenate(([0], np.cumsum([len(p) for p in polygons]))),

@@ -34,6 +34,13 @@ def test_fibonacci_bounds():
         fibonacci(-1)
 
 
+def test_rank_and_inflation_count_domains():
+    with pytest.raises(TypeError, match=r"^rank must be an int, got float$"):
+        fibonacci(2.0)
+    with pytest.raises(ValueError, match=r"^inflation count must be >= 0$"):
+        inflate("LS", -1)
+
+
 def test_fibonacci_table():
     assert FIBONACCI.tolist() == [fibonacci(u) for u in range(len(FIBONACCI))]
     assert type(fibonacci(90)) is int

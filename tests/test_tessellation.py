@@ -1,7 +1,9 @@
 import dataclasses
 import gc
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,6 +371,21 @@ def test_render_command_computes_only_the_polygons(tmp_path, geometry_runs):
 
 
 @pytest.mark.parametrize(
+    "kind,n,kwargs", [("plane", 600, {}), ("sphere", 601, {}), ("hyperbolic", 3000, {"a": 0.4})]
+)
+def test_iterating_cells_computes_no_cell_geometry(kind, n, kwargs, geometry_runs):
+    tess = tessellate(generate(kind, n, **kwargs))
+    assert list(tess.cells) == list(zip(tess.cells.sides.tolist(), tess.cells.is_boundary.tolist()))
+    # the benchmark's span counts iterate the cells of every traced tessellation
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans._counts("tessellate", tess)["boundary_cells"] == tess.cells.is_boundary.sum()
+    assert geometry_runs == []
+
+
+@pytest.mark.parametrize(
     "kind,n,kwargs",
     [("sphere", 600, {"indexing": "half-integer"}), ("hyperbolic", 3000, {"a": 0.4}), ("plane", 600, {})],
 )
@@ -420,7 +437,7 @@ def test_polygon_pass_keeps_only_what_the_area_pass_reads(kind, n, kwargs):
     pattern.chart_xy  # cached on the pattern at its first read
     # the pattern, the triangulation's columns and the polygons; on the
     # sphere also the facet normals, one unit vector per vertex
-    fields = [getattr(pattern, f.name) for f in dataclasses.fields(pattern)]
+    fields = [getattr(pattern, f.name) for f in dataclasses.fields(pattern)] + [pattern.chart_xy]
     fields += [cells.sides, cells.is_boundary, adjacency.indptr, adjacency.indices, adjacency.source]
     fields += [tess.vertex_offsets, tess.vertices, tess.vertex_index]
     known = {id(a) for a in fields if a is not None}
