@@ -21,7 +21,7 @@ import numpy as np
 from .generator import PhylloPattern, _effective_index, _radial_law, chart_pow2, normalization_scale
 from .geometry import HYPERBOLIC, PLANE, SPHERE, SurfaceSpec, chart_distance_xy, circle_circumference, conformal_factor
 from .numerics import fibonacci, fibonacci_rank, inflate, words_equal
-from .tessellation import _BLOCK, Tessellation
+from .tessellation import _BLOCK, Tessellation, _row_dot
 
 __all__ = [
     "CORE_DEPTH",
@@ -288,39 +288,22 @@ def verify_inflation(boundaries: list[GrainBoundary]) -> list[tuple[int, int, bo
 # dipole orientation
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class DipoleAngles:
-    """Angles between each dipole axis and the local outward meridian."""
-
-    signed: np.ndarray  # one angle per dipole, in (-pi, pi]
-
-    @property
-    def mean_abs(self) -> float:
-        return float(np.mean(np.abs(self.signed)))
-
-    @property
-    def mean_signed(self) -> float:
-        return float(np.mean(self.signed))
-
-
-def dipole_angles(boundary: GrainBoundary, tess: Tessellation) -> DipoleAngles:
-    """Per-dipole angle of the heptagon->pentagon axis to the radial direction.
+def dipole_angles(boundary: GrainBoundary, tess: Tessellation) -> np.ndarray:
+    """Signed angle in (-pi, pi] of each dipole's heptagon->pentagon axis to the outward meridian.
 
     Both charts are conformal, so the metric angle can be read directly off
     chart vectors.  Meridians map to chart rays through the origin; "outward"
     (away from the ring's own pole) is +radial for rings around the chart
     center but -radial for the far-pole rings of a sphere, whose own pole
-    sits at chart infinity.
+    sits at chart infinity.  No vector is normalized: its length does not
+    change the angle.
     """
     xy = tess.pattern.chart_xy
+    h, p = np.array(boundary.dipoles, dtype=np.intp).reshape(-1, 2).T
     sign = -1.0 if boundary.pole_side == 1 else 1.0
-    angles = []
-    for hept, pent in boundary.dipoles:
-        mid = (xy[hept] + xy[pent]) / 2.0
-        radial = sign * mid / np.linalg.norm(mid)
-        v = xy[pent] - xy[hept]
-        angles.append(math.atan2(radial[0] * v[1] - radial[1] * v[0], float(v @ radial)))
-    return DipoleAngles(np.array(angles))
+    radial = sign * (xy[h] + xy[p])  # along the dipole's midpoint
+    v = xy[p] - xy[h]
+    return np.arctan2(radial[:, 0] * v[:, 1] - radial[:, 1] * v[:, 0], _row_dot(radial, v))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .export import (
     tessellation_document,
     write_json,
 )
-from .generator import generate, normalization_scale
+from .generator import INDEXINGS, generate, normalization_scale
 from .geometry import SPHERE, SURFACE_KINDS
 from .numerics import DIVERGENCE
 from .render import PROJECTIONS, render_svg
@@ -91,9 +91,7 @@ def _add_pattern_args(p: _Parser, with_input: bool) -> None:
         metavar="X",
         help="divergence; a number or 'golden' (default)",
     )
-    p.add_argument(
-        "--indexing", choices=("integer", "half-integer"), default="integer"
-    )
+    p.add_argument("--indexing", choices=INDEXINGS, default="integer")
 
 
 def _pattern_from_args(parser: _Parser, args) -> "PhylloPattern":
@@ -130,7 +128,8 @@ def _pattern_from_args(parser: _Parser, args) -> "PhylloPattern":
 def _write_text(parser: _Parser, path: Path, content: str | dict) -> None:
     """Write text to path; a JSON document (a dict) is written block by block.
 
-    A write that fails part-way removes the partial file.
+    A write that fails part-way removes the partial file; the error says
+    when it could not.
     """
     fh = None
     try:
@@ -143,15 +142,16 @@ def _write_text(parser: _Parser, path: Path, content: str | dict) -> None:
             else:
                 write_json(content, fh)
     except BaseException as err:
+        left = ""
         if fh is not None and path.is_file() and not path.is_symlink():  # not /dev/stdout
             try:
                 path.unlink()
             except OSError:
-                pass
+                left = " (the partial file could not be removed)"
         if isinstance(err, MemoryError):
-            parser.error(f"not enough memory to write {path}")
+            parser.error(f"not enough memory to write {path}{left}")
         if isinstance(err, OSError):
-            parser.error(f"cannot write {path}: {err.strerror or err}")
+            parser.error(f"cannot write {path}: {err.strerror or err}{left}")
         raise
 
 

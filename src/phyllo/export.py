@@ -465,14 +465,8 @@ def tessellation_document(tess: Tessellation) -> dict:
 
     def points(lo: int, hi: int) -> np.ndarray:
         """The [x, y] row of each vertex cells lo..hi-1 list; each distinct vertex is made into text once."""
-        read = index[offsets[lo] : offsets[hi]]
-        order = np.argsort(read, kind="stable")  # not np.unique: see tessellation._blocks
-        ordered = read[order]
-        first = np.ones(len(read), dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        inverse = np.empty(len(read), dtype=np.intp)
-        inverse[order] = np.cumsum(first) - 1
-        xy = _g_rows(tess.vertices[ordered[first]].ravel(), 17, blank=0, nan="null")
+        distinct, inverse = np.unique(index[offsets[lo] : offsets[hi]], return_inverse=True)
+        xy = _g_rows(tess.vertices[distinct].ravel(), 17, blank=0, nan="null")
         return _layout([b"[", xy[0::2], b", ", xy[1::2], b"]"])[inverse]
 
     def parts(lo: int, hi: int) -> list:

@@ -261,11 +261,12 @@ def test_criterion_10_dipole_orientation(tess_plane_3000):
         if not b.complete:
             continue
         angles = dipole_angles(b, tess_plane_3000)
+        mean_abs, mean_signed = float(np.abs(angles).mean()), float(angles.mean())
         want = math.atan2(fibonacci(b.rank - 1), fibonacci(b.rank))
-        if abs(angles.mean_abs - want) > 0.05:
-            problems.append(f"rank {b.rank}: {angles.mean_abs:.4f} vs {want:.4f}")
-        signs.append(math.copysign(1.0, angles.mean_signed))
-        last = angles.mean_abs
+        if abs(mean_abs - want) > 0.05:
+            problems.append(f"rank {b.rank}: {mean_abs:.4f} vs {want:.4f}")
+        signs.append(math.copysign(1.0, mean_signed))
+        last = mean_abs
     if not all(a == -b for a, b in zip(signs, signs[1:])):
         problems.append(f"signs do not alternate: {signs}")
     if last is None or abs(last - 0.5535) > 0.05:

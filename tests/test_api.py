@@ -11,7 +11,8 @@ import pytest
 
 import phyllo
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 MODULES = ["phyllo"] + [
     f"phyllo.{name}"
     for name in (
@@ -32,6 +33,24 @@ def test_every_public_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_every_public_name_has_a_reader():
+    # a public name is read outside the tests: by another module, a script,
+    # the benchmark, the README or the package metadata
+    unread = []
+    for module in MODULES[1:]:
+        own = ROOT / "src" / (module.replace(".", "/") + ".py")
+        readers = [p for p in (ROOT / "src" / "phyllo").glob("*.py") if p != own]
+        readers += [*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")]
+        readers += [README, ROOT / "pyproject.toml"]
+        text = "\n".join(p.read_text(encoding="utf-8") for p in readers)
+        unread += [
+            f"{module}.{name}"
+            for name in importlib.import_module(module).__all__
+            if not re.search(rf"\b{re.escape(name)}\b", text)
+        ]
+    assert unread == []
 
 
 def test_package_exports_the_readme_library_names():

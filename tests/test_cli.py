@@ -437,15 +437,22 @@ def test_a_partial_file_that_cannot_be_removed_is_left(tmp_path, monkeypatch, ca
     def refuse(path, *args, **kwargs):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
 
-    monkeypatch.setattr(export, "_g_rows", _fail_with(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))))
     monkeypatch.setattr(Path, "unlink", refuse)
-    with pytest.raises(SystemExit) as err:
-        cli.main(["analyze", "--geometry", "plane", "--n", "600", "--out", str(tmp_path)])
-    assert err.value.code == 1
-    path = tmp_path / "tessellation.json"
-    message = f"phyllo: error: cannot write {path}: {os.strerror(errno.ENOSPC)}"
-    assert [line for line in capsys.readouterr().err.splitlines() if "error" in line] == [message]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json", "tessellation.json"]
+    left = " (the partial file could not be removed)"
+    for error, message in [
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+         f"cannot write {{path}}: {os.strerror(errno.ENOSPC)}{left}"),
+        (MemoryError(), f"not enough memory to write {{path}}{left}"),
+    ]:
+        out = tmp_path / type(error).__name__
+        monkeypatch.setattr(export, "_g_rows", _fail_with(error))
+        with pytest.raises(SystemExit) as err:
+            cli.main(["analyze", "--geometry", "plane", "--n", "600", "--out", str(out)])
+        assert err.value.code == 1
+        path = out / "tessellation.json"
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert errors == ["phyllo: error: " + message.format(path=path)]
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json", "tessellation.json"]
 
 
 def test_a_failed_write_of_another_kind_propagates(tmp_path, monkeypatch):
