@@ -58,14 +58,6 @@ class SurfaceSpec:
         if not 0 < self.lam < 1:
             raise ValueError(f"divergence must lie in (0, 1), got {self.lam}")
 
-    @property
-    def curvature(self) -> float:
-        """Gaussian curvature: +1/R^2 sphere, -1/R^2 hyperbolic, 0 plane."""
-        if self.kind == PLANE:
-            return 0.0
-        k = 1.0 / (self.R * self.R)
-        return k if self.kind == SPHERE else -k
-
 
 def _check_hyperbolic_r(r) -> None:
     if np.any(np.asarray(r) >= 1.0):

@@ -9,8 +9,10 @@ patterns are triangulated by the convex hull of the embedded points.
 The triangles come from the pattern's own parastichies.  Site s sits at
 azimuth 2 pi lam s, so outside the disordered core each Delaunay neighbour
 of s is a site s +- q for a parastichy number q of lam (a Fibonacci number
-for the golden divergence).  Each site's fan is found among a few such
-candidates (a disordered core site takes as many of its nearest sites), the
+for the golden divergence).  Each site's fan is found among the sites its
+steps of four consecutive ranks reach, around the two shortest that hold the
+near-lattice neighbours (five on a strongly curved disc, more at the rim and
+on a retry; a disordered core site takes as many of its nearest sites), the
 sites of a block in one vectorized call, and the fans are kept only if a
 certificate proves them the Delaunay triangulation: each triangle is found
 from all three corners (as its corners in ascending order: every kept fan
@@ -83,9 +85,23 @@ CELL_TYPE_BY_SIDES = {4: "square", 5: "pentagon", 6: "hexagon", 7: "heptagon"}
 #: sites per array block; bounds the temporary arrays of the cell geometry
 _BLOCK = 2048
 
-#: candidate steps of the parastichy triangulation, as ranks relative to the step
-#: to a site's nearest site: for most sites, for the rim, and for a retry
-_BULK, _RIM, _RETRY = (-2, 2), (-6, 2), (-7, 3)
+#: candidate steps of the parastichy triangulation, as ranks relative to the
+#: rank k of the step to a site's nearest site: for most sites (k - 2 to k + 1,
+#: or k - 1 to k + 2 where step k + 2 reaches a nearer site than step k - 2),
+#: for the bulk of a disc more curved than _NARROW_A, for the rim, and for a retry
+_BULK, _WIDE, _RIM, _RETRY = (-2, 1), (-2, 2), (-6, 2), (-7, 3)
+
+#: the largest disc curvature a (in cell units) whose bulk takes _BULK.  A
+#: near-lattice site's neighbours are its two shortest steps and their sum
+#: or difference, four consecutive ranks; curvature shears the lattice apart
+#: from that.  Measured by tessellate on discs of 3000 and 20000 sites at
+#: a = 0.10, 0.11, ..., 0.15 with both windows: _BULK certified on the first
+#: try and was faster up to 0.12 (52 against 62 ms at 20000 sites); at 0.13
+#: it missed a neighbour of 164 of the 15,807 bulk sites of 20000 (1,449 at
+#: 0.15), and the retry made it slower than _WIDE (84 against 69 ms).
+#: Spheres and planes need no bound: with _BULK, no bulk site of a sphere of
+#: 25 to 163689 sites, nor of a plane of 100 to 100000, missed a neighbour.
+_NARROW_A = 0.12
 
 #: the disordered core: sites this close in index to either end of the
 #: index range take the nearest of the _CORE_POOL sites at that end and of
@@ -319,6 +335,23 @@ def _local_rank(coords: tuple[np.ndarray, ...], steps: np.ndarray) -> np.ndarray
     return rank
 
 
+def _leans_out(coords: tuple[np.ndarray, ...], steps: np.ndarray, rank: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Per site s of rank k, whether step k + 2 reaches a site nearer s than step k - 2 does.
+
+    A step q reaches s + q and s - q, where they exist; a step that reaches
+    no site, or a rank outside steps, is infinitely far.
+    """
+    n = len(rank)
+    # steps k - 2 and k + 2, where a rank outside steps takes a step of n
+    q = np.concatenate(([n, n], steps, [n, n]))[rank[sites] + [[0], [4]]]
+    t = np.concatenate((sites + q, sites - q))  # one row per step and direction
+    reached = (t >= 0) & (t < n)
+    t = np.where(reached, t, sites)
+    d2 = np.where(reached, sum((c[t] - c[sites]) ** 2 for c in coords), np.inf)
+    near = np.minimum(d2[:2], d2[2:])
+    return near[1] < near[0]
+
+
 def _inverted(coords, frames, sites: np.ndarray, cand: np.ndarray):
     """x, y and |d|^2 of d = (candidate - site) for (m,) sites and (m, c) candidates.
 
@@ -476,7 +509,7 @@ def _certify(sphere: bool, count, neighbors, closed, sound):
     return simplices, suspects
 
 
-def _parastichy_simplices(points: np.ndarray, lam: float, frames=None) -> tuple | None:
+def _parastichy_simplices(points: np.ndarray, lam: float, frames=None, wide: bool = False) -> tuple | None:
     """Delaunay triangles found from Fibonacci index steps, with their fans; or None.
 
     The triangles as _certify decodes them, and the fans it passed: count,
@@ -487,18 +520,23 @@ def _parastichy_simplices(points: np.ndarray, lam: float, frames=None) -> tuple 
 
     Site s sits at azimuth 2 pi lam s, so outside the disordered core its
     Delaunay neighbours are sites s +- q, for parastichy numbers q near the
-    step to its nearest site.  Each site takes the candidates of _BULK steps
-    around that one; sites whose outward steps leave the pattern (its rim,
-    where the hull edges are long) take _RIM; sites that fail the
-    certificate are retried, with their fans' neighbours, on _RETRY steps.
-    The rest is left to Qhull.  A window of steps gives w = 2 (window[1] -
-    window[0] + 1) candidates.  The _CORE sites nearest each end of the
-    index range, where the steps do not yet hold the neighbours, take the w
-    nearest (by squared distance on the points, ties to the earlier) of the
-    _CORE_POOL sites at that end and of their steps outside it; so they run
-    in their block's _fans call, _BLOCK sites at a time, and on a chart
-    their fans may open as the rim's do.  A core site whose nearest miss a
-    neighbour fails the certificate and is retried, never accepted.
+    step to its nearest site, of rank k.  Near a lattice they are its two
+    shortest steps and their sum or difference, four consecutive ranks: so
+    each site takes the candidates of the _BULK ranks k - 2 to k + 1, or
+    k - 1 to k + 2 where step k + 2 reaches a nearer site than step k - 2
+    (_leans_out), the window dropping its farther end.  When wide (a disc
+    too curved for four ranks) it takes _WIDE's five instead.  Sites whose
+    outward steps leave the pattern (its rim, where the hull edges are long)
+    take _RIM; sites that fail the certificate are retried, with their
+    fans' neighbours, on _RETRY steps.  The rest is left to Qhull.  A window
+    of steps gives w = 2 (window[1] - window[0] + 1) candidates.  The _CORE
+    sites nearest each end of the index range, where the steps do not yet
+    hold the neighbours, take the block's w nearest (by squared distance on
+    the points, ties to the earlier) of the _CORE_POOL sites at that end and
+    of their window's steps outside it; so they run in their block's _fans
+    call, _BLOCK sites at a time, and on a chart their fans may open as the
+    rim's do.  A core site whose nearest miss a neighbour fails the
+    certificate and is retried, never accepted.
 
     points are chart points scaled by chart_pow2, which keeps squared
     lengths and their inverses in range, or on the sphere unit vectors with
@@ -518,7 +556,8 @@ def _parastichy_simplices(points: np.ndarray, lam: float, frames=None) -> tuple 
         pool = min(n, _CORE_POOL)
 
         def candidates(sites, window):
-            ks = rank[sites, None] + np.arange(window[0], window[1] + 1)
+            ks = rank[sites] + _leans_out(coords, steps, rank, sites) if window == _BULK else rank[sites]
+            ks = ks[:, None] + np.arange(window[0], window[1] + 1)
             q = steps[np.clip(ks, 0, len(steps) - 1)]
             cand = np.hstack((sites[:, None] + q, sites[:, None] - q))
             cand = np.where(np.tile((ks >= 0) & (ks < len(steps)), 2) & (cand >= 0) & (cand < n), cand, -1)
@@ -553,7 +592,7 @@ def _parastichy_simplices(points: np.ndarray, lam: float, frames=None) -> tuple 
         rim = np.zeros(n, dtype=bool)
         if not sphere:
             rim = site + steps[np.minimum(rank + 1, len(steps) - 1)] >= n
-        pieces = run(~rim, _BULK, False, [])
+        pieces = run(~rim, _WIDE if wide else _BULK, False, [])
         pieces = run(rim, _RIM, True, pieces)
         neighbors = _gather(count, pieces)
         simplices, suspects = _certify(sphere, count, neighbors, closed, sound)
@@ -707,7 +746,8 @@ def tessellate(pattern: PhylloPattern) -> Tessellation:
         frames = _tangent_frames(unit)
         found = _parastichy_simplices(unit, surface.lam, frames)
     else:
-        found = _parastichy_simplices(chart, surface.lam)
+        # a disc's curvature in cell units is a: past _NARROW_A its bulk takes _WIDE
+        found = _parastichy_simplices(chart, surface.lam, None, kind == HYPERBOLIC and surface.a > _NARROW_A)
 
     # the links as s * n + t, sorted: the CSR rows
     if found is None:

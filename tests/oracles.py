@@ -1,4 +1,6 @@
-"""Test oracles read off a tessellation: the cell labels and the point-in-cell test."""
+"""Test oracles: the cell labels, the point-in-cell test and the fan window rule."""
+
+import math
 
 import numpy as np
 
@@ -38,3 +40,28 @@ def cell_contains(tess: Tessellation, s: int, point) -> bool:
     w_s = 1.0 - float(np.sum(site * site))
     w_t = 1.0 - np.sum(others * others, axis=1)
     return bool(np.all(d2s * w_t <= d2t * w_s))
+
+
+def fan_window(coords, steps) -> tuple[np.ndarray, np.ndarray]:
+    """Per site, the rank k of its nearest step and the end of k - 2 ... k + 2 its fan window drops.
+
+    Brute force over every site, every step and both directions: step q
+    reaches s - q and s + q where they exist, and its distance from s is
+    that of the nearer (infinite for none, or for a rank outside steps).  k
+    is the least rank at the least distance.  The window drops k - 2 when
+    step k + 2 is strictly nearer than step k - 2, else k + 2.
+    """
+    pts = np.column_stack(coords).tolist()
+    n, steps = len(pts), list(steps)
+    rank, dropped = [], []
+    for s, p in enumerate(pts):
+        d2 = []
+        for q in steps:
+            reached = [pts[t] for t in (s - q, s + q) if 0 <= t < n]
+            d2.append(min((sum((b - a) * (b - a) for a, b in zip(p, r)) for r in reached), default=math.inf))
+        k = d2.index(min(d2))
+        far = d2[k + 2] if k + 2 < len(steps) else math.inf
+        near = d2[k - 2] if k >= 2 else math.inf
+        rank.append(k)
+        dropped.append(k - 2 if far < near else k + 2)
+    return np.array(rank), np.array(dropped)

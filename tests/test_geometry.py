@@ -33,12 +33,6 @@ def test_surface_validation():
         SurfaceSpec("plane", None, 1.0, lam=1.0)
 
 
-def test_curvature_signs():
-    assert PLANE.curvature == 0.0
-    assert SurfaceSpec("sphere", 2.0, 1.0).curvature == pytest.approx(0.25)
-    assert SurfaceSpec("hyperbolic", 2.0, 1.0).curvature == pytest.approx(-0.25)
-
-
 def test_conformal_factor_values():
     assert conformal_factor(PLANE, 7.3) == 1.0
     assert conformal_factor(HYP1, 0.0) == pytest.approx(2.0)

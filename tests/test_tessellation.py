@@ -13,7 +13,7 @@ from scipy.spatial import ConvexHull, Delaunay, Voronoi, cKDTree
 
 from phyllo import analysis, cli, tessellation
 from phyllo.analysis import area_series, detect_grain_boundaries, distance_series
-from phyllo.generator import PhylloPattern, generate, normalization_scale
+from phyllo.generator import PhylloPattern, chart_pow2, generate, normalization_scale
 from phyllo.geometry import SurfaceSpec, chart_distance_xy
 from phyllo.numerics import fibonacci
 from phyllo.render import render_svg
@@ -25,7 +25,7 @@ from phyllo.tessellation import (
     tessellate,
 )
 
-from oracles import cell_contains, classify
+from oracles import cell_contains, classify, fan_window
 
 # neighbor structure of the first two defect rings of the plane pattern,
 # recorded from the n=3000 tessellation: (site, cell type, sorted index
@@ -1083,6 +1083,90 @@ def test_core_rows_share_their_blocks_fan_call(n, monkeypatch):
     unit = pattern.xyz / pattern.surface.R
     assert tessellation._parastichy_simplices(unit, pattern.surface.lam, tessellation._tangent_frames(unit)) is not None
     assert len(calls) == -(-n // tessellation._BLOCK) and sum(calls) == n
+
+
+def _fan_calls(pattern, monkeypatch):
+    """tessellate's _fans row widths and certificate suspect counts, in call order."""
+    calls, fans, certify = [], tessellation._fans, tessellation._certify
+
+    def certified(*args):
+        found = certify(*args)
+        calls.append(("suspects", len(found[1])))
+        return found
+
+    def fanned(coords, frames, sites, cand, open_ok):
+        calls.append(("width", cand.shape[1]))
+        return fans(coords, frames, sites, cand, open_ok)
+
+    monkeypatch.setattr(tessellation, "_fans", fanned)
+    monkeypatch.setattr(tessellation, "_certify", certified)
+    tessellate(pattern)
+    return calls
+
+
+# golden-ratio patterns of near-lattice order: no other divergence, no disc above a = 0.1
+NEAR_LATTICE = [
+    (k, n, kw) for k, n, kw in REFERENCE_PATTERNS if "lam" not in kw and (k != "hyperbolic" or kw["a"] <= 0.1)
+]
+
+
+@pytest.mark.parametrize("kind,n,kwargs", NEAR_LATTICE, ids=[f"{k}-{n}-{kw}" for k, n, kw in NEAR_LATTICE])
+def test_near_lattice_fans_certify_on_the_first_try(kind, n, kwargs, monkeypatch):
+    # the bulk takes 8 candidates (four ranks), the rim 18: one certificate,
+    # with no suspect, so no retry and no Qhull
+    calls = _fan_calls(generate(kind, n, **kwargs), monkeypatch)
+    assert calls[-1] == ("suspects", 0) and [c for c in calls if c[0] == "suspects"] == [calls[-1]]
+    widths = {w for _, w in calls[:-1]}
+    assert widths <= {8, 18} and 8 in widths
+
+
+@pytest.mark.parametrize("a,suspects", [(0.4, 904), (1.0, 1120)])
+def test_strongly_curved_discs_keep_the_wide_window(a, suspects, monkeypatch):
+    # past _NARROW_A the bulk takes five ranks, 10 candidates, and misses as
+    # many neighbours as it did before the four-rank window
+    calls = _fan_calls(generate("hyperbolic", 3000, a=a), monkeypatch)
+    first = calls.index(("suspects", suspects))
+    assert {w for _, w in calls[:first]} == {10, 18}
+    assert {w for _, w in calls[first + 1 : -1]} == {22} and calls[-1] == ("suspects", 0)
+
+
+def _assert_fan_window_matches_oracle(coords, steps):
+    rank = tessellation._local_rank(coords, steps)
+    k, dropped = fan_window(coords, steps)
+    leans = tessellation._leans_out(coords, steps, rank, np.arange(len(rank)))
+    assert np.array_equal(rank, k)
+    assert np.array_equal(np.where(leans, rank - 2, rank + 2), dropped)
+
+
+@pytest.mark.parametrize(
+    "kind,n,kwargs",
+    [
+        ("plane", 600, {}),
+        ("sphere", 197, {}),
+        ("sphere", 600, {"indexing": "half-integer"}),
+        ("hyperbolic", 500, {"a": 0.05}),
+    ],
+)
+def test_fan_window_drops_the_farther_end(kind, n, kwargs):
+    # on the points tessellate ranks: the scaled chart, or the unit sphere
+    pattern = generate(kind, n, **kwargs)
+    if kind == "sphere":
+        points = pattern.xyz / pattern.surface.R
+    else:
+        points = pattern.chart_xy * chart_pow2(pattern.surface)
+    steps = tessellation._parastichy_steps(pattern.surface.lam, n)
+    _assert_fan_window_matches_oracle(tuple(np.ascontiguousarray(points.T)), steps)
+
+
+def test_fan_window_drops_the_later_end_on_a_tie():
+    # site 8 is nearest site 11, three on (rank 2), and steps 1 and 8 reach
+    # sites 7 and 0 equally far from it: its window drops rank 4, not rank 0
+    xy = np.array([[40.0 + s, 40.0 + s * s] for s in range(17)])
+    xy[[8, 11, 7, 0]] = [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [-2.0, 0.0]]
+    coords, steps = tuple(np.ascontiguousarray(xy.T)), np.array([1, 2, 3, 5, 8])
+    k, dropped = fan_window(coords, steps)
+    assert (k[8], dropped[8]) == (2, 4)
+    _assert_fan_window_matches_oracle(coords, steps)
 
 
 class _Qhull(Exception):
